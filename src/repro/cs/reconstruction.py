@@ -133,11 +133,6 @@ def omp(
     return coeffs
 
 
-def _soft_threshold(z: np.ndarray, threshold: float) -> np.ndarray:
-    """Elementwise soft-thresholding, the proximal operator of lam*||.||_1."""
-    return np.sign(z) * np.maximum(np.abs(z) - threshold, 0.0)
-
-
 def _lipschitz(a: np.ndarray) -> float:
     """Largest eigenvalue of A^T A (squared spectral norm), the gradient
     Lipschitz constant of the LASSO smooth term."""
@@ -355,11 +350,10 @@ class Reconstructor:
         else:
             lam_scale = np.max(np.abs(y2 @ a))
             lam = self.lam_rel * (lam_scale if lam_scale > 0 else 1.0)
-            solver = fista if self.method == "fista" else ista
             if self.method == "fista":
                 coeffs = fista(a, y2, lam, n_iter=self.n_iter, debias=self.debias)
             else:
-                coeffs = solver(a, y2, lam, n_iter=self.n_iter)
+                coeffs = ista(a, y2, lam, n_iter=self.n_iter)
             coeffs = np.atleast_2d(coeffs)
         frames = coeffs if self.basis is None else coeffs @ self.basis.T
         return frames[0] if single else frames

@@ -84,6 +84,14 @@ from repro.power.technology import DesignPoint
 #: heartbeats -- an incompatible handshake, hence the bump.
 PROTOCOL_VERSION = 2
 
+#: Longest accepted message line in characters, newline included (the
+#: wire is ASCII JSON, so characters are bytes).  The largest message the
+#: fleet tests, the chaos smoke and a traced smoke-scale fleet sweep send
+#: is a ~14 KB ``complete``; a worker's whole trace buffer (20 000 events
+#: of at most ~250 bytes) drained into one message stays under 5 MB.  A
+#: longer line is a misbehaving peer, not a message.
+MAX_LINE_LENGTH = 16 * 1024 * 1024
+
 #: Messages a worker may send (anything else is a protocol error).
 WORKER_MESSAGES = ("hello", "sync", "request", "heartbeat", "complete", "fail", "bye")
 
@@ -113,11 +121,15 @@ def recv_message(stream: IO[str], expect: Sequence[str] | None = None) -> dict |
 
     ``expect`` optionally restricts the acceptable ``type`` values;
     out-of-band types raise :class:`ProtocolError` (the caller decides
-    whether that kills the connection or the run).
+    whether that kills the connection or the run), as does a line that
+    reaches :data:`MAX_LINE_LENGTH` without a newline, so a peer cannot
+    grow this process's memory without bound.
     """
-    line = stream.readline()
+    line = stream.readline(MAX_LINE_LENGTH)
     if not line:
         return None
+    if len(line) == MAX_LINE_LENGTH and not line.endswith("\n"):
+        raise ProtocolError(f"message line exceeds {MAX_LINE_LENGTH} characters")
     try:
         payload = json.loads(line)
     except ValueError as error:

@@ -4,9 +4,10 @@ These are the *definitional* implementations: the golden suite locks
 their numbers down, and every other backend is accepted only if the
 conformance harness proves agreement with them (bit-identical for
 ``exact`` backends, documented tolerance otherwise).  The solver bodies
-here are the exact loops that used to live inline in
-:mod:`repro.cs.reconstruction`; the wrappers there now validate, time
-and dispatch, while the numeric cores live behind the registry.
+perform exactly the floating-point operations, in the same order, of the
+loops that used to live inline in :mod:`repro.cs.reconstruction`; the
+wrappers there now validate, time and dispatch, while the numeric cores
+live behind the registry.
 
 Kernel contract
 ---------------
@@ -60,27 +61,56 @@ def least_squares_on_support(a: np.ndarray, y: np.ndarray, support: np.ndarray) 
 def fista(
     a: np.ndarray, y2: np.ndarray, lam: float, n_iter: int, tol: float
 ) -> tuple[np.ndarray, int]:
-    """Batched FISTA core (Beck & Teboulle); see module docstring."""
+    """Batched FISTA core (Beck & Teboulle); see module docstring.
+
+    Each iteration computes, in this order and with these operands::
+
+        gradient = momentum @ gram - ya
+        v        = momentum - step * gradient
+        z_next   = sign(v) * maximum(abs(v) - lam * step, 0.0)
+        momentum = z_next + ((t - 1.0) / t_next) * (z_next - z)
+        delta    = max(abs(z_next - z))
+
+    That sequence is the exactness contract of every ``exact`` backend.
+    It runs in four ``(B, N)`` buffers allocated once per solve: ``out=``
+    ufuncs overwrite them, ``z_next - z`` is formed once for both the
+    momentum and the convergence test, and the buffers rotate roles
+    instead of being reallocated.  ``sign`` writes to a buffer other
+    than its input because numpy's in-place ``sign`` loop is ~8x slower
+    (numpy 2.4 on one Xeon core, 192 x 384 float64: ~400 vs ~50 us).
+    """
     b, _m = y2.shape
     n = a.shape[1]
     lipschitz = _lipschitz(a)
     if lipschitz == 0:
         return np.zeros((b, n)), 0
     step = 1.0 / lipschitz
+    threshold = lam * step
     z = np.zeros((b, n))
-    momentum = z.copy()
+    momentum = np.zeros((b, n))
+    z_next = np.empty((b, n))
+    work = np.empty((b, n))
     t = 1.0
     gram = a.T @ a  # (N, N), precomputed: gradient = momentum @ gram - y A
     ya = y2 @ a  # (B, N)
     iterations = 0
     for _ in range(n_iter):
         iterations += 1
-        gradient = momentum @ gram - ya
-        z_next = _soft_threshold(momentum - step * gradient, lam * step)
+        np.matmul(momentum, gram, out=work)
+        np.subtract(work, ya, out=work)  # gradient
+        np.multiply(step, work, out=work)
+        np.subtract(momentum, work, out=work)  # v; momentum is dead from here
+        np.abs(work, out=z_next)
+        np.subtract(z_next, threshold, out=z_next)
+        np.maximum(z_next, 0.0, out=z_next)
+        np.sign(work, out=momentum)
+        np.multiply(momentum, z_next, out=z_next)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        momentum = z_next + ((t - 1.0) / t_next) * (z_next - z)
-        delta = np.max(np.abs(z_next - z))
-        z = z_next
+        diff = np.subtract(z_next, z, out=z)  # z is dead from here
+        delta = np.max(np.abs(diff, out=work))
+        np.multiply((t - 1.0) / t_next, diff, out=diff)
+        np.add(z_next, diff, out=diff)
+        z, momentum, z_next = z_next, diff, momentum
         t = t_next
         if delta <= tol:
             break

@@ -10,6 +10,8 @@ exactly-once evaluator-call accounting.
 
 import io
 import json
+import socket
+import threading
 
 import pytest
 
@@ -118,6 +120,43 @@ class TestProtocol:
             protocol.recv_message(
                 io.StringIO('{"type": "lease"}\n'), expect=("ack",)
             )
+
+    @staticmethod
+    def _read_from_socket(payload: bytes, reads: int = 1) -> list:
+        """recv_message ``reads`` times on a socket fed ``payload`` by a peer."""
+        ours, peer = socket.socketpair()
+
+        def feed():
+            try:
+                peer.sendall(payload)
+            except OSError:
+                pass  # we hung up mid-line after rejecting it
+            finally:
+                peer.close()
+
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        reader = ours.makefile("r", encoding="utf-8", newline="\n")
+        try:
+            return [protocol.recv_message(reader) for _ in range(reads)]
+        finally:
+            reader.close()
+            ours.close()
+            feeder.join(timeout=10)
+
+    def test_recv_rejects_a_line_that_reaches_the_cap(self):
+        with pytest.raises(ProtocolError, match="exceeds"):
+            self._read_from_socket(b"x" * (protocol.MAX_LINE_LENGTH + 1))
+
+    def test_recv_parses_a_message_just_under_the_cap(self):
+        empty = json.dumps({"type": "heartbeat", "pad": ""}, separators=(",", ":"))
+        pad = "x" * (protocol.MAX_LINE_LENGTH - 1 - len(empty))
+        line = json.dumps({"type": "heartbeat", "pad": pad}, separators=(",", ":"))
+        assert len(line) + 1 == protocol.MAX_LINE_LENGTH
+        follow_up = b'{"type":"request"}\n'
+        big, small = self._read_from_socket(line.encode() + b"\n" + follow_up, reads=2)
+        assert big["pad"] == pad
+        assert small == {"type": "request"}
 
     def test_malformed_chunk_and_rows_raise(self):
         with pytest.raises(ProtocolError, match="malformed chunk"):

@@ -190,6 +190,95 @@ def test_solvers_conform_with_nonfinite_measurements(seed, m, n):
         )
 
 
+# --- the reference pinned to its own bits -------------------------------------
+#
+# The conformance checks above compare other backends against numpy, and
+# the goldens allow rtol 1e-6, so neither would notice a change to the
+# reference's own floating-point operations.  The allocating FISTA loop
+# below is the reference as it was before its buffers were preallocated;
+# the reference must keep returning exactly its bytes and iteration count.
+
+
+def _soft_threshold(z, threshold):
+    return np.sign(z) * np.maximum(np.abs(z) - threshold, 0.0)
+
+
+def _allocating_fista(a, y2, lam, n_iter, tol):
+    b, _m = y2.shape
+    n = a.shape[1]
+    lipschitz = float(np.linalg.norm(a, ord=2) ** 2)
+    if lipschitz == 0:
+        return np.zeros((b, n)), 0
+    step = 1.0 / lipschitz
+    z = np.zeros((b, n))
+    momentum = z.copy()
+    t = 1.0
+    gram = a.T @ a  # (N, N), precomputed: gradient = momentum @ gram - y A
+    ya = y2 @ a  # (B, N)
+    iterations = 0
+    for _ in range(n_iter):
+        iterations += 1
+        gradient = momentum @ gram - ya
+        z_next = _soft_threshold(momentum - step * gradient, lam * step)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        momentum = z_next + ((t - 1.0) / t_next) * (z_next - z)
+        delta = np.max(np.abs(z_next - z))
+        z = z_next
+        t = t_next
+        if delta <= tol:
+            break
+    return z, iterations
+
+
+def _assert_fista_bits_match_oracle(a, y2, lam, n_iter, tol) -> int:
+    want, want_iterations = _allocating_fista(a, y2, lam, n_iter, tol)
+    got, got_iterations = numpy_backend.fista(a, y2, lam, n_iter, tol)
+    assert got_iterations == want_iterations
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+    return got_iterations
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [p for p in solver_problems() if p.kernel == "fista"],
+    ids=lambda p: p.name,
+)
+def test_reference_fista_is_byte_identical_to_allocating_loop(problem):
+    _assert_fista_bits_match_oracle(*problem.args)
+
+
+def test_reference_fista_bits_survive_the_early_exit():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(24, 64))
+    y2 = rng.normal(size=(6, 24))
+    iterations = _assert_fista_bits_match_oracle(a, y2, 0.5, 500, 1e-3)
+    assert 1 < iterations < 500
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=_seeds,
+    m=st.integers(1, 24),
+    n=st.integers(1, 40),
+    batch=st.integers(1, 6),
+    lam=st.floats(1e-6, 1.0),
+    n_iter=st.integers(1, 80),
+    tol=st.sampled_from([0.0, 1e-9, 1e-3, 1e-1]),
+    non_finite=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    dtype=st.sampled_from([np.float64, np.float32]),
+)
+def test_reference_fista_bits_on_random_problems(
+    seed, m, n, batch, lam, n_iter, tol, non_finite, dtype
+):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, n)).astype(dtype)
+    y2 = rng.normal(size=(batch, m)).astype(dtype)
+    if non_finite is not None:
+        y2[rng.integers(batch), rng.integers(m)] = non_finite
+    _assert_fista_bits_match_oracle(a, y2, lam, n_iter, tol)
+
+
 # --- the harness itself must catch broken backends --------------------------
 
 
