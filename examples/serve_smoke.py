@@ -9,10 +9,11 @@ stdlib, and asserts the contract at each step:
 4. revalidate with ``If-None-Match`` and require ``304 Not Modified``;
 5. resubmit the identical sweep and require it served from the store;
 6. fetch the sweep's Chrome trace artifact from ``/v1/sweeps/<n>/trace``;
-7. scrape ``GET /metrics`` and validate the OpenMetrics exposition:
-   correct content type, ``# EOF`` terminator, at least one counter
-   family and one per-route request-latency histogram family whose
-   cumulative buckets are monotone and end in ``le="+Inf"``.
+7. scrape ``GET /metrics`` and validate the OpenMetrics exposition
+   (:func:`validate_openmetrics`): correct content type, ``# EOF``
+   terminator, each family declared once with every sample under its
+   own family, cumulative buckets ending in ``le="+Inf"``, at least one
+   counter family and one per-route request-latency histogram family.
 
 Used as the CI service smoke test::
 
@@ -58,22 +59,53 @@ def post_json(base: str, path: str, payload: dict):
         return response.status, json.loads(response.read())
 
 
+#: Sample-name suffixes each OpenMetrics family type allows.
+SAMPLE_SUFFIXES = {
+    "gauge": ("",),
+    "counter": ("_total",),
+    "histogram": ("_bucket", "_sum", "_count"),
+}
+
+
 def validate_openmetrics(body: str) -> dict[str, str]:
     """Parse an OpenMetrics exposition into ``{family: type}``, asserting
-    the structural invariants a Prometheus scraper relies on."""
+    the structural invariants a Prometheus scraper relies on:
+
+    * the body ends with the ``# EOF`` terminator;
+    * every ``# TYPE`` family is declared once, with a known type;
+    * every sample follows its family's declaration and is named
+      ``<family><suffix>`` with a suffix the type allows (gauge none,
+      counter ``_total``, histogram ``_bucket``/``_sum``/``_count``);
+    * every histogram's buckets are cumulative and end in ``le="+Inf"``.
+    """
     assert body.endswith("# EOF\n"), "missing OpenMetrics # EOF terminator"
     families: dict[str, str] = {}
-    bucket_runs: dict[str, list[int]] = {}
+    buckets: dict[str, list[tuple[str, int]]] = {}
+    family = None
     for line in body.splitlines():
         if line.startswith("# TYPE "):
-            _, _, name, kind = line.split(" ", 3)
-            families[name] = kind
-        elif "_bucket{" in line:
-            name = line.split("_bucket{", 1)[0]
-            bucket_runs.setdefault(name, []).append(int(line.rsplit(" ", 1)[1]))
-    for name, counts in bucket_runs.items():
+            _, _, family, kind = line.split(" ", 3)
+            assert family not in families, f"family {family} declared twice"
+            assert kind in SAMPLE_SUFFIXES, f"family {family} has unknown type {kind!r}"
+            families[family] = kind
+            continue
+        if line.startswith("#"):
+            continue
+        name = line.split("{", 1)[0].split(" ", 1)[0]
+        allowed = () if family is None else SAMPLE_SUFFIXES[families[family]]
+        assert any(name == family + suffix for suffix in allowed), (
+            f"sample {name!r} does not belong to the declared family {family!r}"
+        )
+        if name == f"{family}_bucket":
+            le = line.split('le="', 1)[1].split('"', 1)[0]
+            buckets.setdefault(family, []).append((le, int(line.rsplit(" ", 1)[1])))
+    for name, kind in families.items():
+        if kind != "histogram":
+            continue
+        runs = buckets.get(name, [])
+        assert runs and runs[-1][0] == "+Inf", f"histogram {name} lacks a +Inf bucket"
+        counts = [count for _, count in runs]
         assert counts == sorted(counts), f"non-cumulative buckets in {name}"
-    assert 'le="+Inf"' in body, "histograms must end in a +Inf bucket"
     return families
 
 

@@ -616,8 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel-backend",
         metavar="NAME",
         default=None,
-        help="kernel backend for the hot numerical paths (numpy, numba, "
-        "jax; default: $REPRO_KERNEL_BACKEND or numpy).  Unavailable "
+        help="kernel backend for the hot numerical paths (numpy or numba; "
+        "default: $REPRO_KERNEL_BACKEND or numpy).  Unavailable "
         "backends auto-fall back to the numpy reference; the manifest "
         "'kernels' section records what actually ran",
     )

@@ -445,15 +445,9 @@ class BatchedEvaluator:
         the source stream through the stacked ``process_batch`` kernels.
         This is the part of an evaluation the batched engine actually
         vectorises (per-point scoring and power collection are
-        executor-independent), so benchmarks time it directly.  The
-        block loop itself is dispatched as the ``signal_pass`` kernel
-        through :data:`repro.kernels.registry` — the numpy reference
-        walks the stacked ``process_batch`` chain; a backend could swap
-        the whole pass (no optional backend provides one today, so a
-        non-numpy selection records an attributed fallback).
+        executor-independent), so benchmarks time it directly.  Each
+        block position runs under its ``block.<name>`` span.
         """
-        from repro.kernels import registry
-
         stream = self.evaluator.source_signal()
         n_points = len(members)
         for member in members:
@@ -463,12 +457,17 @@ class BatchedEvaluator:
             for member in members
         ]
         batch = BatchSignal.broadcast(stream, n_points)
-        n_blocks = len(members[0].chain.blocks)
-        peer_rows = [
-            [member.chain.blocks[position] for member in members]
-            for position in range(n_blocks)
-        ]
-        return registry.call("signal_pass", batch, peer_rows, ctxs)
+        tel = get_active()
+        for position in range(len(members[0].chain.blocks)):
+            peers = [member.chain.blocks[position] for member in members]
+            with tel.span(f"block.{peers[0].name}"):
+                batch = peers[0].process_batch(batch, peers, ctxs)
+            if batch.n_points != n_points:
+                raise RuntimeError(
+                    f"batch kernel {type(peers[0]).__name__}.process_batch returned "
+                    f"{batch.n_points} rows for {n_points} points"
+                )
+        return batch
 
     def _run_group(self, members: list[CompiledPoint]) -> list[Evaluation]:
         """One vectorised chain pass over a compiled group, scored."""

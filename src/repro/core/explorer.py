@@ -540,7 +540,6 @@ class DesignSpaceExplorer:
                 cache_store.put(fingerprint, points[index], evaluation)
             if tel.enabled:
                 if elapsed is not None:
-                    tel.record("explore.point_seconds", elapsed)
                     tel.observe("explore.point_seconds", elapsed)
                 if stats:
                     if stats.get("retries"):

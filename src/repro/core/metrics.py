@@ -1,16 +1,17 @@
 """Fixed-bucket histograms and metrics export (OpenMetrics, JSONL events).
 
-The PR-2 telemetry keeps count/total/min/max/mean (and, now, stddev) per
-quantity, which answers "how slow on average" but not "how slow at the
-tail" -- and a sweep whose p99 point latency is 40x its p50 has a
-batching or caching problem that the mean hides entirely.  This module
-adds the tail-visibility layer:
+A mean answers "how slow on average" but not "how slow at the tail" --
+and a sweep whose p99 point latency is 40x its p50 has a batching or
+caching problem that the mean hides entirely.  This module holds the one
+aggregate every timed or observed quantity goes through:
 
 * :class:`Histogram` -- a fixed-bucket counting histogram (Prometheus
   style: cumulative ``le`` upper bounds plus an implicit ``+Inf``
-  bucket) with interpolated :meth:`quantile` estimates (p50/p95/p99) and
-  an exact, associative :meth:`merge` -- the property that lets worker
-  snapshots combine into driver totals without losing tail information.
+  bucket) that also keeps count/total/min/max and the Welford ``m2``,
+  so it reports mean and stddev exactly next to interpolated
+  :meth:`quantile` estimates (p50/p95/p99).  Its :meth:`merge` is
+  associative -- the property that lets worker snapshots combine into
+  driver totals without losing tail information.
 * :func:`render_openmetrics` -- serialises a
   :class:`~repro.core.telemetry.Telemetry` as an OpenMetrics/Prometheus
   textfile (``--metrics-out metrics.prom``), so a node-exporter textfile
@@ -53,7 +54,7 @@ SUMMARY_QUANTILES: tuple[float, ...] = (0.5, 0.95, 0.99)
 
 @dataclass
 class Histogram:
-    """Fixed-bucket counting histogram with exact merge.
+    """Fixed-bucket counting histogram with exact moments and merge.
 
     ``bounds`` are ascending finite upper bounds; an observation lands in
     the first bucket whose bound is ``>= value``, or in the implicit
@@ -62,6 +63,11 @@ class Histogram:
     construction, merging two histograms with identical bounds is a
     plain elementwise sum -- associative and commutative, which is what
     cross-process telemetry merging requires.
+
+    Next to the buckets it keeps count/total/min/max and the Welford
+    ``m2`` running sum of squared deviations, so :attr:`mean` and
+    :attr:`stddev` are exact rather than bucket estimates -- latency
+    *jitter* is as diagnostic as latency mean.
     """
 
     bounds: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS_S
@@ -70,6 +76,8 @@ class Histogram:
     total: float = 0.0
     min: float = math.inf
     max: float = -math.inf
+    #: Welford running sum of squared deviations from the mean.
+    m2: float = 0.0
 
     def __post_init__(self) -> None:
         self.bounds = tuple(float(b) for b in self.bounds)
@@ -86,11 +94,13 @@ class Histogram:
             )
 
     def observe(self, value: float) -> None:
-        """Fold one observation into the histogram."""
+        """Fold one observation into the histogram (Welford update)."""
         value = float(value)
         self.counts[bisect_left(self.bounds, value)] += 1
+        mean_before = self.total / self.count if self.count else 0.0
         self.count += 1
         self.total += value
+        self.m2 += (value - mean_before) * (value - self.total / self.count)
         if value < self.min:
             self.min = value
         if value > self.max:
@@ -100,6 +110,16 @@ class Histogram:
     def mean(self) -> float:
         """Mean observation (nan before the first one)."""
         return self.total / self.count if self.count else math.nan
+
+    @property
+    def variance(self) -> float:
+        """Sample variance (n-1 denominator; nan below two observations)."""
+        return self.m2 / (self.count - 1) if self.count >= 2 else math.nan
+
+    @property
+    def stddev(self) -> float:
+        """Sample standard deviation (nan below two observations)."""
+        return math.sqrt(self.variance) if self.count >= 2 else math.nan
 
     def quantile(self, q: float) -> float:
         """Interpolated quantile estimate from the bucket counts.
@@ -128,12 +148,26 @@ class Histogram:
         return self.max  # pragma: no cover - rank <= count always hits above
 
     def merge(self, other: "Histogram") -> "Histogram":
-        """Fold ``other`` into this histogram (exact; same bounds required)."""
+        """Fold ``other`` into this histogram (same bounds required).
+
+        Buckets, count/total/min/max combine exactly; ``m2`` combines
+        with Chan's pairwise-variance formula, so merging per-worker
+        histograms yields the same moments as observing the union (up
+        to float rounding) regardless of merge order.
+        """
         if other.bounds != self.bounds:
             raise ValueError(
                 f"cannot merge histograms with different bounds: "
                 f"{self.bounds} vs {other.bounds}"
             )
+        if not other.count:
+            return self
+        if self.count:
+            n1, n2 = self.count, other.count
+            delta = other.total / n2 - self.total / n1
+            self.m2 += other.m2 + delta * delta * n1 * n2 / (n1 + n2)
+        else:
+            self.m2 = other.m2
         self.counts = [a + b for a, b in zip(self.counts, other.counts)]
         self.count += other.count
         self.total += other.total
@@ -145,22 +179,35 @@ class Histogram:
 
     def copy(self) -> "Histogram":
         """Independent deep copy (merge mutates in place)."""
-        clone = Histogram(bounds=self.bounds, counts=list(self.counts))
-        clone.count = self.count
-        clone.total = self.total
-        clone.min = self.min
-        clone.max = self.max
-        return clone
+        return Histogram(
+            bounds=self.bounds,
+            counts=list(self.counts),
+            count=self.count,
+            total=self.total,
+            min=self.min,
+            max=self.max,
+            m2=self.m2,
+        )
 
     def to_dict(self) -> dict:
-        """JSON-ready dict with bucket counts and summary quantiles."""
+        """JSON-ready dict: the raw aggregate plus derived summaries.
+
+        ``bounds``/``counts``/``count``/``total``/``min``/``max``/``m2``
+        are the raw state :meth:`from_dict` rebuilds from, so a
+        round-tripped histogram merges exactly like the original.
+        Undefined summaries (min/max/mean/quantiles when empty, stddev
+        below two observations) are ``None``, keeping the dict inside
+        strict JSON.
+        """
         empty = not self.count
         return {
             "bounds": list(self.bounds),
             "counts": list(self.counts),
             "count": self.count,
             "total": self.total,
+            "m2": self.m2,
             "mean": None if empty else self.mean,
+            "stddev": None if self.count < 2 else self.stddev,
             "min": None if empty else self.min,
             "max": None if empty else self.max,
             **{
@@ -171,13 +218,16 @@ class Histogram:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Histogram":
-        """Rebuild from :meth:`to_dict` output (quantiles are recomputed)."""
-        histogram = cls(bounds=tuple(payload["bounds"]), counts=list(payload["counts"]))
-        histogram.count = int(payload["count"])
-        histogram.total = float(payload["total"])
-        histogram.min = math.inf if payload["min"] is None else float(payload["min"])
-        histogram.max = -math.inf if payload["max"] is None else float(payload["max"])
-        return histogram
+        """Rebuild from :meth:`to_dict` output (summaries are recomputed)."""
+        return cls(
+            bounds=tuple(payload["bounds"]),
+            counts=[int(c) for c in payload["counts"]],
+            count=int(payload["count"]),
+            total=float(payload["total"]),
+            min=math.inf if payload["min"] is None else float(payload["min"]),
+            max=-math.inf if payload["max"] is None else float(payload["max"]),
+            m2=float(payload["m2"]),
+        )
 
 
 # --- OpenMetrics / Prometheus textfile export --------------------------------
@@ -209,15 +259,17 @@ def _format_value(value: float) -> str:
 def render_openmetrics(telemetry) -> str:
     """Serialise ``telemetry`` as an OpenMetrics textfile.
 
-    Emits one metric family per telemetry name:
+    Emits one metric family per telemetry name, each declared once:
 
     * counters -> ``counter`` families (``_total`` suffix);
-    * spans and value stats -> ``gauge`` families per statistic
-      (``_count``/``_sum``/``_min``/``_max``/``_mean``/``_stddev``);
     * histograms -> native ``histogram`` families (cumulative ``le``
-      buckets, ``_sum``, ``_count``) plus ``_p50``/``_p95``/``_p99``
-      gauge estimates, since plain Prometheus histograms carry no
-      precomputed quantiles.
+      buckets, ``_sum``, ``_count``);
+    * spans -> the same native histograms under
+      ``repro_span_<name>_seconds``, a namespace no observation shares;
+    * the p50/p95/p99 estimates and the stddev of every histogram and
+      span -> one ``gauge`` family each (``<family>_p50`` ...
+      ``<family>_stddev``), since plain Prometheus histograms carry no
+      precomputed quantiles; undefined estimates are omitted.
 
     The output ends with the OpenMetrics ``# EOF`` terminator and is
     also valid Prometheus exposition format, so it works both as a
@@ -231,20 +283,11 @@ def render_openmetrics(telemetry) -> str:
         lines.append(f"# TYPE {family} counter")
         lines.append(f"{family}_total {_format_value(snapshot['counters'][name])}")
 
-    for section, unit in (("spans", "seconds"), ("values", "")):
-        for name in sorted(snapshot[section]):
-            stats = snapshot[section][name]
-            family = metric_name(f"{name}_{unit}" if unit else name)
-            lines.append(f"# TYPE {family} gauge")
-            lines.append(f"{family}_count {stats['count']}")
-            lines.append(f"{family}_sum {_format_value(stats['total'])}")
-            for stat in ("min", "max", "mean", "stddev"):
-                if stats.get(stat) is not None:
-                    lines.append(f"{family}_{stat} {_format_value(stats[stat])}")
-
-    for name in sorted(snapshot.get("histograms", {})):
-        payload = snapshot["histograms"][name]
-        family = metric_name(name)
+    families = [
+        (metric_name(f"span.{name}_seconds"), payload)
+        for name, payload in snapshot["spans"].items()
+    ] + [(metric_name(name), payload) for name, payload in snapshot["histograms"].items()]
+    for family, payload in sorted(families, key=lambda item: item[0]):
         lines.append(f"# TYPE {family} histogram")
         cumulative = 0
         for bound, count in zip(payload["bounds"], payload["counts"]):
@@ -254,11 +297,10 @@ def render_openmetrics(telemetry) -> str:
         lines.append(f'{family}_bucket{{le="+Inf"}} {cumulative}')
         lines.append(f"{family}_sum {_format_value(payload['total'])}")
         lines.append(f"{family}_count {payload['count']}")
-        for q in SUMMARY_QUANTILES:
-            quantile = payload.get(f"p{int(q * 100)}")
-            if quantile is not None:
-                lines.append(f"# TYPE {family}_p{int(q * 100)} gauge")
-                lines.append(f"{family}_p{int(q * 100)} {_format_value(quantile)}")
+        for stat in (*(f"p{int(q * 100)}" for q in SUMMARY_QUANTILES), "stddev"):
+            if payload[stat] is not None:
+                lines.append(f"# TYPE {family}_{stat} gauge")
+                lines.append(f"{family}_{stat} {_format_value(payload[stat])}")
 
     lines.append("# EOF")
     return "\n".join(lines) + "\n"

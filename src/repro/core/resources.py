@@ -6,10 +6,11 @@ module samples process resource usage on a small daemon thread and files
 it through the normal observability stack, so the answer is in the same
 artifacts as everything else:
 
-* histograms + value stats in :class:`~repro.core.telemetry.Telemetry`
-  (``resources.rss_mb``, ``resources.cpu_pct``, ``resources.threads``)
-  -- mergeable across processes, so fleet/pool workers get per-worker
-  attribution in ``telemetry.workers`` and the manifest;
+* histograms in :class:`~repro.core.telemetry.Telemetry`
+  (``resources.rss_mb``, ``resources.cpu_pct``, ``resources.threads``,
+  ``resources.cpu_s``) -- mergeable across processes, so fleet/pool
+  workers get per-worker attribution in ``telemetry.workers`` and the
+  manifest;
 * Chrome counter ("C") events on the attached tracer, rendering as
   per-process RSS/CPU/thread counter tracks in Perfetto;
 * ``resources.sample`` entries on the crash flight recorder ring, so a
@@ -36,6 +37,9 @@ RSS_MB_BUCKETS = (16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0)
 
 #: Histogram bounds for CPU utilisation percent (can exceed 100 with threads).
 CPU_PCT_BUCKETS = (5.0, 10.0, 25.0, 50.0, 75.0, 100.0, 200.0, 400.0, 800.0)
+
+#: Histogram bounds for the process thread count.
+THREAD_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 DEFAULT_SAMPLE_INTERVAL_S = 0.5
 
@@ -84,7 +88,7 @@ class ResourceSampler:
     Parameters
     ----------
     telemetry:
-        Destination for histograms/value stats; its attached tracer (if
+        Destination for the histograms; its attached tracer (if
         any) additionally receives Chrome counter events.
     interval_s:
         Sampling period.  Each tick is a handful of syscalls; 0.5 s
@@ -159,8 +163,8 @@ class ResourceSampler:
         rss_mb = sample["rss_bytes"] / 1e6
         tel = self.telemetry
         tel.observe("resources.rss_mb", rss_mb, bounds=RSS_MB_BUCKETS)
-        tel.record("resources.threads", float(sample["threads"]))
-        tel.record("resources.cpu_s", cpu_total)
+        tel.observe("resources.threads", float(sample["threads"]), bounds=THREAD_BUCKETS)
+        tel.observe("resources.cpu_s", cpu_total)
         if cpu_pct is not None:
             tel.observe("resources.cpu_pct", cpu_pct, bounds=CPU_PCT_BUCKETS)
 
@@ -196,19 +200,14 @@ class ResourceSampler:
 def resources_section(snapshot: dict, sampler: ResourceSampler | None = None) -> dict:
     """Manifest ``resources`` section from a ``Telemetry.snapshot()`` dict.
 
-    Collects every ``resources.*`` histogram and value-stat family plus
-    the per-worker resource digests that :meth:`Telemetry.merge` files
-    under ``workers``, so a fleet manifest attributes RSS/CPU per worker.
+    Collects every ``resources.*`` histogram plus the per-worker resource
+    histograms that :meth:`Telemetry.merge` files under ``workers``, so a
+    fleet manifest attributes RSS/CPU per worker.
     """
     section: dict = {
         "histograms": {
             name: body
             for name, body in snapshot.get("histograms", {}).items()
-            if name.startswith("resources.")
-        },
-        "values": {
-            name: body
-            for name, body in snapshot.get("values", {}).items()
             if name.startswith("resources.")
         },
         "workers": {

@@ -19,6 +19,9 @@ from repro.core.telemetry import get_active
 from repro.power.models import PowerReport
 from repro.power.technology import DesignPoint
 
+#: Histogram bounds for ``simulate.samples_per_s`` (decades of throughput).
+SAMPLES_PER_S_BUCKETS = (1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9)
+
 
 @dataclass
 class SimulationResult:
@@ -99,9 +102,13 @@ class Simulator:
             elapsed = time.perf_counter() - start
             telemetry.count("simulate.runs")
             telemetry.count("simulate.samples", signal.n_samples)
-            telemetry.record("simulate.seconds", elapsed)
+            telemetry.observe("simulate.seconds", elapsed)
             if elapsed > 0:
-                telemetry.record("simulate.samples_per_s", signal.n_samples / elapsed)
+                telemetry.observe(
+                    "simulate.samples_per_s",
+                    signal.n_samples / elapsed,
+                    bounds=SAMPLES_PER_S_BUCKETS,
+                )
         return SimulationResult(
             output=output,
             taps=ctx.taps if record_taps else {},

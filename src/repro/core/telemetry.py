@@ -8,9 +8,12 @@ reports what it is doing:
 
 * :class:`Telemetry` -- a lightweight, thread-safe sink for **counters**
   (cache hits, failures), **spans** (wall-time of named code regions via
-  ``time.perf_counter``), **value stats** (per-point latency, solver
+  ``time.perf_counter``), **observations** (per-point latency, solver
   iterations) and bounded **structured events** (live progress with ETA).
-  ``summary()`` renders the whole state as fixed-width text tables.
+  Spans and observations aggregate into one primitive, the fixed-bucket
+  :class:`~repro.core.metrics.Histogram` with exact count/total/min/max/
+  mean/stddev.  ``summary()`` renders the whole state as fixed-width
+  text tables.
 * :class:`NullTelemetry` / :data:`NULL` -- the disabled implementation.
   Every hook is an empty method (and :meth:`NullTelemetry.span` returns a
   shared no-op context manager), so instrumented code pays nothing
@@ -26,8 +29,9 @@ reports what it is doing:
   :class:`Telemetry`; :meth:`Telemetry.drain_snapshot` packages its state
   as a picklable :class:`TelemetrySnapshot` delta that ships home with
   the chunk results, and the driver folds it in with the associative
-  :meth:`Telemetry.merge` -- so counters, span/value stats, histograms,
-  events and trace lanes from every worker land in one driver-side sink.
+  :meth:`Telemetry.merge` -- so counters, span and observation
+  histograms, events and trace lanes from every worker land in one
+  driver-side sink.
 * :class:`RunManifest` -- the JSON artifact a profiled run writes next to
   its outputs: seed, scale preset, grid size, per-phase timings, per-block
   power *and* time breakdowns, sweep statistics, latency histograms,
@@ -44,7 +48,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import platform
 import sys
 import threading
@@ -76,93 +79,13 @@ log = logging.getLogger("repro.telemetry")
 #: v7 added ``resources`` (RSS/CPU/thread sampling with per-worker
 #: attribution) and the trace-merge bookkeeping in ``trace``
 #: (per-lane clock offsets and dropped-event counts).
-MANIFEST_SCHEMA_VERSION = 7
-
-
-@dataclass
-class Stats:
-    """Streaming aggregate of one named quantity.
-
-    Keeps count/total/min/max plus the Welford ``m2`` running sum of
-    squared deviations, so :attr:`stddev` is available without retaining
-    observations -- latency *jitter* is as diagnostic as latency mean.
-    """
-
-    count: int = 0
-    total: float = 0.0
-    min: float = math.inf
-    max: float = -math.inf
-    #: Welford running sum of squared deviations from the mean.
-    m2: float = 0.0
-
-    def add(self, value: float) -> None:
-        """Fold one observation into the aggregate (Welford update)."""
-        value = float(value)
-        mean_before = self.total / self.count if self.count else 0.0
-        self.count += 1
-        self.total += value
-        self.m2 += (value - mean_before) * (value - self.total / self.count)
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        """Mean observation (nan before the first one)."""
-        return self.total / self.count if self.count else math.nan
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (n-1 denominator; nan below two observations)."""
-        return self.m2 / (self.count - 1) if self.count >= 2 else math.nan
-
-    @property
-    def stddev(self) -> float:
-        """Sample standard deviation (nan below two observations)."""
-        return math.sqrt(self.variance) if self.count >= 2 else math.nan
-
-    def merge(self, other: "Stats") -> "Stats":
-        """Fold ``other`` into this aggregate (Chan's parallel combine).
-
-        count/total/min/max combine exactly; ``m2`` combines with the
-        standard pairwise-variance formula, so merging per-worker stats
-        yields the same moments as observing the union (up to float
-        rounding) regardless of merge order.
-        """
-        if not other.count:
-            return self
-        if not self.count:
-            self.count, self.total = other.count, other.total
-            self.min, self.max, self.m2 = other.min, other.max, other.m2
-            return self
-        n1, n2 = self.count, other.count
-        delta = other.total / n2 - self.total / n1
-        self.m2 += other.m2 + delta * delta * n1 * n2 / (n1 + n2)
-        self.count += other.count
-        self.total += other.total
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-        return self
-
-    def copy(self) -> "Stats":
-        """Independent copy (merge mutates in place)."""
-        return Stats(
-            count=self.count, total=self.total, min=self.min, max=self.max, m2=self.m2
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-ready dict (infinities/NaNs of small aggregates become None)."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": None if not self.count else self.mean,
-            "min": None if not self.count else self.min,
-            "max": None if not self.count else self.max,
-            "stddev": None if self.count < 2 else self.stddev,
-        }
+#: v8 folded ``resources.values`` into ``resources.histograms`` (threads
+#: and cumulative CPU seconds are histograms now, and per-worker resource
+#: digests are merged histograms of every ``resources.*`` family), and
+#: every stats dict gained the histogram fields (``bounds``, ``counts``,
+#: ``m2``, ``p50``/``p95``/``p99``), since one histogram type now
+#: aggregates spans and observations alike.
+MANIFEST_SCHEMA_VERSION = 8
 
 
 class _Span:
@@ -170,9 +93,9 @@ class _Span:
 
     When the telemetry carries a :class:`~repro.core.tracing.Tracer`,
     entering also opens one trace span instance (with explicit span ID
-    and the same thread's enclosing span as parent), so aggregate stats
-    and the hierarchical timeline come from a single instrumentation
-    point.
+    and the same thread's enclosing span as parent), so the aggregate
+    histogram and the hierarchical timeline come from a single
+    instrumentation point.
     """
 
     __slots__ = ("_telemetry", "_name", "_start", "_args", "_token")
@@ -212,8 +135,18 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
+def _merge_histograms(into: dict[str, Histogram], source: dict[str, Histogram]) -> None:
+    """Fold every histogram of ``source`` into its namesake in ``into``."""
+    for name, histogram in source.items():
+        mine = into.get(name)
+        if mine is None:
+            into[name] = histogram.copy()
+        else:
+            mine.merge(histogram)
+
+
 class Telemetry:
-    """Thread-safe sink for counters, spans, value stats and events.
+    """Thread-safe sink for counters, spans, observations and events.
 
     Thread safety matters because the explorer's *thread* executor runs
     instrumented evaluators concurrently against the ambient telemetry of
@@ -255,12 +188,13 @@ class Telemetry:
         self.tracer = tracer
         self.event_sink = event_sink
         self.counters: dict[str, float] = {}
-        self.spans: dict[str, Stats] = {}
-        self.values: dict[str, Stats] = {}
+        #: Wall seconds per span name, in the default latency buckets.
+        self.spans: dict[str, Histogram] = {}
         self.histograms: dict[str, Histogram] = {}
         self.events: list[dict] = []
         #: Per-worker digests accumulated by :meth:`merge`:
-        #: label -> {"counters": {...}, "span_seconds": {...}, "merges": n}.
+        #: label -> {"counters": {...}, "span_seconds": {...}, "merges": n,
+        #: "resources": {name: Histogram}}.
         self.workers: dict[str, dict] = {}
 
     # --- recording hooks ------------------------------------------------------
@@ -269,14 +203,6 @@ class Telemetry:
         """Increment counter ``name`` by ``amount``."""
         with self._lock:
             self.counters[name] = self.counters.get(name, 0) + amount
-
-    def record(self, name: str, value: float) -> None:
-        """Fold one observation of quantity ``name`` into its stats."""
-        with self._lock:
-            stats = self.values.get(name)
-            if stats is None:
-                stats = self.values[name] = Stats()
-            stats.add(value)
 
     def observe(self, name: str, value: float, bounds: tuple | None = None) -> None:
         """Fold one observation into the fixed-bucket histogram ``name``.
@@ -303,10 +229,10 @@ class Telemetry:
 
     def _record_span(self, name: str, elapsed_s: float) -> None:
         with self._lock:
-            stats = self.spans.get(name)
-            if stats is None:
-                stats = self.spans[name] = Stats()
-            stats.add(elapsed_s)
+            histogram = self.spans.get(name)
+            if histogram is None:
+                histogram = self.spans[name] = Histogram()
+            histogram.observe(elapsed_s)
 
     def instant(self, name: str, **args) -> None:
         """Mark a zero-duration timeline occurrence (cache hit, restore).
@@ -355,8 +281,7 @@ class Telemetry:
             snapshot = TelemetrySnapshot(
                 label=label,
                 counters=dict(self.counters),
-                spans={name: s.copy() for name, s in self.spans.items()},
-                values={name: s.copy() for name, s in self.values.items()},
+                spans={name: h.copy() for name, h in self.spans.items()},
                 histograms={name: h.copy() for name, h in self.histograms.items()},
                 events=[dict(e) for e in self.events],
                 max_events=self.max_events,
@@ -364,7 +289,6 @@ class Telemetry:
             if drain:
                 self.counters = {}
                 self.spans = {}
-                self.values = {}
                 self.histograms = {}
                 self.events = []
         if self.tracer is not None:
@@ -379,35 +303,21 @@ class Telemetry:
         """Fold a :class:`TelemetrySnapshot` into this telemetry.
 
         Associative and commutative on the aggregates: counters add,
-        span/value stats combine via :meth:`Stats.merge`, histograms sum
-        bucket-wise, events append (bounded, drops counted), and trace
-        events file under their original process lane.  ``worker``
-        (default: the snapshot's label) additionally accumulates the
-        snapshot's counters and span totals into :attr:`workers`, the
-        per-worker attribution the run manifest reports.
+        span and observation histograms combine via
+        :meth:`~repro.core.metrics.Histogram.merge`, events append
+        (bounded, drops counted), and trace events file under their
+        original process lane.  ``worker`` (default: the snapshot's
+        label) additionally accumulates the snapshot's counters, span
+        totals and ``resources.*`` histograms into :attr:`workers`, the
+        per-worker attribution the run manifest reports -- so a fleet
+        manifest can name the worker whose RSS grew.
         """
         label = worker if worker is not None else snapshot.label
         with self._lock:
             for name, amount in snapshot.counters.items():
                 self.counters[name] = self.counters.get(name, 0) + amount
-            for name, stats in snapshot.spans.items():
-                mine = self.spans.get(name)
-                if mine is None:
-                    self.spans[name] = stats.copy()
-                else:
-                    mine.merge(stats)
-            for name, stats in snapshot.values.items():
-                mine = self.values.get(name)
-                if mine is None:
-                    self.values[name] = stats.copy()
-                else:
-                    mine.merge(stats)
-            for name, histogram in snapshot.histograms.items():
-                mine = self.histograms.get(name)
-                if mine is None:
-                    self.histograms[name] = histogram.copy()
-                else:
-                    mine.merge(histogram)
+            _merge_histograms(self.spans, snapshot.spans)
+            _merge_histograms(self.histograms, snapshot.histograms)
             for payload in snapshot.events:
                 if len(self.events) < self.max_events:
                     self.events.append(dict(payload))
@@ -417,27 +327,24 @@ class Telemetry:
                     )
             if label:
                 digest = self.workers.setdefault(
-                    label, {"counters": {}, "span_seconds": {}, "merges": 0}
+                    label,
+                    {"counters": {}, "span_seconds": {}, "merges": 0, "resources": {}},
                 )
                 digest["merges"] += 1
                 for name, amount in snapshot.counters.items():
                     digest["counters"][name] = digest["counters"].get(name, 0) + amount
-                for name, stats in snapshot.spans.items():
+                for name, histogram in snapshot.spans.items():
                     digest["span_seconds"][name] = (
-                        digest["span_seconds"].get(name, 0.0) + stats.total
+                        digest["span_seconds"].get(name, 0.0) + histogram.total
                     )
-                for name, stats in snapshot.values.items():
-                    # Resource samples keep per-worker attribution: a fleet
-                    # manifest can name the worker that was swapping.
-                    if not name.startswith("resources.") or not stats.count:
-                        continue
-                    entry = digest.setdefault("resources", {}).setdefault(
-                        name, {"count": 0, "mean": 0.0, "max": -math.inf}
-                    )
-                    total = entry["mean"] * entry["count"] + stats.total
-                    entry["count"] += stats.count
-                    entry["mean"] = total / entry["count"]
-                    entry["max"] = max(entry["max"], stats.max)
+                _merge_histograms(
+                    digest["resources"],
+                    {
+                        name: histogram
+                        for name, histogram in snapshot.histograms.items()
+                        if name.startswith("resources.")
+                    },
+                )
         if self.tracer is not None and snapshot.trace is not None:
             self.tracer.absorb(snapshot.trace)
 
@@ -448,8 +355,7 @@ class Telemetry:
         with self._lock:
             return {
                 "counters": dict(self.counters),
-                "spans": {name: s.to_dict() for name, s in self.spans.items()},
-                "values": {name: s.to_dict() for name, s in self.values.items()},
+                "spans": {name: h.to_dict() for name, h in self.spans.items()},
                 "histograms": {
                     name: h.to_dict() for name, h in self.histograms.items()
                 },
@@ -459,16 +365,9 @@ class Telemetry:
                         "counters": dict(digest["counters"]),
                         "span_seconds": dict(digest["span_seconds"]),
                         "merges": digest["merges"],
-                        **(
-                            {
-                                "resources": {
-                                    name: dict(entry)
-                                    for name, entry in digest["resources"].items()
-                                }
-                            }
-                            if digest.get("resources")
-                            else {}
-                        ),
+                        "resources": {
+                            name: h.to_dict() for name, h in digest["resources"].items()
+                        },
                     }
                     for label, digest in self.workers.items()
                 },
@@ -482,23 +381,27 @@ class Telemetry:
         """
         with self._lock:
             return {
-                name[len(prefix):]: stats.total
-                for name, stats in self.spans.items()
+                name[len(prefix):]: histogram.total
+                for name, histogram in self.spans.items()
                 if name.startswith(prefix)
             }
 
     def summary(self) -> str:
-        """Fixed-width text tables of counters, spans and value stats.
+        """Fixed-width text tables of counters and histograms.
 
         Follows the repo's plain-text reporting conventions (compare
         ``ExplorationResult.as_table`` and :mod:`repro.util.textplot`):
         stable ordering, no colour, suitable for logs and CI artefacts.
+        Spans share the histogram table as ``span <name>`` rows (wall
+        seconds).
         """
         with self._lock:
             counters = dict(self.counters)
-            spans = {k: v for k, v in self.spans.items()}
-            values = {k: v for k, v in self.values.items()}
-            histograms = {k: v for k, v in self.histograms.items()}
+            rows = sorted(
+                [(f"span {name}", h.copy()) for name, h in self.spans.items()]
+                + [(name, h.copy()) for name, h in self.histograms.items()],
+                key=lambda row: row[0],
+            )
             workers = sorted(self.workers)
             n_events = len(self.events)
             max_events = self.max_events
@@ -517,33 +420,19 @@ class Telemetry:
             lines.append(f"{'counter':<40}{'value':>14}")
             for name in sorted(counters):
                 lines.append(f"{name:<40}{counters[name]:>14g}")
-
-        def _stats_table(title: str, table: dict[str, Stats]) -> None:
+        if rows:
             lines.append("")
             lines.append(
-                f"{title:<40}{'count':>8}{'total':>12}{'mean':>12}"
-                f"{'stddev':>12}{'min':>12}{'max':>12}"
+                f"{'histogram':<40}{'count':>8}{'total':>11}{'mean':>11}"
+                f"{'stddev':>11}{'min':>11}{'max':>11}"
+                f"{'p50':>11}{'p95':>11}{'p99':>11}"
             )
-            for name in sorted(table):
-                s = table[name]
+            for name, h in rows:
                 lines.append(
-                    f"{name:<40}{s.count:>8d}{s.total:>12.4g}{s.mean:>12.4g}"
-                    f"{s.stddev:>12.4g}{s.min:>12.4g}{s.max:>12.4g}"
-                )
-        if spans:
-            _stats_table("span [s]", spans)
-        if values:
-            _stats_table("value", values)
-        if histograms:
-            lines.append("")
-            lines.append(
-                f"{'histogram':<40}{'count':>8}{'p50':>12}{'p95':>12}{'p99':>12}"
-            )
-            for name in sorted(histograms):
-                h = histograms[name]
-                lines.append(
-                    f"{name:<40}{h.count:>8d}{h.quantile(0.5):>12.4g}"
-                    f"{h.quantile(0.95):>12.4g}{h.quantile(0.99):>12.4g}"
+                    f"{name:<40}{h.count:>8d}{h.total:>11.4g}{h.mean:>11.4g}"
+                    f"{h.stddev:>11.4g}{h.min:>11.4g}{h.max:>11.4g}"
+                    f"{h.quantile(0.5):>11.4g}{h.quantile(0.95):>11.4g}"
+                    f"{h.quantile(0.99):>11.4g}"
                 )
         if workers:
             lines.append("")
@@ -561,10 +450,9 @@ class TelemetrySnapshot:
     """Picklable state delta of one :class:`Telemetry`.
 
     This is the payload worker processes ship back with their chunk
-    results: plain dataclasses (:class:`Stats`,
-    :class:`~repro.core.metrics.Histogram`) and plain dicts, so it
-    pickles across a process pool without dragging locks, loggers or
-    file handles along.  ``trace`` is a
+    results: :class:`~repro.core.metrics.Histogram` dataclasses and
+    plain dicts, so it pickles across a process pool without dragging
+    locks, loggers or file handles along.  ``trace`` is a
     :meth:`~repro.core.tracing.Tracer.snapshot` payload (or ``None``
     when the worker ran without tracing).
     """
@@ -572,7 +460,6 @@ class TelemetrySnapshot:
     label: str = ""
     counters: dict = field(default_factory=dict)
     spans: dict = field(default_factory=dict)
-    values: dict = field(default_factory=dict)
     histograms: dict = field(default_factory=dict)
     events: list = field(default_factory=list)
     trace: dict | None = None
@@ -582,41 +469,17 @@ class TelemetrySnapshot:
         """Lossless JSON-ready form for non-pickle transports.
 
         The process-pool path ships snapshots by pickle; the fleet
-        protocol ships them as JSON lines over a socket.  This encoding
-        keeps the *raw* aggregate fields (``m2``, bucket counts) rather
-        than the derived summaries of :meth:`Stats.to_dict`, so
-        :meth:`from_wire` rebuilds a snapshot that merges exactly like
-        the original.  Infinities (empty-aggregate min/max sentinels)
-        are encoded as ``None`` to stay inside strict JSON.
+        protocol ships them as JSON lines over a socket.  Histograms
+        travel as :meth:`~repro.core.metrics.Histogram.to_dict`, which
+        carries the raw aggregate (bucket counts, ``m2``) with
+        empty-aggregate min/max as ``None``, so :meth:`from_wire`
+        rebuilds a snapshot that merges exactly like the original.
         """
-
-        def _stats(s: Stats) -> dict:
-            return {
-                "count": s.count,
-                "total": s.total,
-                "min": None if math.isinf(s.min) else s.min,
-                "max": None if math.isinf(s.max) else s.max,
-                "m2": s.m2,
-            }
-
-        def _histogram(h: Histogram) -> dict:
-            return {
-                "bounds": list(h.bounds),
-                "counts": list(h.counts),
-                "count": h.count,
-                "total": h.total,
-                "min": None if math.isinf(h.min) else h.min,
-                "max": None if math.isinf(h.max) else h.max,
-            }
-
         return {
             "label": self.label,
             "counters": dict(self.counters),
-            "spans": {name: _stats(s) for name, s in self.spans.items()},
-            "values": {name: _stats(s) for name, s in self.values.items()},
-            "histograms": {
-                name: _histogram(h) for name, h in self.histograms.items()
-            },
+            "spans": {name: h.to_dict() for name, h in self.spans.items()},
+            "histograms": {name: h.to_dict() for name, h in self.histograms.items()},
             "events": [dict(e) for e in self.events],
             "trace": self.trace,
             "max_events": self.max_events,
@@ -624,34 +487,20 @@ class TelemetrySnapshot:
 
     @classmethod
     def from_wire(cls, payload: dict) -> "TelemetrySnapshot":
-        """Rebuild a snapshot from :meth:`to_wire` output."""
+        """Rebuild a snapshot from :meth:`to_wire` output.
 
-        def _stats(raw: dict) -> Stats:
-            return Stats(
-                count=int(raw["count"]),
-                total=float(raw["total"]),
-                min=math.inf if raw["min"] is None else float(raw["min"]),
-                max=-math.inf if raw["max"] is None else float(raw["max"]),
-                m2=float(raw["m2"]),
-            )
-
-        def _histogram(raw: dict) -> Histogram:
-            histogram = Histogram(
-                bounds=tuple(raw["bounds"]), counts=[int(c) for c in raw["counts"]]
-            )
-            histogram.count = int(raw["count"])
-            histogram.total = float(raw["total"])
-            histogram.min = math.inf if raw["min"] is None else float(raw["min"])
-            histogram.max = -math.inf if raw["max"] is None else float(raw["max"])
-            return histogram
-
+        Malformed histograms (non-ascending bounds, a count list of the
+        wrong length, missing fields) raise.
+        """
         return cls(
             label=str(payload.get("label", "")),
             counters=dict(payload.get("counters", {})),
-            spans={n: _stats(s) for n, s in payload.get("spans", {}).items()},
-            values={n: _stats(s) for n, s in payload.get("values", {}).items()},
+            spans={
+                n: Histogram.from_dict(h) for n, h in payload.get("spans", {}).items()
+            },
             histograms={
-                n: _histogram(h) for n, h in payload.get("histograms", {}).items()
+                n: Histogram.from_dict(h)
+                for n, h in payload.get("histograms", {}).items()
             },
             events=[dict(e) for e in payload.get("events", [])],
             trace=payload.get("trace"),
@@ -671,9 +520,6 @@ class NullTelemetry(Telemetry):
     enabled = False
 
     def count(self, name: str, amount: float = 1) -> None:
-        pass
-
-    def record(self, name: str, value: float) -> None:
         pass
 
     def observe(self, name: str, value: float, bounds: tuple | None = None) -> None:
@@ -763,12 +609,11 @@ class RunManifest:
     #: ``--trace`` JSON file.
     trace: dict = field(default_factory=dict)
     #: Resource-sampling digest (:func:`repro.core.resources.
-    #: resources_section`): RSS/CPU/thread histograms and value stats,
-    #: plus the per-worker resource attribution; empty when sampling
-    #: never ran.
+    #: resources_section`): RSS/CPU/thread histograms plus the per-worker
+    #: resource attribution; empty when sampling never ran.
     resources: dict = field(default_factory=dict)
-    #: Per-worker attribution: label -> counters and span-second totals
-    #: merged from that worker's telemetry snapshots.
+    #: Per-worker attribution: label -> counters, span-second totals and
+    #: resource histograms merged from that worker's telemetry snapshots.
     workers: dict = field(default_factory=dict)
     #: Fixed-bucket latency/iteration histograms (bucket counts + p50/95/99).
     histograms: dict = field(default_factory=dict)

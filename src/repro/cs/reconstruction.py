@@ -20,8 +20,8 @@ The numeric solver cores live in :mod:`repro.kernels.numpy_backend`
 and are dispatched through the process-global backend registry
 (:data:`repro.kernels.registry`): the functions here validate, time
 and report telemetry, while ``registry.call("fista"|"ista"|"omp", ...)``
-picks the implementation (numpy reference, or an optional
-numba/JAX backend locked to the reference by the conformance suite).
+picks the implementation (numpy reference, or the optional numba
+backend locked to the reference by the conformance suite).
 """
 
 from __future__ import annotations
@@ -62,11 +62,9 @@ def _note_solve(method: str, iterations: int, frames: int, elapsed_s: float) -> 
         return
     telemetry.count(f"cs.{method}.solves")
     telemetry.count(f"cs.{method}.frames", frames)
-    telemetry.record(f"cs.{method}.iterations", iterations)
-    telemetry.record(f"cs.{method}.solve_seconds", elapsed_s)
-    # Histograms add the tail view the mean-based stats above cannot: a
-    # p99 iteration count at the solver's cap flags near-divergence even
-    # when the average looks healthy.
+    # The histogram's p99 adds the tail view a mean cannot: an iteration
+    # count at the solver's cap flags near-divergence even when the
+    # average looks healthy.
     from repro.core.metrics import DEFAULT_ITERATION_BUCKETS
 
     telemetry.observe(

@@ -42,7 +42,6 @@ from repro.experiments.runner import (
     build_run_manifest,
     default_workers,
     make_harness,
-    profile_representative_point,
     run_adaptive_search_space,
     run_search_space,
     search_space_for,
@@ -94,7 +93,6 @@ __all__ = [
     "build_robustness_manifest",
     "build_run_manifest",
     "make_harness",
-    "profile_representative_point",
     "search_space_for",
     "paper_search_space",
     "power_model_rows",

@@ -36,7 +36,7 @@ from repro.core.explorer import DesignSpaceExplorer, FrontEndEvaluator
 from repro.core.pareto import Objective
 from repro.core.results import Evaluation, ExplorationResult
 from repro.core.resources import resources_section
-from repro.core.telemetry import Telemetry, RunManifest, activate
+from repro.core.telemetry import Telemetry, RunManifest
 from repro.cs.dictionaries import dct_basis, wavelet_basis
 from repro.cs.reconstruction import Reconstructor
 from repro.kernels import registry as kernel_registry
@@ -449,31 +449,6 @@ def run_adaptive_search_space(
     )
 
 
-def profile_representative_point(
-    sweep: ExplorationResult,
-    telemetry: Telemetry,
-    scale: str | ExperimentScale | None = None,
-) -> Evaluation | None:
-    """Re-simulate one successful point with ``telemetry`` activated.
-
-    Parallel sweeps run their simulations in worker processes, where the
-    driver's telemetry is not ambient -- so no per-block time spans reach
-    the manifest.  This profiles a single representative point (the
-    minimum-power success) in-process to recover the per-block time
-    breakdown; returns the profiling evaluation, or ``None`` when the
-    sweep has no successful point.
-    """
-    best = sweep.best()
-    representative = best if best is not None else next(
-        (e for e in sweep if e.ok), None
-    )
-    if representative is None:
-        return None
-    harness = make_harness(scale)
-    with activate(telemetry), telemetry.span("profile.representative"):
-        return harness.evaluator.evaluate(representative.point)
-
-
 def build_run_manifest(
     sweep: ExplorationResult,
     telemetry: Telemetry,
@@ -490,19 +465,17 @@ def build_run_manifest(
     Combines the sweep result (per-block *power* breakdown of the optimum,
     failure counts) with the telemetry state (per-phase and per-block
     *time* breakdowns, cache/checkpoint counters, per-point latency, ETA
-    history).  When the telemetry holds no ``block.*`` spans -- the
-    parallel-executor case -- one representative point is re-simulated
-    in-process to fill the time breakdown.  ``adaptive`` is the promotion
-    ledger dict (:meth:`~repro.core.adaptive.PromotionLedger.to_dict`) of
-    an adaptive run; exhaustive sweeps leave it empty.
+    history).  ``block_time_s`` holds the ``block.*`` spans every executor
+    brings home; it is empty when nothing was simulated (fully cached or
+    restored sweeps, evaluators without a signal chain).  ``adaptive`` is
+    the promotion ledger dict
+    (:meth:`~repro.core.adaptive.PromotionLedger.to_dict`) of an adaptive
+    run; exhaustive sweeps leave it empty.
     """
     if scale is None:
         scale = active_scale()
     if isinstance(scale, str):
         scale = SCALES[scale]
-
-    if not telemetry.timers("block."):
-        profile_representative_point(sweep, telemetry, scale.name)
 
     snapshot = telemetry.snapshot()
     counters = snapshot["counters"]
@@ -535,7 +508,7 @@ def build_run_manifest(
         (e for e in sweep if e.ok), None
     )
 
-    point_stats = snapshot["values"].get("explore.point_seconds", {})
+    point_stats = snapshot["histograms"].get("explore.point_seconds", {})
     return RunManifest(
         command=command,
         created_unix=time.time(),

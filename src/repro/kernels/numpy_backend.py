@@ -23,21 +23,11 @@ Kernel contract
     (v_hold(B,m), last_touch(m,))``.  The caller draws the noise from
     its RNG in the original order, so replay stays bit-identical no
     matter which backend runs the arithmetic.
-``signal_pass``
-    The stacked batched chain pass:
-    ``(batch, peer_rows, ctxs) -> batch`` where ``peer_rows`` holds the
-    per-position peer block lists of a compiled group.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def _telemetry():
-    from repro.core.telemetry import get_active
-
-    return get_active()
 
 
 def _soft_threshold(z: np.ndarray, threshold: float) -> np.ndarray:
@@ -193,21 +183,6 @@ def encoder_multiply(
     return v_hold, last_touch
 
 
-def signal_pass(batch, peer_rows, ctxs):
-    """Drive a batch through the stacked ``process_batch`` kernels."""
-    tel = _telemetry()
-    n_points = batch.n_points
-    for peers in peer_rows:
-        with tel.span(f"block.{peers[0].name}"):
-            batch = peers[0].process_batch(batch, peers, ctxs)
-        if batch.n_points != n_points:
-            raise RuntimeError(
-                f"batch kernel {type(peers[0]).__name__}.process_batch returned "
-                f"{batch.n_points} rows for {n_points} points"
-            )
-    return batch
-
-
 def make_backend():
     from repro.kernels.registry import KernelBackend
 
@@ -219,6 +194,5 @@ def make_backend():
             "ista": ista,
             "omp": omp,
             "encoder_multiply": encoder_multiply,
-            "signal_pass": signal_pass,
         },
     )

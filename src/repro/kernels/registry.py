@@ -1,13 +1,12 @@
 """Runtime backend registry for the hot numerical kernels.
 
 The sweep engine spends nearly all of its time in a handful of kernels:
-the LASSO/greedy solvers (``fista``/``ista``/``omp``), the s-SRBM
-charge-sharing encoder multiply, and the stacked batched signal pass.
-Each kernel has a numpy *reference* implementation (the numbers the
-golden suite locks down) and may have faster optional implementations
-(numba JIT, JAX) that are only safe to enable because the conformance
-harness (:mod:`repro.testing.conformance`) proves them numerically
-locked to the reference.
+the LASSO/greedy solvers (``fista``/``ista``/``omp``) and the s-SRBM
+charge-sharing encoder multiply.  Each kernel has a numpy *reference*
+implementation (the numbers the golden suite locks down) and may have
+faster optional implementations (numba JIT) that are only safe to
+enable because the conformance harness (:mod:`repro.testing.conformance`)
+proves them numerically locked to the reference.
 
 Selection
 ---------
@@ -53,7 +52,7 @@ REFERENCE_BACKEND = "numpy"
 
 #: Kernels the core engine dispatches today (backends may implement any
 #: subset; missing kernels fall back to the reference).
-KERNEL_NAMES = ("fista", "ista", "omp", "encoder_multiply", "signal_pass")
+KERNEL_NAMES = ("fista", "ista", "omp", "encoder_multiply")
 
 _GET_ACTIVE_TELEMETRY = None
 
@@ -79,7 +78,7 @@ class KernelBackend:
     Parameters
     ----------
     name:
-        Registry key (``numpy``, ``numba``, ``jax``, ...).
+        Registry key (``numpy``, ``numba``, ...).
     kernels:
         Mapping of kernel name -> callable.  Missing kernels dispatch to
         the reference backend (recorded as a fallback).
@@ -91,7 +90,7 @@ class KernelBackend:
         Documented agreement tolerance versus the reference for
         non-exact backends (the conformance suite enforces it).
     available:
-        False when the backend's runtime (numba, jax) is not importable.
+        False when the backend's runtime (numba) is not importable.
         Unavailable backends always fall back.
     unavailable_reason:
         Human-readable reason shown in the manifest when unavailable.
@@ -375,10 +374,9 @@ class KernelRegistry:
 
 def build_default_registry() -> KernelRegistry:
     """The process-global registry with all built-in backends attached."""
-    from repro.kernels import jax_backend, numba_backend, numpy_backend
+    from repro.kernels import numba_backend, numpy_backend
 
     reg = KernelRegistry()
     reg.register(numpy_backend.make_backend())
     reg.register(numba_backend.make_backend())
-    reg.register(jax_backend.make_backend())
     return reg

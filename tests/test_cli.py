@@ -216,9 +216,11 @@ class TestAdaptiveSweep:
         assert any(name.startswith("block.") for name in names)
         assert any(name.startswith("cs.recover.") for name in names)
 
+        from examples.serve_smoke import validate_openmetrics
+
         metrics = metrics_path.read_text()
-        assert metrics.endswith("# EOF\n")
         assert "repro_explore_point_seconds" in metrics
+        validate_openmetrics(metrics)
 
         streamed = [json.loads(line) for line in events_path.read_text().splitlines()]
         assert any(e["kind"] == "explore.progress" for e in streamed)

@@ -169,20 +169,36 @@ class TestTelemetryWire:
     def test_snapshot_survives_json_round_trip(self):
         tel = Telemetry()
         tel.count("c", 3)
-        tel.record("v", 1.5)
-        tel.record("v", 2.5)
-        with tel.span("s"):
-            pass
+        tel.observe("v", 1.5)
+        tel.observe("v", 2.5)
+        for _ in range(3):
+            with tel.span("s"):
+                pass
         tel.event("e", detail="x")
         snapshot = tel.drain_snapshot("w")
         wire = json.loads(json.dumps(snapshot.to_wire()))
         rebuilt = TelemetrySnapshot.from_wire(wire)
         assert rebuilt.to_wire() == snapshot.to_wire()
         assert rebuilt.counters == snapshot.counters
-        assert rebuilt.values["v"].total == pytest.approx(4.0)
+        assert rebuilt.histograms["v"].total == pytest.approx(4.0)
+        # Spans keep buckets, count/total/min/max and the Welford m2
+        # bit-for-bit, so a rebuilt span merges exactly like the original.
+        assert rebuilt.spans == snapshot.spans
+        assert rebuilt.spans["s"].count == 3
+
+    def test_malformed_histograms_rejected(self):
+        tel = Telemetry()
+        with tel.span("s"):
+            pass
+        wire = tel.drain_snapshot("w").to_wire()
+        for corrupt in ({"bounds": [1.0, 0.5]}, {"counts": [0]}, {"m2": None}):
+            bad = json.loads(json.dumps(wire))
+            bad["spans"]["s"].update(corrupt)
+            with pytest.raises((TypeError, ValueError)):
+                TelemetrySnapshot.from_wire(bad)
 
     def test_empty_stats_infinities_survive(self):
-        """A fresh Stats has min=+inf / max=-inf; JSON has no inf."""
+        """An empty histogram has min=+inf / max=-inf; JSON has no inf."""
         tel = Telemetry()
         tel.count("only.counter")
         snapshot = tel.drain_snapshot("w")
@@ -474,7 +490,7 @@ class TestFleetExplorer:
         manifest = build_run_manifest(
             result, tel, "smoke", executor="fleet", n_workers=2
         )
-        assert manifest.schema == MANIFEST_SCHEMA_VERSION == 7
+        assert manifest.schema == MANIFEST_SCHEMA_VERSION == 8
         assert manifest.fleet["points_total"] == space.size
         assert manifest.fleet["points_completed"] == space.size
         assert sorted(manifest.fleet["workers"]) == ["worker-0", "worker-1"]

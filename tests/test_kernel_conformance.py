@@ -10,7 +10,7 @@ Three layers of enforcement:
 * the fig7a golden replays end-to-end under each backend, so agreement
   is checked through the real evaluation chain, not just per kernel.
 
-On machines without numba/jax the accelerated legs skip (there is
+On machines without numba the accelerated legs skip (there is
 nothing to conform — dispatch falls back) and the harness itself is
 validated against deliberately broken fake backends instead.
 """
@@ -43,7 +43,7 @@ ACCELERATED = conformant_backends()
 
 def accelerated_or_skip():
     if not ACCELERATED:
-        pytest.skip("no accelerated kernel backend installed (numba/jax)")
+        pytest.skip("no accelerated kernel backend installed (numba)")
     return ACCELERATED
 
 

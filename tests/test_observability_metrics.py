@@ -110,7 +110,7 @@ class TestHistogram:
             h.observe(value)
         payload = json.loads(json.dumps(h.to_dict()))
         restored = Histogram.from_dict(payload)
-        assert restored.counts == h.counts
+        assert restored == h  # buckets, moments and m2 survive exactly
         assert restored.quantile(0.5) == h.quantile(0.5)
 
     def test_empty_to_dict_is_json_safe(self):
@@ -170,22 +170,25 @@ class TestOpenMetrics:
         tel.count("explore.cache_hits", 4)
         with tel.span("explore.total"):
             pass
-        tel.record("explore.point_seconds", 0.25)
-        tel.record("explore.point_seconds", 0.75)
+        tel.observe("explore.point_seconds", 0.25)
+        tel.observe("explore.point_seconds", 0.75)
         for value in (0.01, 0.02, 0.5):
             tel.observe("point_latency", value)
         return tel
 
     def test_render_families_and_terminator(self):
+        from examples.serve_smoke import validate_openmetrics
+
         text = render_openmetrics(self._telemetry())
         assert text.endswith("# EOF\n")
         assert "# TYPE repro_explore_cache_hits counter" in text
         assert "repro_explore_cache_hits_total 4" in text
-        assert "# TYPE repro_explore_total_seconds gauge" in text
+        assert "# TYPE repro_span_explore_total_seconds histogram" in text
         assert "repro_explore_point_seconds_count 2" in text
-        assert "repro_explore_point_seconds_stddev" in text
+        assert "# TYPE repro_explore_point_seconds_stddev gauge" in text
         assert "# TYPE repro_point_latency histogram" in text
-        assert "repro_point_latency_p99" in text
+        assert "# TYPE repro_point_latency_p99 gauge" in text
+        validate_openmetrics(text)
 
     def test_histogram_buckets_cumulative(self):
         text = render_openmetrics(self._telemetry())

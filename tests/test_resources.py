@@ -7,6 +7,7 @@ from repro.core.flight import FlightRecorder
 from repro.core.resources import (
     CPU_PCT_BUCKETS,
     RSS_MB_BUCKETS,
+    THREAD_BUCKETS,
     ResourceSampler,
     resources_section,
     sample_resources,
@@ -46,8 +47,11 @@ class TestResourceSampler:
         assert snapshot["histograms"]["resources.rss_mb"]["bounds"] == list(
             RSS_MB_BUCKETS
         )
-        assert snapshot["values"]["resources.threads"]["count"] == 2
-        assert snapshot["values"]["resources.cpu_s"]["count"] == 2
+        assert snapshot["histograms"]["resources.threads"]["count"] == 2
+        assert snapshot["histograms"]["resources.threads"]["bounds"] == list(
+            THREAD_BUCKETS
+        )
+        assert snapshot["histograms"]["resources.cpu_s"]["count"] == 2
         # cpu_pct needs a delta, so only the second tick observes it.
         assert snapshot["histograms"]["resources.cpu_pct"]["count"] == 1
         assert snapshot["histograms"]["resources.cpu_pct"]["bounds"] == list(
@@ -107,17 +111,25 @@ class TestResourcesSection:
         sampler.tick()
         tel.observe("explore.point_seconds", 0.1)  # non-resource noise
         section = resources_section(tel.snapshot(), sampler=sampler)
-        assert set(section["histograms"]) >= {"resources.rss_mb"}
-        assert "explore.point_seconds" not in section["histograms"]
-        assert set(section["values"]) == {"resources.threads", "resources.cpu_s"}
+        assert set(section["histograms"]) == {
+            "resources.rss_mb",
+            "resources.threads",
+            "resources.cpu_s",
+        }
         assert section["sampler"]["samples"] == 1
 
     def test_per_worker_attribution_via_merge(self):
         worker_tel = Telemetry()
-        ResourceSampler(worker_tel, interval_s=60.0, label="worker-1").tick()
+        sampler = ResourceSampler(worker_tel, interval_s=60.0, label="worker-1")
+        sampler.tick()
+        sampler.tick()  # cpu_pct needs a delta between two samples
         driver = Telemetry()
         driver.merge(worker_tel.drain_snapshot(label="worker-1"))
         section = resources_section(driver.snapshot())
         assert "worker-1" in section["workers"]
-        stats = section["workers"]["worker-1"]["resources.threads"]
-        assert stats["count"] == 1 and stats["max"] >= 1.0
+        digest = section["workers"]["worker-1"]
+        assert digest["resources.threads"]["count"] == 2
+        assert digest["resources.threads"]["max"] >= 1.0
+        assert digest["resources.rss_mb"]["count"] == 2
+        assert digest["resources.rss_mb"]["max"] > 0
+        assert digest["resources.cpu_pct"]["count"] == 1

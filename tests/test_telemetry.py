@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.explorer import DesignSpaceExplorer
+from repro.core.metrics import Histogram
 from repro.core.parameters import ParameterSpace
 from repro.core.results import Evaluation
 from repro.core.telemetry import (
@@ -14,7 +15,6 @@ from repro.core.telemetry import (
     NULL,
     NullTelemetry,
     RunManifest,
-    Stats,
     Telemetry,
     activate,
     get_active,
@@ -29,21 +29,23 @@ from tests.test_parallel_explorer import FailingEvaluator, ToyEvaluator, smoke_g
 EXECUTORS = ["serial", "thread", "process"]
 
 
-class TestStats:
+class TestHistogramMoments:
     def test_aggregates(self):
-        stats = Stats()
+        stats = Histogram()
         for value in (1.0, 3.0, 2.0):
-            stats.add(value)
+            stats.observe(value)
         assert stats.count == 3
         assert stats.total == 6.0
         assert stats.mean == 2.0
         assert stats.min == 1.0
         assert stats.max == 3.0
+        assert stats.stddev == 1.0
 
     def test_empty_to_dict_is_json_safe(self):
-        payload = Stats().to_dict()
+        payload = Histogram().to_dict()
         assert payload["mean"] is None and payload["min"] is None
-        json.dumps(payload)  # no infinities leak into JSON
+        assert payload["stddev"] is None and payload["m2"] == 0.0
+        json.dumps(payload, allow_nan=False)  # no infinities leak into JSON
 
 
 class TestTelemetry:
@@ -62,9 +64,9 @@ class TestTelemetry:
 
     def test_record_values(self):
         tel = Telemetry()
-        tel.record("latency", 0.5)
-        tel.record("latency", 1.5)
-        assert tel.values["latency"].mean == 1.0
+        tel.observe("latency", 0.5)
+        tel.observe("latency", 1.5)
+        assert tel.histograms["latency"].mean == 1.0
 
     def test_events_bounded(self):
         tel = Telemetry(max_events=2)
@@ -78,7 +80,7 @@ class TestTelemetry:
         tel.count("explore.cache_hits", 4)
         with tel.span("explore.total"):
             pass
-        tel.record("point_seconds", 0.25)
+        tel.observe("point_seconds", 0.25)
         text = tel.summary()
         assert "explore.cache_hits" in text
         assert "explore.total" in text
@@ -98,7 +100,7 @@ class TestTelemetry:
     def test_snapshot_round_trips_through_json(self):
         tel = Telemetry()
         tel.count("c")
-        tel.record("v", 1.0)
+        tel.observe("v", 1.0)
         with tel.span("s"):
             pass
         tel.event("e", detail="x")
@@ -114,23 +116,23 @@ class TestTelemetry:
         def hammer(_):
             for _ in range(500):
                 tel.count("n")
-                tel.record("v", 1.0)
+                tel.observe("v", 1.0)
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             list(pool.map(hammer, range(4)))
         assert tel.counters["n"] == 2000
-        assert tel.values["v"].count == 2000
+        assert tel.histograms["v"].count == 2000
 
 
 class TestNullTelemetry:
     def test_disabled_hooks_record_nothing(self):
         tel = NullTelemetry()
         tel.count("c")
-        tel.record("v", 1.0)
+        tel.observe("v", 1.0)
         with tel.span("s"):
             pass
         tel.event("e")
-        assert not tel.counters and not tel.values and not tel.spans and not tel.events
+        assert not tel.counters and not tel.histograms and not tel.spans and not tel.events
         assert tel.enabled is False
 
     def test_null_span_is_shared(self):
@@ -165,7 +167,7 @@ class TestExplorerTelemetry:
         space = smoke_grid()
         result = explorer.explore(space, executor=executor, n_workers=2, telemetry=tel)
         assert len(result) == space.size
-        assert tel.values["explore.point_seconds"].count == space.size
+        assert tel.histograms["explore.point_seconds"].count == space.size
         progress = [e for e in tel.events if e["kind"] == "explore.progress"]
         assert len(progress) == space.size
         # Events follow completion order, but `done` is cumulative.
@@ -241,7 +243,7 @@ class TestSimulatorTelemetry:
         assert tel.timers("block."), "expected per-block spans under active telemetry"
         assert tel.counters["simulate.runs"] == 1
         assert tel.counters["simulate.samples"] == 1536
-        assert tel.values["simulate.samples_per_s"].count == 1
+        assert tel.histograms["simulate.samples_per_s"].count == 1
 
     def test_profiled_output_bit_identical(self):
         bare, _ = self._run(with_telemetry=False)
@@ -262,8 +264,8 @@ class TestReconstructionTelemetry:
             Reconstructor(basis=dct_basis(32), method="fista", n_iter=40).recover(phi, y)
         assert tel.counters["cs.fista.solves"] == 1
         assert tel.counters["cs.fista.frames"] == 4
-        assert 1 <= tel.values["cs.fista.iterations"].max <= 40
-        assert tel.values["cs.fista.solve_seconds"].count == 1
+        assert 1 <= tel.histograms["cs.fista.iterations"].max <= 40
+        assert tel.histograms["cs.fista.solve_seconds"].count == 1
         assert "cs.recover.fista" in tel.spans
 
 
@@ -326,10 +328,11 @@ class TestRunManifest:
         assert manifest.sweep["evaluated"] == space.size
         assert manifest.sweep["failures"] == 0
         assert manifest.eta_history[-1]["done"] == space.size
-        # Toy evaluations leave no block.* spans, so the manifest builder
-        # re-profiles one representative point with the real harness and
-        # the time breakdown is filled in even for this toy sweep.
-        assert manifest.block_time_s
+        # Toy evaluations simulate no signal chain: no block.* spans, and
+        # the manifest reports an empty breakdown instead of inventing one.
+        assert manifest.block_time_s == {}
+        assert "profile.representative" not in manifest.phases
+        assert manifest.sweep["point_seconds"]["count"] == space.size
         RunManifest.from_dict(json.loads(json.dumps(manifest.to_dict())))
 
 

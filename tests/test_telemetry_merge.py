@@ -1,4 +1,4 @@
-"""Property and stress tests of telemetry merging and Welford statistics."""
+"""Property and stress tests of telemetry merging and histogram moments."""
 
 import threading
 
@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.telemetry import Stats, Telemetry
+from repro.core.metrics import Histogram
+from repro.core.telemetry import Telemetry
 
 SETTINGS = {"max_examples": 25, "deadline": None}
 
@@ -22,7 +23,7 @@ def snapshots(draw):
         tel.count(name, draw(st.integers(-5, 5)))
     for name in ("v1", "v2"):
         for value in draw(st.lists(finite, max_size=15)):
-            tel.record(name, value)
+            tel.observe(name, value)
     for value in draw(
         st.lists(st.floats(min_value=0.0, max_value=100.0, allow_nan=False), max_size=10)
     ):
@@ -41,16 +42,14 @@ def merged(snaps) -> Telemetry:
 
 def assert_same_aggregates(left: Telemetry, right: Telemetry) -> None:
     assert left.counters == right.counters
-    assert set(left.values) == set(right.values)
-    for name in left.values:
-        a, b = left.values[name], right.values[name]
+    assert set(left.histograms) == set(right.histograms)
+    for name in left.histograms:
+        a, b = left.histograms[name], right.histograms[name]
+        assert a.counts == b.counts
         assert a.count == b.count
         assert a.total == pytest.approx(b.total)
         assert a.min == b.min and a.max == b.max
         assert a.m2 == pytest.approx(b.m2, rel=1e-9, abs=1e-6)
-    assert set(left.histograms) == set(right.histograms)
-    for name in left.histograms:
-        assert left.histograms[name].counts == right.histograms[name].counts
     assert len(left.events) == len(right.events)
 
 
@@ -76,9 +75,8 @@ class TestMergeLaws:
     def test_merge_into_empty_is_identity(self, snapshot):
         tel = merged([snapshot])
         assert tel.counters == snapshot.counters
-        for name, stats in snapshot.values.items():
-            assert tel.values[name].count == stats.count
-            assert tel.values[name].total == stats.total
+        for name, histogram in snapshot.histograms.items():
+            assert tel.histograms[name] == histogram
 
 
 class TestDrainDiscipline:
@@ -89,17 +87,17 @@ class TestDrainDiscipline:
         for chunk in np.split(values, 3):  # three chunk-sized deltas
             for value in chunk:
                 worker.count("n")
-                worker.record("v", value)
+                worker.observe("v", value)
             driver.merge(worker.drain_snapshot(label="worker-1"))
         assert driver.counters["n"] == 30
-        assert driver.values["v"].count == 30
-        assert driver.values["v"].total == pytest.approx(values.sum())
-        assert driver.values["v"].stddev == pytest.approx(values.std(ddof=1))
+        assert driver.histograms["v"].count == 30
+        assert driver.histograms["v"].total == pytest.approx(values.sum())
+        assert driver.histograms["v"].stddev == pytest.approx(values.std(ddof=1))
         # Per-worker attribution saw every merge and the full counter sum.
         assert driver.workers["worker-1"]["merges"] == 3
         assert driver.workers["worker-1"]["counters"]["n"] == 30
         # The worker is empty after draining: nothing double-counts.
-        assert not worker.counters and not worker.values
+        assert not worker.counters and not worker.histograms
 
     def test_merge_respects_event_bound(self):
         worker = Telemetry()
@@ -117,7 +115,7 @@ class TestConcurrentMerging:
     def test_no_lost_increments_under_thread_hammer(self):
         source = Telemetry()
         source.count("n", 1)
-        source.record("v", 2.0)
+        source.observe("v", 2.0)
         snapshot = source.to_snapshot()
         driver = Telemetry()
 
@@ -131,8 +129,8 @@ class TestConcurrentMerging:
         for thread in threads:
             thread.join()
         assert driver.counters["n"] == 400
-        assert driver.values["v"].count == 400
-        assert driver.values["v"].total == pytest.approx(800.0)
+        assert driver.histograms["v"].count == 400
+        assert driver.histograms["v"].total == pytest.approx(800.0)
 
     def test_concurrent_recording_and_merging(self):
         driver = Telemetry()
@@ -143,7 +141,7 @@ class TestConcurrentMerging:
         def record():
             for _ in range(200):
                 driver.count("direct.n")
-                driver.record("v", 1.0)
+                driver.observe("v", 1.0)
 
         def merge():
             for _ in range(200):
@@ -156,15 +154,15 @@ class TestConcurrentMerging:
             thread.join()
         assert driver.counters["direct.n"] == 400
         assert driver.counters["merged.n"] == 400
-        assert driver.values["v"].count == 400
+        assert driver.histograms["v"].count == 400
 
 
 class TestWelford:
     def test_stddev_matches_numpy(self):
         values = np.random.default_rng(3).normal(5.0, 2.0, size=1000)
-        stats = Stats()
+        stats = Histogram()
         for value in values:
-            stats.add(value)
+            stats.observe(value)
         assert stats.mean == pytest.approx(values.mean())
         assert stats.stddev == pytest.approx(values.std(ddof=1))
 
@@ -172,39 +170,44 @@ class TestWelford:
         import json
         import math
 
-        stats = Stats()
-        stats.add(1.0)
+        stats = Histogram()
+        stats.observe(1.0)
         assert math.isnan(stats.stddev)
         payload = stats.to_dict()
         assert payload["stddev"] is None
         json.dumps(payload, allow_nan=False)
 
-    def test_split_merge_matches_whole_stream(self):
-        values = np.random.default_rng(4).normal(size=101)
-        whole = Stats()
+    @settings(**SETTINGS)
+    @given(values=st.lists(finite, max_size=30), cut=st.integers(0, 30))
+    def test_split_merge_matches_whole_stream(self, values, cut):
+        whole = Histogram()
         for value in values:
-            whole.add(value)
-        left, right = Stats(), Stats()
-        for value in values[:40]:
-            left.add(value)
-        for value in values[40:]:
-            right.add(value)
-        left.merge(right)
-        assert left.count == whole.count
-        assert left.total == pytest.approx(whole.total)
-        assert left.stddev == pytest.approx(whole.stddev)
+            whole.observe(value)
+        left, right = Histogram(), Histogram()
+        for value in values[:cut]:
+            left.observe(value)
+        for value in values[cut:]:
+            right.observe(value)
+        for merged_stats in (left.copy().merge(right), right.copy().merge(left)):
+            assert merged_stats.counts == whole.counts
+            assert merged_stats.count == whole.count
+            assert merged_stats.total == pytest.approx(whole.total, abs=1e-6)
+            assert merged_stats.min == whole.min and merged_stats.max == whole.max
+            assert merged_stats.m2 == pytest.approx(whole.m2, rel=1e-9, abs=1e-6)
+        if len(values) >= 2:
+            assert whole.stddev == pytest.approx(np.std(values, ddof=1), rel=1e-6, abs=1e-6)
 
     def test_merge_with_empty_sides(self):
-        stats = Stats()
-        stats.add(2.0)
-        stats.merge(Stats())  # empty right side: unchanged
+        stats = Histogram()
+        stats.observe(2.0)
+        stats.merge(Histogram())  # empty right side: unchanged
         assert stats.count == 1
-        empty = Stats()
+        empty = Histogram()
         empty.merge(stats)  # empty left side: adopts
         assert empty.count == 1 and empty.total == 2.0
 
     def test_summary_shows_stddev_column(self):
         tel = Telemetry()
-        tel.record("v", 1.0)
-        tel.record("v", 3.0)
+        tel.observe("v", 1.0)
+        tel.observe("v", 3.0)
         assert "stddev" in tel.summary()
