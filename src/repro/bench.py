@@ -490,79 +490,12 @@ def bench_kernels_fista(reps: int = 3) -> BenchRecord:
     )
 
 
-#: Correctness gate of the transport benchmark: shared-memory evaluator
-#: transport must beat the pickled-bytes baseline by this factor.
-SHM_MIN_SPEEDUP = 2.0
-
-
-def bench_shm_transport(reps: int = 5) -> BenchRecord:
-    """Evaluator transport: shared-memory handle vs pickled corpus bytes.
-
-    Measures the per-worker cost of shipping a corpus-sized evaluator
-    across a process boundary -- the serialise + deserialise round-trip a
-    ``spawn``/``forkserver`` pool pays per worker.  Baseline: plain
-    pickle (the corpus bytes are copied).  Candidate: the evaluator
-    armed with :meth:`~repro.core.explorer.FrontEndEvaluator.
-    shared_transport`, whose pickle carries a segment name and whose
-    deserialise attaches the driver's pages zero-copy.  The
-    :data:`SHM_MIN_SPEEDUP` x claim is verified before recording.
-    """
-    import pickle
-
-    import numpy as np
-
-    from repro.core.explorer import FrontEndEvaluator
-    from repro.core.shm import SharedArrayPool
-
-    records = np.random.default_rng(11).normal(0.0, 20e-6, size=(512, 4096))
-    evaluator = FrontEndEvaluator(records, None, 2.1 * 256, seed=3)
-
-    def pickled_roundtrip():
-        return pickle.loads(pickle.dumps(evaluator))
-
-    baseline_s = _best_of(pickled_roundtrip, reps)
-    bytes_baseline = len(pickle.dumps(evaluator))
-
-    with SharedArrayPool() as pool:
-        armed = evaluator.shared_transport(pool)
-
-        def shm_roundtrip():
-            return pickle.loads(pickle.dumps(armed))
-
-        wall_s = _best_of(shm_roundtrip, reps)
-        bytes_shm = len(pickle.dumps(armed))
-        restored = shm_roundtrip()
-        if not np.array_equal(restored.records, records):
-            raise RuntimeError("shm_transport: attached corpus differs from source")
-    speedup = baseline_s / wall_s if wall_s > 0 else float("inf")
-    if speedup < SHM_MIN_SPEEDUP:
-        raise RuntimeError(
-            f"shm_transport: shared-memory transport speedup {speedup:.2f}x < "
-            f"required {SHM_MIN_SPEEDUP:.0f}x over pickled bytes"
-        )
-    return BenchRecord(
-        name="shm_transport",
-        wall_s=wall_s,
-        points=records.shape[0],
-        reps=reps,
-        created_unix=time.time(),
-        meta={
-            "baseline_wall_s": baseline_s,
-            "speedup_vs_pickle": speedup,
-            "bytes_pickled": bytes_baseline,
-            "bytes_shm": bytes_shm,
-            "corpus_mb": round(records.nbytes / 1e6, 1),
-        },
-    )
-
-
 #: Registered benchmarks, in execution order.
 BENCHMARKS = {
     "batched-sweep": bench_batched_sweep,
     "parallel-sweep": bench_parallel_sweep,
     "adaptive_fig7a": bench_adaptive_fig7a,
     "kernels_fista": bench_kernels_fista,
-    "shm_transport": bench_shm_transport,
 }
 
 

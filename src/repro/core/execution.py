@@ -35,7 +35,6 @@ import json
 import logging
 import os
 import random
-import tempfile
 import threading
 import time
 from collections.abc import Callable, Iterable, Sequence
@@ -53,6 +52,7 @@ from repro.core.telemetry import (
 )
 from repro.core.tracing import Tracer
 from repro.power.technology import DesignPoint
+from repro.util.fsio import atomic_write_text
 from repro.util.rng import derive_seed
 
 try:  # POSIX advisory locking; the fallback covers other platforms.
@@ -554,17 +554,7 @@ class EvaluationCache:
             "point_description": point.describe(),
             "evaluation": evaluation_to_dict(evaluation),
         }
-        path = self._path(fingerprint, point)
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=self.directory, suffix=".tmp", delete=False
-        )
-        try:
-            with handle:
-                handle.write(json.dumps(payload))
-            os.replace(handle.name, path)
-        except BaseException:
-            Path(handle.name).unlink(missing_ok=True)
-            raise
+        atomic_write_text(self._path(fingerprint, point), json.dumps(payload))
 
     def __len__(self) -> int:
         return sum(1 for _ in self.directory.glob("*.json"))

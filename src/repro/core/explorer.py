@@ -54,7 +54,6 @@ from repro.core.execution import (
 )
 from repro.core import flight
 from repro.core.resources import ResourceSampler
-from repro.core.shm import SharedArrayPool, shm_enabled
 from repro.kernels import registry as kernel_registry
 from repro.core.telemetry import Telemetry, activate, get_active
 from repro.core.parameters import CompositeSpace, ParameterSpace
@@ -151,46 +150,13 @@ class FrontEndEvaluator:
         clone.chain_transform = chain_transform
         clone._basis_cache = {}
         # The default factory is a bound method: left bound to the
-        # original, pickling the clone would drag the original instance
-        # (and its full corpus) along through ``__self__``, defeating
-        # the shared-memory corpus substitution in ``__getstate__``.
+        # original, pickling the clone (a process-pool worker's copy)
+        # would drag the original instance and its basis cache along
+        # through ``__self__``.
         factory = clone.__dict__.get("reconstructor_factory")
         if getattr(factory, "__func__", None) is type(self)._default_reconstructor:
             clone.reconstructor_factory = clone._default_reconstructor
         return clone
-
-    def shared_transport(self, pool) -> "FrontEndEvaluator":
-        """Clone whose corpus ships to pool workers via shared memory.
-
-        The clone behaves identically in-process (``records`` stays the
-        driver's ndarray), but pickling substitutes a
-        :class:`~repro.core.shm.SharedArray` handle for the corpus bytes:
-        workers attach to the driver's pages read-only instead of
-        receiving a copy.  ``pool`` (a
-        :class:`~repro.core.shm.SharedArrayPool`) owns the segment and
-        must outlive every worker — the process-pool path arms and
-        disarms this automatically.
-        """
-        clone = self.with_chain_transform(self.chain_transform)
-        clone._shm_records = pool.share(self.records)
-        return clone
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        shm_records = state.pop("_shm_records", None)
-        if shm_records is not None:
-            state["records"] = shm_records
-        return state
-
-    def __setstate__(self, state):
-        records = state.get("records")
-        if not isinstance(records, np.ndarray):
-            from repro.core.shm import SharedArray
-
-            if isinstance(records, SharedArray):
-                state = dict(state)
-                state["records"] = records.array
-        self.__dict__.update(state)
 
     def _default_reconstructor(self, point: DesignPoint) -> Reconstructor:
         basis = self._basis_cache.get(point.cs_n_phi)
@@ -973,30 +939,6 @@ class DesignSpaceExplorer:
             enabled=tel.enabled, trace=tel.tracer is not None
         )
 
-        # Arm zero-copy corpus transport: workers attach the sample
-        # stream through shared memory instead of unpickling a copy.
-        # Best-effort — any failure (exotic platform, /dev/shm full)
-        # degrades to the plain pickled evaluator.
-        original_evaluator = self.evaluator
-        shm_pool = None
-        if shm_enabled() and hasattr(self.evaluator, "shared_transport"):
-            try:
-                shm_pool = SharedArrayPool()
-                self.evaluator = self.evaluator.shared_transport(shm_pool)
-                tel.count("shm.segments", len(shm_pool))
-                tel.count("shm.bytes", shm_pool.nbytes)
-            except Exception:
-                log.warning(
-                    "shared-memory transport unavailable; falling back to "
-                    "pickled evaluator transport",
-                    exc_info=True,
-                )
-                tel.count("shm.errors")
-                if shm_pool is not None:
-                    shm_pool.close()
-                    shm_pool = None
-                self.evaluator = original_evaluator
-
         def make_pool(pool_workers: int) -> ProcessPoolExecutor:
             return ProcessPoolExecutor(
                 max_workers=pool_workers,
@@ -1006,61 +948,56 @@ class DesignSpaceExplorer:
 
         remaining: dict[int, list[tuple[int, DesignPoint]]] = dict(enumerate(chunks))
         breaks = 0
-        try:
-            while remaining:
-                pool = make_pool(min(workers, len(remaining)))
-                try:
-                    with pool:
-                        futures = {
-                            pool.submit(task, chunk): key
-                            for key, chunk in remaining.items()
-                        }
-                        try:
-                            while futures:
-                                done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                                for future in done:
-                                    key = futures.pop(future)
-                                    rows, worker_snapshot = future.result()
-                                    del remaining[key]
-                                    if worker_snapshot is not None:
-                                        tel.merge(worker_snapshot)
-                                    for index, evaluation, elapsed, stats in rows:
-                                        finalize(
-                                            index, evaluation, elapsed=elapsed, stats=stats
-                                        )
-                        except BrokenProcessPool:
-                            raise
-                        except BaseException:
-                            for future in futures:
-                                future.cancel()
-                            raise
-                    return
-                except BrokenProcessPool:
-                    if strict:
+        while remaining:
+            pool = make_pool(min(workers, len(remaining)))
+            try:
+                with pool:
+                    futures = {
+                        pool.submit(task, chunk): key
+                        for key, chunk in remaining.items()
+                    }
+                    try:
+                        while futures:
+                            done, _ = wait(futures, return_when=FIRST_COMPLETED)
+                            for future in done:
+                                key = futures.pop(future)
+                                rows, worker_snapshot = future.result()
+                                del remaining[key]
+                                if worker_snapshot is not None:
+                                    tel.merge(worker_snapshot)
+                                for index, evaluation, elapsed, stats in rows:
+                                    finalize(
+                                        index, evaluation, elapsed=elapsed, stats=stats
+                                    )
+                    except BrokenProcessPool:
                         raise
-                    breaks += 1
-                    tel.count("explore.pool_restarts")
-                    flight.record(
-                        "explore.pool_break",
-                        breaks=breaks,
-                        unfinished_chunks=len(remaining),
-                    )
-                    log.warning(
-                        "process pool broke (a worker died); restarting and "
-                        "re-dispatching %d unfinished chunk(s) [break #%d]",
-                        len(remaining),
-                        breaks,
-                    )
-                    if breaks >= 2:
-                        # Two breaks suggest a deterministic crasher somewhere
-                        # in the remaining points: find and excise it.
-                        points = [pair for chunk in remaining.values() for pair in chunk]
-                        self._isolate_crashers(points, strict, policy, finalize, tel)
-                        return
-        finally:
-            self.evaluator = original_evaluator
-            if shm_pool is not None:
-                shm_pool.close()
+                    except BaseException:
+                        for future in futures:
+                            future.cancel()
+                        raise
+                return
+            except BrokenProcessPool:
+                if strict:
+                    raise
+                breaks += 1
+                tel.count("explore.pool_restarts")
+                flight.record(
+                    "explore.pool_break",
+                    breaks=breaks,
+                    unfinished_chunks=len(remaining),
+                )
+                log.warning(
+                    "process pool broke (a worker died); restarting and "
+                    "re-dispatching %d unfinished chunk(s) [break #%d]",
+                    len(remaining),
+                    breaks,
+                )
+                if breaks >= 2:
+                    # Two breaks suggest a deterministic crasher somewhere
+                    # in the remaining points: find and excise it.
+                    points = [pair for chunk in remaining.values() for pair in chunk]
+                    self._isolate_crashers(points, strict, policy, finalize, tel)
+                    return
 
     def _isolate_crashers(
         self,

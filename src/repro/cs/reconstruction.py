@@ -26,9 +26,8 @@ backend locked to the reference by the conformance suite).
 
 from __future__ import annotations
 
-import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -292,7 +291,6 @@ class Reconstructor:
     sparsity: int = 32
     n_iter: int = 120
     debias: bool = False
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.method not in ("fista", "ista", "omp", "iht"):
@@ -300,31 +298,6 @@ class Reconstructor:
         check_positive("lam_rel", self.lam_rel)
         check_positive_int("sparsity", self.sparsity)
         check_positive_int("n_iter", self.n_iter)
-
-    def _effective_dictionary(self, phi_eff: np.ndarray) -> np.ndarray:
-        """A = Phi_eff @ Psi, cached by Phi_eff content + active backend.
-
-        Keyed by a content fingerprint (shape + byte hash), not ``id()``:
-        object identity does not survive pickling, so an identity key
-        silently misses in every pool worker of a parallel sweep (and can
-        alias when ids are recycled).  The key also carries the kernel
-        backend that will consume the dictionary: backends may hold
-        backend-specific state for a cached dictionary (device arrays,
-        JIT specialisations), so a mid-process backend swap must miss
-        rather than reuse the other backend's entry.
-        """
-        phi_eff = np.ascontiguousarray(phi_eff)
-        key = (
-            phi_eff.shape,
-            hashlib.sha1(phi_eff.tobytes()).hexdigest(),
-            registry.active(self.method),
-        )
-        cached = self._cache.get(key)
-        if cached is None:
-            a = phi_eff if self.basis is None else phi_eff @ self.basis
-            self._cache = {key: a}
-            cached = a
-        return cached
 
     def recover(self, phi_eff: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Recover signal frames from measurements.
@@ -334,7 +307,8 @@ class Reconstructor:
         signal frames (N,) or (B, N).
         """
         telemetry = _telemetry()
-        a = self._effective_dictionary(phi_eff)
+        phi_eff = np.ascontiguousarray(phi_eff)
+        a = phi_eff if self.basis is None else phi_eff @ self.basis
         single = np.ndim(y) == 1
         y2 = np.atleast_2d(np.asarray(y, dtype=np.float64))
         with telemetry.span(f"cs.recover.{self.method}"):

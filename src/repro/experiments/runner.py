@@ -485,7 +485,10 @@ def build_run_manifest(
     if len(eta_history) > max_eta_events:
         # Thin evenly but always keep the final event (the run's end state).
         stride = -(-len(eta_history) // max_eta_events)
-        eta_history = eta_history[::stride] + [eta_history[-1]]
+        thinned = eta_history[::stride]
+        if thinned[-1] is not eta_history[-1]:
+            thinned.append(eta_history[-1])
+        eta_history = thinned
     batch_fallbacks = [
         {"index": event.get("index"), "reason": event.get("reason")}
         for event in snapshot["events"]

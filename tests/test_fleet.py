@@ -484,7 +484,9 @@ class TestFleetExplorer:
             space,
             name="fleet-manifest",
             executor="fleet",
-            fleet=FleetOptions(spawn_workers=2),
+            # The fair-start gate gives both workers a chunk; without it a
+            # worker that connects late may find the queue already drained.
+            fleet=FleetOptions(spawn_workers=2, wait_for_workers=2),
             telemetry=tel,
         )
         manifest = build_run_manifest(

@@ -1,18 +1,23 @@
 """Tests of the parallel/cached/resumable exploration backend."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.execution import (
     EvaluationCache,
     SweepCheckpoint,
     chunk_pending,
     evaluator_fingerprint,
 )
-from repro.core.explorer import DesignSpaceExplorer
+from repro.core.explorer import DesignSpaceExplorer, FrontEndEvaluator
 from repro.core.parameters import ParameterSpace
 from repro.core.results import Evaluation
 from repro.experiments.runner import SCALES
@@ -76,6 +81,33 @@ def smoke_grid():
     )
 
 
+#: Two baseline points and one CS point on :func:`real_evaluator`.
+REAL_POINTS = [
+    DesignPoint(n_bits=8, lna_noise_rms=2e-6),
+    DesignPoint(n_bits=10, lna_noise_rms=4e-6),
+    DesignPoint(n_bits=8, lna_noise_rms=8e-6, use_cs=True, cs_m=150),
+]
+
+
+def real_evaluator():
+    from tests.test_explorer import FS, small_corpus
+
+    return FrontEndEvaluator(small_corpus(), None, FS, seed=3)
+
+
+def hex_rows(evaluations):
+    """Each evaluation's metrics and power breakdown as ``float.hex`` strings."""
+    return [
+        {
+            "point": e.point.describe(),
+            "metrics": {k: float(v).hex() for k, v in sorted(e.metrics.items())},
+            "breakdown": {k: float(v).hex() for k, v in sorted(e.breakdown.items())},
+            "error": e.error,
+        }
+        for e in evaluations
+    ]
+
+
 def assert_sweeps_identical(expected, actual):
     assert len(expected) == len(actual)
     for left, right in zip(expected, actual):
@@ -100,18 +132,40 @@ class TestParallelBitIdentity:
         assert_sweeps_identical(serial, threaded)
 
     def test_process_matches_serial_real_evaluator(self):
-        from repro.core.explorer import FrontEndEvaluator
-        from tests.test_explorer import FS, small_corpus
-
-        evaluator = FrontEndEvaluator(small_corpus(), None, FS, seed=3)
+        evaluator = real_evaluator()
         explorer = DesignSpaceExplorer(evaluator)
-        points = [
-            DesignPoint(n_bits=8, lna_noise_rms=2e-6),
-            DesignPoint(n_bits=8, lna_noise_rms=8e-6, use_cs=True, cs_m=150),
-        ]
+        points = [REAL_POINTS[0], REAL_POINTS[2]]
         serial = explorer.explore(points)
         parallel = explorer.explore(points, executor="process", n_workers=2)
         assert_sweeps_identical(serial, parallel)
+
+    def test_spawned_process_pool_matches_serial(self):
+        # Every other process test forks, and a forked worker inherits the
+        # evaluator without pickling it.  Spawn (and forkserver) workers
+        # unpickle it instead, so run that transport in a fresh interpreter.
+        script = (
+            "import json, multiprocessing\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "from repro.core.explorer import DesignSpaceExplorer\n"
+            "from tests.test_parallel_explorer import REAL_POINTS, hex_rows, real_evaluator\n"
+            "explorer = DesignSpaceExplorer(real_evaluator())\n"
+            "result = explorer.explore(REAL_POINTS, executor='process', n_workers=2)\n"
+            "print(json.dumps(hex_rows(result.evaluations)))\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        src = Path(repro.__file__).resolve().parents[1]
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=root,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(root)])),
+            capture_output=True,
+            text=True,
+            timeout=240,
+        )
+        assert completed.returncode == 0, completed.stderr
+        spawned = json.loads(completed.stdout.splitlines()[-1])
+        serial = DesignSpaceExplorer(real_evaluator()).explore(REAL_POINTS)
+        assert spawned == hex_rows(serial.evaluations)
 
     def test_chunk_size_does_not_change_results(self):
         explorer = DesignSpaceExplorer(ToyEvaluator())

@@ -1,174 +1,66 @@
-"""Shared-memory corpus transport: handles, lifetime, end-to-end parity."""
+"""Evaluator transport to process workers: a plain pickle, corpus included.
+
+(The module keeps the name of the shared-memory corpus transport it used
+to cover; no shared-memory segment is involved any more.)
+"""
 
 import pickle
 
 import numpy as np
-import pytest
 
-from repro.core.explorer import DesignSpaceExplorer, FrontEndEvaluator
-from repro.core.shm import SharedArray, SharedArrayPool, shm_enabled
+from repro.core.explorer import DesignSpaceExplorer
 from repro.core.telemetry import Telemetry
-from repro.power.technology import DesignPoint
-
-F_SAMPLE = 2.1 * 256.0
-
-
-def small_corpus(n_records=2, frames=1):
-    rng = np.random.default_rng(9)
-    return rng.normal(0.0, 20e-6, size=(n_records, frames * 384))
-
-
-class TestSharedArray:
-    def test_pickle_roundtrip_is_a_handle(self):
-        data = np.random.default_rng(0).normal(size=(64, 32))
-        shared = SharedArray.create(data)
-        try:
-            blob = pickle.dumps(shared)
-            assert len(blob) < 512  # (name, shape, dtype), not the bytes
-            restored = pickle.loads(blob)
-            np.testing.assert_array_equal(restored.array, data)
-        finally:
-            shared.close(unlink=True)
-
-    def test_view_is_read_only(self):
-        shared = SharedArray.create(np.zeros(8))
-        try:
-            handle = pickle.loads(pickle.dumps(shared))
-            view = handle.array
-            with pytest.raises(ValueError):
-                view[0] = 1.0
-        finally:
-            shared.close(unlink=True)
-
-    def test_view_survives_dropped_handle(self):
-        # Regression: the attached segment must outlive the transient
-        # unpickled handle — numpy's buffer reference does not keep the
-        # mmap alive, so dropping the handle used to unmap the pages
-        # under the view (segfault).
-        data = np.random.default_rng(1).normal(size=(128, 64))
-        shared = SharedArray.create(data)
-        try:
-            view = pickle.loads(pickle.dumps(shared)).array
-            import gc
-
-            gc.collect()
-            np.testing.assert_array_equal(view, data)
-        finally:
-            shared.close(unlink=True)
-
-    def test_non_contiguous_input_is_published_contiguously(self):
-        data = np.arange(64, dtype=np.float64).reshape(8, 8)[:, ::2]
-        shared = SharedArray.create(data)
-        try:
-            np.testing.assert_array_equal(shared.array, data)
-        finally:
-            shared.close(unlink=True)
-
-
-class TestSharedArrayPool:
-    def test_context_manager_unlinks_segments(self):
-        with SharedArrayPool() as pool:
-            handle = pool.share(np.ones(16))
-            name = handle.name
-            assert len(pool) == 1 and pool.nbytes == 16 * 8
-        from multiprocessing import shared_memory
-
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_shm_enabled_env_gate(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM", raising=False)
-        assert shm_enabled()
-        monkeypatch.setenv("REPRO_SHM", "0")
-        assert not shm_enabled()
-        monkeypatch.setenv("REPRO_SHM", "off")
-        assert not shm_enabled()
-        monkeypatch.setenv("REPRO_SHM", "1")
-        assert shm_enabled()
+from tests.test_parallel_explorer import REAL_POINTS, hex_rows, real_evaluator
 
 
 class TestEvaluatorTransport:
-    def test_armed_pickle_carries_handle_not_corpus(self):
-        records = small_corpus(8, 4)
-        evaluator = FrontEndEvaluator(records, None, F_SAMPLE, seed=3)
-        with SharedArrayPool() as pool:
-            armed = evaluator.shared_transport(pool)
-            blob = pickle.dumps(armed)
-            assert len(blob) < records.nbytes / 10
-            restored = pickle.loads(blob)
-            np.testing.assert_array_equal(restored.records, records)
-
-    def test_armed_evaluator_unchanged_in_process(self):
-        records = small_corpus()
-        evaluator = FrontEndEvaluator(records, None, F_SAMPLE, seed=3)
-        with SharedArrayPool() as pool:
-            armed = evaluator.shared_transport(pool)
-            assert armed.records is evaluator.records
-            point = DesignPoint(n_bits=8, lna_noise_rms=2e-6)
-            assert (
-                armed.evaluate(point).metrics == evaluator.evaluate(point).metrics
-            )
-
     def test_roundtripped_evaluator_evaluates_identically(self):
-        records = small_corpus()
-        evaluator = FrontEndEvaluator(records, None, F_SAMPLE, seed=3)
-        point = DesignPoint(n_bits=8, lna_noise_rms=2e-6)
-        reference = evaluator.evaluate(point)
-        with SharedArrayPool() as pool:
-            armed = evaluator.shared_transport(pool)
-            restored = pickle.loads(pickle.dumps(armed))
-            assert restored.evaluate(point).metrics == reference.metrics
+        evaluator = real_evaluator()
+        clone = evaluator.with_chain_transform(None)
+        for original in (evaluator, clone):
+            restored = pickle.loads(pickle.dumps(original))
+            for point in REAL_POINTS:
+                assert hex_rows([restored.evaluate(point)]) == hex_rows(
+                    [original.evaluate(point)]
+                )
 
     def test_plain_pickle_still_works_unarmed(self):
-        # Evaluators that never went through shared_transport keep the
-        # ordinary bytes-in-pickle transport (fork pools, checkpoints).
-        records = small_corpus()
-        evaluator = FrontEndEvaluator(records, None, F_SAMPLE, seed=3)
+        # The corpus bytes ride in the pickle itself: each spawned worker
+        # unpickles its own copy.
+        evaluator = real_evaluator()
         restored = pickle.loads(pickle.dumps(evaluator))
-        np.testing.assert_array_equal(restored.records, records)
+        assert restored.records is not evaluator.records
+        np.testing.assert_array_equal(restored.records, evaluator.records)
+
+    def test_clone_pickle_does_not_carry_the_original(self):
+        evaluator = real_evaluator()
+        corpus_only = len(pickle.dumps(evaluator))
+        evaluator.evaluate(REAL_POINTS[2])  # caches a 384 x 384 basis (1.2 MB)
+        clone = evaluator.with_chain_transform(None)
+        # The clone's default factory is rebound to the clone, so its pickle
+        # holds neither the original instance nor the original's basis cache.
+        assert len(pickle.dumps(clone)) < 1.5 * corpus_only
+        restored = pickle.loads(pickle.dumps(clone))
+        assert restored.reconstructor_factory.__self__ is restored
 
 
 class TestProcessSweepParity:
-    def _space(self):
-        return [
-            DesignPoint(n_bits=8, lna_noise_rms=2e-6),
-            DesignPoint(n_bits=10, lna_noise_rms=4e-6),
-        ]
-
     def test_process_sweep_with_shm_matches_serial(self):
-        records = small_corpus()
-        serial = DesignSpaceExplorer(
-            FrontEndEvaluator(records, None, F_SAMPLE, seed=3)
-        ).explore(self._space())
+        serial = DesignSpaceExplorer(real_evaluator()).explore(REAL_POINTS)
         tel = Telemetry()
-        shm = DesignSpaceExplorer(
-            FrontEndEvaluator(records, None, F_SAMPLE, seed=3)
-        ).explore(self._space(), executor="process", n_workers=2, telemetry=tel)
-        for a, b in zip(serial.evaluations, shm.evaluations):
-            assert a.metrics == b.metrics
-        assert tel.counters.get("shm.segments", 0) >= 1
-        assert tel.counters.get("shm.bytes", 0) == records.nbytes
-
-    def test_process_sweep_with_shm_disabled_matches_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        records = small_corpus()
-        serial = DesignSpaceExplorer(
-            FrontEndEvaluator(records, None, F_SAMPLE, seed=3)
-        ).explore(self._space())
-        tel = Telemetry()
-        plain = DesignSpaceExplorer(
-            FrontEndEvaluator(records, None, F_SAMPLE, seed=3)
-        ).explore(self._space(), executor="process", n_workers=2, telemetry=tel)
-        for a, b in zip(serial.evaluations, plain.evaluations):
-            assert a.metrics == b.metrics
-        assert tel.counters.get("shm.segments", 0) == 0
+        parallel = DesignSpaceExplorer(real_evaluator()).explore(
+            REAL_POINTS, executor="process", n_workers=2, telemetry=tel
+        )
+        assert hex_rows(parallel.evaluations) == hex_rows(serial.evaluations)
+        # No corpus segment is published: nothing counts under ``shm.``.
+        assert not [name for name in tel.counters if name.startswith("shm.")]
 
     def test_driver_evaluator_restored_after_sweep(self):
-        records = small_corpus()
-        evaluator = FrontEndEvaluator(records, None, F_SAMPLE, seed=3)
+        evaluator = real_evaluator()
+        records = evaluator.records
         explorer = DesignSpaceExplorer(evaluator)
-        explorer.explore(self._space(), executor="process", n_workers=2)
-        # The armed clone is transport-only state: the driver's evaluator
-        # is put back once the pool is done.
+        explorer.explore(REAL_POINTS[:2], executor="process", n_workers=2)
+        # Workers get their own copy; the parent process's evaluator and
+        # corpus are untouched.
         assert explorer.evaluator is evaluator
-        assert not hasattr(explorer.evaluator, "_shm_records")
+        assert evaluator.records is records

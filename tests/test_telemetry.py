@@ -335,6 +335,20 @@ class TestRunManifest:
         assert manifest.sweep["point_seconds"]["count"] == space.size
         RunManifest.from_dict(json.loads(json.dumps(manifest.to_dict())))
 
+    def test_thinned_eta_history_keeps_final_event_once(self):
+        # 201 events at a cap of 200 thin with stride 2, which lands on the
+        # final event itself: it must not be appended a second time.
+        from repro.experiments.runner import build_run_manifest
+
+        sweep = DesignSpaceExplorer(ToyEvaluator()).explore(smoke_grid())
+        tel = Telemetry()
+        for done in range(1, 202):
+            tel.event("explore.progress", done=done, total=201)
+        manifest = build_run_manifest(sweep, tel, "smoke", max_eta_events=200)
+        done = [event["done"] for event in manifest.eta_history]
+        assert len(done) == len(set(done))
+        assert done[-1] == 201
+
 
 @dataclass(frozen=True)
 class DeadChannelEvaluator:
