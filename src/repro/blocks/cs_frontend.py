@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.block import Block, SimulationContext
 from repro.core.signal import Signal
-from repro.cs.charge_sharing import ChargeSharingConfig, ChargeSharingEncoder, encode_batch
+from repro.cs.charge_sharing import ChargeSharingConfig, ChargeSharingEncoder
 from repro.cs.matrices import SensingMatrix
 from repro.cs.reconstruction import Reconstructor
 from repro.power.models import cs_encoder_logic_power
@@ -143,47 +143,6 @@ class CsEncoderBlock(Block):
             input_sample_rate=signal.sample_rate,
         )
 
-    def batch_group_key(self) -> tuple:
-        """Stacking compatibility: matrix dimensions set the route shapes."""
-        return ("cs", self.matrix.m, self.matrix.n, self.matrix.sparsity)
-
-    def process_batch(self, batch, peers, ctxs):
-        """Vectorised :meth:`process` over stacked points (see core.batch).
-
-        Framing and the passive accumulation vectorise across encoder
-        instances via :func:`repro.cs.charge_sharing.encode_batch`; each
-        instance keeps its own mismatch realisation and noise stream, so
-        rows match the scalar path exactly.
-        """
-        del ctxs  # noise streams are owned by the encoders (seeded, replayable)
-        data = batch.data
-        if data.ndim != 2:
-            raise ValueError(f"CS encoder expects 1-D streams, got batch shape {data.shape}")
-        frames = np.stack(
-            [frame_stream(data[i], blk.matrix.n) for i, blk in enumerate(peers)]
-        )
-        measurements = encode_batch([blk._encoder for blk in peers], frames)
-        rates = np.array(
-            [
-                batch.sample_rates[i] / blk.matrix.n * blk.matrix.m
-                for i, blk in enumerate(peers)
-            ]
-        )
-        return batch.replaced(
-            data=measurements,
-            sample_rates=rates,
-            domain="compressed",
-            row_annotations=[
-                {
-                    "phi_effective": blk.phi_effective,
-                    "cs_frame_length": blk.matrix.n,
-                    "cs_measurements": blk.matrix.m,
-                    "input_sample_rate": float(batch.sample_rates[i]),
-                }
-                for i, blk in enumerate(peers)
-            ],
-        )
-
     def power(self, point: DesignPoint) -> dict[str, float]:
         # One routing switch pair per sampling capacitor plus one per hold
         # capacitor leaks statically (Table III's I_leak per switch).
@@ -222,48 +181,6 @@ class DigitalCsEncoderBlock(Block):
             cs_frame_length=self.matrix.n,
             cs_measurements=self.matrix.m,
             input_sample_rate=signal.sample_rate,
-        )
-
-    def batch_group_key(self) -> tuple:
-        """Stacking compatibility: matrix dimensions set the output shape."""
-        return ("digital-cs", self.matrix.m, self.matrix.n)
-
-    def process_batch(self, batch, peers, ctxs):
-        """Vectorised :meth:`process` over stacked points (see core.batch).
-
-        The measurement itself stays per-row (``matrix.measure`` with each
-        point's own Phi -- matrices differ per point, so there is nothing
-        to stack); framing and metadata handling batch around it.
-        """
-        del ctxs
-        data = batch.data
-        if data.ndim != 2:
-            raise ValueError(f"CS encoder expects 1-D streams, got batch shape {data.shape}")
-        measurements = np.stack(
-            [
-                blk.matrix.measure(frame_stream(data[i], blk.matrix.n))
-                for i, blk in enumerate(peers)
-            ]
-        )
-        rates = np.array(
-            [
-                batch.sample_rates[i] / blk.matrix.n * blk.matrix.m
-                for i, blk in enumerate(peers)
-            ]
-        )
-        return batch.replaced(
-            data=measurements,
-            sample_rates=rates,
-            domain="compressed",
-            row_annotations=[
-                {
-                    "phi_effective": blk.matrix.phi,
-                    "cs_frame_length": blk.matrix.n,
-                    "cs_measurements": blk.matrix.m,
-                    "input_sample_rate": float(batch.sample_rates[i]),
-                }
-                for i, blk in enumerate(peers)
-            ],
         )
 
     def power(self, point: DesignPoint) -> dict[str, float]:
@@ -305,20 +222,3 @@ class CsReconstructionBlock(Block):
             m = signal.annotations["cs_measurements"]
             rate = signal.sample_rate * frame_length / m
         return signal.replaced(data=stream, sample_rate=float(rate), domain="digital")
-
-    def process_batch(self, batch, peers, ctxs):
-        """Row-wise :meth:`process` over stacked points (see core.batch).
-
-        Reconstruction does not vectorise across points -- each row
-        solves against its own effective matrix, and the FISTA solve is
-        already batched across frames -- so the kernel exists to keep
-        reconstruction-bearing chains on the batched path rather than to
-        speed this block up.
-        """
-        outputs = [blk.process(batch.row(i), ctxs[i]) for i, blk in enumerate(peers)]
-        return batch.replaced(
-            data=np.stack([out.data for out in outputs]),
-            sample_rates=np.array([out.sample_rate for out in outputs]),
-            domain="digital",
-            row_annotations=[out.annotations for out in outputs],
-        )

@@ -94,24 +94,3 @@ class Normalizer(Block):
         if gain is None:
             gain = signal.annotations.get("lna_gain", 1.0)
         return signal.replaced(data=signal.data / gain + self.offset)
-
-    def process_batch(self, batch, peers, ctxs):
-        """Vectorised :meth:`process` over stacked points (see core.batch).
-
-        Per-row gains come from each block's configuration or its row's
-        ``lna_gain`` annotation, broadcast over the row's trailing axes.
-        """
-        del ctxs
-        gains = np.array(
-            [
-                blk.gain
-                if blk.gain is not None
-                else batch.annotations[i].get("lna_gain", 1.0)
-                for i, blk in enumerate(peers)
-            ]
-        )
-        offsets = np.array([blk.offset for blk in peers])
-        shape = (len(peers),) + (1,) * (batch.data.ndim - 1)
-        return batch.replaced(
-            data=batch.data / gains.reshape(shape) + offsets.reshape(shape)
-        )

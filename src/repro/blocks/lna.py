@@ -107,64 +107,5 @@ class LNA(Block):
             data = np.clip(data, -self.clip_level, self.clip_level)
         return signal.replaced(data=data, lna_gain=self.gain)
 
-    def process_batch(self, batch, peers, ctxs):
-        """Vectorised :meth:`process` over stacked points (see core.batch).
-
-        Per-row RNG draws replicate the scalar path exactly (one
-        generator per row, one draw, same shape); gain, the nonlinearity
-        and clipping vectorise across rows, and the IIR bandwidth filter
-        runs once per unique ``(bandwidth, sample_rate)`` pair instead of
-        once per point.
-        """
-        data = batch.data
-        if data.ndim != 2:
-            raise ValueError(f"LNA expects 1-D streams, got batch shape {data.shape}")
-        rates = batch.sample_rates
-        # 1. input-referred noise (independent per-row streams)
-        out = data.copy()
-        for i, (blk, ctx) in enumerate(zip(peers, ctxs)):
-            if blk.noise_rms > 0:
-                rng = ctx.rng(blk.name)
-                out[i] += rng.normal(0.0, blk.noise_rms, size=data.shape[1])
-        # 2. gain
-        gains = np.array([blk.gain for blk in peers])
-        out = out * gains[:, None]
-        # 3. bandwidth limitation, grouped by filter coefficients
-        filter_rows: dict[tuple[float, float], list[int]] = {}
-        for i, blk in enumerate(peers):
-            if blk.bandwidth is not None and blk.bandwidth < rates[i] / 2:
-                filter_rows.setdefault((blk.bandwidth, rates[i]), []).append(i)
-        n_rows = len(peers)
-        for (bandwidth, rate), rows in filter_rows.items():
-            b, a = sp_signal.butter(1, bandwidth, fs=rate)
-            if len(rows) == n_rows:
-                out = sp_signal.lfilter(b, a, out, axis=-1)
-            else:
-                out[rows] = sp_signal.lfilter(b, a, out[rows], axis=-1)
-        # 4. third-order non-linearity, only on rows that enable it (the
-        #    masked update keeps disabled rows bit-identical to scalar;
-        #    the homogeneous case skips the fancy-index copies)
-        cubic = [
-            i for i, blk in enumerate(peers) if blk.hd3_at_fs > 0 and blk.clip_level is not None
-        ]
-        if len(cubic) == n_rows:
-            a3 = np.array([4.0 * blk.hd3_at_fs / blk.clip_level**2 for blk in peers])
-            out = out - a3[:, None] * out**3
-        elif cubic:
-            a3 = np.array([4.0 * peers[i].hd3_at_fs / peers[i].clip_level**2 for i in cubic])
-            sub = out[cubic]
-            out[cubic] = sub - a3[:, None] * sub**3
-        # 5. clipping
-        clipped = [i for i, blk in enumerate(peers) if blk.clip_level is not None]
-        if len(clipped) == n_rows:
-            level = np.array([blk.clip_level for blk in peers])[:, None]
-            out = np.clip(out, -level, level)
-        elif clipped:
-            level = np.array([peers[i].clip_level for i in clipped])[:, None]
-            out[clipped] = np.clip(out[clipped], -level, level)
-        return batch.replaced(
-            data=out, row_annotations=[{"lna_gain": blk.gain} for blk in peers]
-        )
-
     def power(self, point: DesignPoint) -> dict[str, float]:
         return {"lna": lna_power(point)}

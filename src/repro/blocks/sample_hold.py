@@ -110,40 +110,5 @@ class SampleHold(Block):
             data = data - np.sign(data) * np.minimum(np.abs(data), droop)
         return signal.replaced(data=data)
 
-    def process_batch(self, batch, peers, ctxs):
-        """Vectorised :meth:`process` over stacked points (see core.batch).
-
-        The scalar path draws jitter then kT/C noise from ONE generator
-        per run; each row here gets its own generator with the identical
-        call pattern, so per-point outputs match the scalar path exactly.
-        Droop (deterministic) vectorises across the rows that enable it.
-        """
-        data = batch.data
-        if data.ndim != 2:
-            raise ValueError(f"S&H expects 1-D streams, got batch shape {data.shape}")
-        rates = batch.sample_rates
-        out = data.copy()
-        for i, (blk, ctx) in enumerate(zip(peers, ctxs)):
-            rng = ctx.rng(blk.name)
-            row = out[i]
-            if blk.aperture_jitter > 0:
-                slope = np.gradient(row) * rates[i]
-                row += slope * rng.normal(0.0, blk.aperture_jitter, size=row.shape)
-            noise = blk.noise_rms
-            if noise > 0:
-                row += rng.normal(0.0, noise, size=row.shape)
-        droopy = [i for i, blk in enumerate(peers) if blk.droop_rate > 0]
-        if droopy:
-            droop = np.array(
-                [
-                    peers[i].droop_rate
-                    * (peers[i].hold_time if peers[i].hold_time is not None else 1.0 / rates[i])
-                    for i in droopy
-                ]
-            )[:, None]
-            sub = out[droopy]
-            out[droopy] = sub - np.sign(sub) * np.minimum(np.abs(sub), droop)
-        return batch.replaced(data=out)
-
     def power(self, point: DesignPoint) -> dict[str, float]:
         return {"sample_hold": sample_hold_power(point)}

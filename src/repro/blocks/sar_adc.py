@@ -168,66 +168,6 @@ class SarAdc(Block):
             adc_v_fs=self.v_fs,
         )
 
-    def batch_group_key(self) -> tuple:
-        """Stacking compatibility: bit depth sets the weight-array shape."""
-        return ("n_bits", self.n_bits)
-
-    def process_batch(self, batch, peers, ctxs):
-        """Vectorised :meth:`process` over stacked points (see core.batch).
-
-        Runs ONE successive-approximation bit loop for the whole group
-        with per-point weight vectors stacked along axis 0 -- the win
-        that motivates the batched engine (the scalar path pays ``n_bits``
-        numpy dispatches per point).  Comparator-noise draws stay per-row
-        (one generator per point, scalar call pattern) so outputs match
-        the scalar path exactly; rows without comparator noise draw
-        nothing, as in :meth:`convert`.
-        """
-        data = batch.data
-        n_points = len(peers)
-        shape = data.shape
-        flat_len = int(np.prod(shape[1:], dtype=int))
-        vfs = np.array([blk.v_fs for blk in peers])[:, None]  # (P, 1)
-        flat = np.clip(data.reshape(n_points, flat_len), -vfs / 2.0, vfs / 2.0)
-        v = flat + vfs / 2.0
-        acc_true = np.zeros_like(v)
-        acc_nominal = np.zeros_like(v)
-        w_nominal = np.stack([blk._weights_nominal for blk in peers])  # (P, n_bits)
-        w_true = np.stack([blk._weights_true for blk in peers])
-        n_bits = w_nominal.shape[1]
-        noisy = [i for i, blk in enumerate(peers) if blk.comparator_noise_rms > 0]
-        # One block draw per noisy row covers all of its bit decisions:
-        # Generator.normal fills C-contiguously from the bit stream, so a
-        # (n_bits, flat) draw is bit-identical to n_bits sequential
-        # per-bit draws -- the scalar call pattern -- at a fraction of the
-        # dispatch cost.  Noiseless rows stay zero; ``x + 0.0`` only feeds
-        # a ``>=`` comparison, where a sign-flipped zero is equivalent.
-        noise = None
-        if noisy:
-            alloc = np.empty if len(noisy) == n_points else np.zeros
-            noise = alloc((n_points, n_bits, flat_len))
-        for i, blk in enumerate(peers):
-            rng = ctxs[i].rng(blk.name)  # scalar-identical registry call pattern
-            if blk.comparator_noise_rms > 0:
-                noise[i] = rng.normal(
-                    0.0, blk.comparator_noise_rms, size=(n_bits, flat_len)
-                )
-        for bit in range(n_bits):
-            threshold = acc_true + w_true[:, bit][:, None]
-            observed = v if noise is None else v + noise[:, bit]
-            keep = observed >= threshold
-            acc_true = np.where(keep, threshold, acc_true)
-            acc_nominal = acc_nominal + keep * w_nominal[:, bit][:, None]
-        lsb = np.array([blk.lsb for blk in peers])[:, None]
-        result = (acc_nominal + lsb / 2.0 - vfs / 2.0).reshape(shape)
-        return batch.replaced(
-            data=result,
-            domain="digital",
-            row_annotations=[
-                {"adc_bits": blk.n_bits, "adc_v_fs": blk.v_fs} for blk in peers
-            ],
-        )
-
     def power(self, point: DesignPoint) -> dict[str, float]:
         # Leakage of the converter's switch network: the S&H switch plus
         # two per bit of the DAC bank (Table III's I_leak per switch).

@@ -46,19 +46,6 @@ class Transmitter(Block):
         self.transmitted_bits += signal.n_samples * self.bits_per_sample
         return signal.replaced(transmitted_bits=self.transmitted_bits)
 
-    def process_batch(self, batch, peers, ctxs):
-        """Vectorised :meth:`process` over stacked points (see core.batch).
-
-        Lossless passthrough; each point's transmitter instance counts
-        its own row's bits, so :meth:`energy` stays per-point exact.
-        """
-        del ctxs
-        annotations = []
-        for i, blk in enumerate(peers):
-            blk.transmitted_bits += int(batch.data[i].size) * blk.bits_per_sample
-            annotations.append({"transmitted_bits": blk.transmitted_bits})
-        return batch.replaced(row_annotations=annotations)
-
     def energy(self) -> float:
         """Total transmit energy of the processed stream, joules."""
         return self.transmitted_bits * self.e_bit

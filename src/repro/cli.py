@@ -49,11 +49,6 @@ Observability flags (shared by every command):
 
 Any of ``--trace``/``--metrics-out``/``--events-out`` (like
 ``--manifest``) implies ``--profile``.
-
-``repro bench`` runs the tracked performance benchmarks (see
-:mod:`repro.bench`), appends schema'd records to a dated
-``BENCH_<date>.json`` ledger, and with ``--compare`` gates against a
-baseline ledger (exit 1 on > ``--threshold`` regression).
 """
 
 from __future__ import annotations
@@ -258,9 +253,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         else:
             manifest_path = Path("repro-manifest.json")
         workers = args.workers
-        if args.adaptive:
-            executor = args.executor or "batched"
-        elif args.fleet:
+        if args.fleet:
             executor = "fleet"
         else:
             executor = args.executor or ("process" if (workers or 1) > 1 else "serial")
@@ -351,69 +344,6 @@ def _cmd_budget(args: argparse.Namespace) -> int:
 
     print(f"estimated power: {chain_power(point).total_uw:.3f} uW")
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.bench import (
-        append_records,
-        compare_records,
-        default_ledger_path,
-        find_baseline,
-        load_records,
-        render_comparison,
-        run_benchmarks,
-    )
-
-    out = Path(args.out) if args.out else default_ledger_path()
-    if args.compare_only:
-        if not out.exists():
-            # A missing ledger used to compare an empty record list --
-            # every benchmark "not run", exit 0 -- silently masking a
-            # misconfigured CI gate.  Fail loudly instead.
-            print(
-                f"error: --compare-only needs an existing ledger at {out} "
-                "(no benchmarks were run; pass --out to point at the ledger "
-                "to compare)",
-                file=sys.stderr,
-            )
-            return 2
-        current = load_records(out)
-    else:
-        try:
-            records = run_benchmarks(args.benchmarks)
-        except KeyError as error:
-            print(f"error: {error.args[0]}", file=sys.stderr)
-            return 2
-        append_records(out, records)
-        for record in records:
-            print(
-                f"{record.name}: best {record.wall_s * 1e3:.0f} ms over "
-                f"{record.points} points ({record.points_per_s:.0f} points/s, "
-                f"best of {record.reps})"
-            )
-        print(f"appended {len(records)} record(s) to {out}")
-        current = load_records(out)
-
-    if args.compare is None and not args.compare_only:
-        return 0
-    if args.compare not in (None, "auto"):
-        baseline_path = Path(args.compare)
-    else:
-        baseline_path = find_baseline(out)
-    if baseline_path is None or not baseline_path.exists():
-        print(
-            "no baseline ledger found; skipping comparison (first run "
-            "establishes the baseline)"
-        )
-        return 0
-    rows = compare_records(
-        load_records(baseline_path), current, threshold=args.threshold
-    )
-    print(f"\ncomparing against {baseline_path}:")
-    print(render_comparison(rows, args.threshold))
-    return 1 if any(row["regressed"] for row in rows) else 0
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
@@ -665,11 +595,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--executor",
-        choices=["serial", "process", "thread", "batched", "fleet"],
+        choices=["serial", "process", "thread", "fleet"],
         default=None,
         help="execution backend (default: process when --workers > 1); "
-        "'batched' vectorises topology-sharing points through the blocks' "
-        "process_batch kernels and shards over --workers when > 1; "
         "'fleet' distributes leased chunks to workers over TCP (see --fleet)",
     )
     sweep.add_argument(
@@ -801,46 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     budget.add_argument("--cs", action="store_true")
     budget.add_argument("--m", type=int, default=150)
     budget.set_defaults(func=_cmd_budget)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run tracked performance benchmarks; gate regressions with --compare",
-        parents=[common],
-    )
-    bench.add_argument(
-        "--out",
-        help="benchmark ledger path (default: BENCH_<YYYYMMDD>.json in the cwd)",
-    )
-    bench.add_argument(
-        "--benchmarks",
-        nargs="+",
-        metavar="NAME",
-        default=None,
-        help="subset of registered benchmarks to run (default: all)",
-    )
-    bench.add_argument(
-        "--compare",
-        nargs="?",
-        const="auto",
-        default=None,
-        metavar="BASELINE",
-        help="compare against a baseline ledger (default: the newest other "
-        "BENCH_*.json next to --out); exit 1 on regression, warn-and-pass "
-        "when no baseline exists yet",
-    )
-    bench.add_argument(
-        "--compare-only",
-        action="store_true",
-        help="skip running benchmarks; compare the existing --out ledger "
-        "against the baseline",
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=0.20,
-        help="relative wall-time growth that counts as a regression (0.20 = 20%%)",
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     worker = sub.add_parser(
         "worker",

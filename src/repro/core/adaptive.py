@@ -14,7 +14,7 @@ module implements the classic successive-halving remedy:
    solver factory both feed :meth:`FrontEndEvaluator.fingerprint`), so
    low- and full-fidelity evaluations never share a cache entry.
 2. Each *rung* runs one wave of the surviving points through the ordinary
-   :class:`~repro.core.explorer.DesignSpaceExplorer` -- so the batched
+   :class:`~repro.core.explorer.DesignSpaceExplorer` -- so every
    executor, :class:`~repro.core.execution.EvaluationCache`, per-rung
    checkpoint resume, timeouts/retries, telemetry and tracing all compose
    unchanged.

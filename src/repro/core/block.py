@@ -112,8 +112,3 @@ class PassthroughBlock(Block):
     def process(self, signal: Signal, ctx: SimulationContext) -> Signal:
         del ctx
         return signal
-
-    def process_batch(self, batch, peers, ctxs):
-        """Identity over the whole batch (see :mod:`repro.core.batch`)."""
-        del peers, ctxs
-        return batch

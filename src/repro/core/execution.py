@@ -63,7 +63,7 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 log = logging.getLogger("repro.execution")
 
 #: Valid values of ``DesignSpaceExplorer.explore(executor=...)``.
-EXECUTORS = ("serial", "process", "thread", "batched", "fleet")
+EXECUTORS = ("serial", "process", "thread", "fleet")
 
 
 class EvaluationTimeout(TimeoutError):
@@ -457,37 +457,6 @@ def evaluate_chunk_with(
                     (index, *evaluate_one_timed(evaluator, point, strict, policy))
                 )
     return rows
-
-
-def evaluate_batch_chunk_with(
-    evaluator: Callable,
-    strict: bool,
-    chunk: list[tuple[int, DesignPoint]],
-    policy: ExecutionPolicy = DEFAULT_POLICY,
-) -> list[tuple[int, Evaluation, float, dict]]:
-    """Evaluate one chunk through the batched engine (scalar fallback inside).
-
-    Imported lazily: :mod:`repro.core.batch` imports this module for the
-    policy machinery, so a top-level import would be circular.
-    """
-    from repro.core.batch import BatchedEvaluator
-
-    return BatchedEvaluator(evaluator).evaluate_chunk(chunk, strict=strict, policy=policy)
-
-
-def _evaluate_batch_chunk(
-    chunk: list[tuple[int, DesignPoint]],
-) -> tuple[list[tuple[int, Evaluation, float, dict]], TelemetrySnapshot | None]:
-    """Batched analogue of :func:`_evaluate_chunk` (one shard per worker)."""
-    tel = _WORKER_STATE.get("telemetry") or get_active()
-    with tel.span("explore.shard", points=len(chunk), batched=True):
-        rows = evaluate_batch_chunk_with(
-            _WORKER_STATE["evaluator"],
-            _WORKER_STATE["strict"],
-            chunk,
-            _WORKER_STATE.get("policy", DEFAULT_POLICY),
-        )
-    return rows, _worker_snapshot()
 
 
 # --- on-disk evaluation cache ------------------------------------------------

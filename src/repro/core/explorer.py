@@ -37,17 +37,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.execution import (
-    DEFAULT_POLICY,
     EXECUTORS,
     EvaluationCache,
     ExecutionPolicy,
     SweepCheckpoint,
     WorkerTelemetryConfig,
-    _evaluate_batch_chunk,
     _evaluate_chunk,
     _init_worker,
     chunk_pending,
-    evaluate_batch_chunk_with,
     evaluate_chunk_with,
     evaluate_one_timed,
     evaluator_fingerprint,
@@ -225,10 +222,8 @@ class FrontEndEvaluator:
 
         Returns ``(chain, run_seed)``: the fully configured (and, when a
         ``chain_transform`` is set, transformed) block chain plus the seed
-        the simulation run must use.  Shared by the scalar path
-        (:meth:`evaluate`) and the batched path
-        (:class:`repro.core.batch.BatchedEvaluator`), so both simulate
-        bit-identical systems.
+        the simulation run must use.  :meth:`evaluate` simulates it over
+        :meth:`source_signal`.
         """
         # Imported here: repro.blocks imports repro.core (Block base class),
         # so a module-level import would be circular.
@@ -280,8 +275,8 @@ class FrontEndEvaluator:
         """Score one simulated output stream against the clean corpus.
 
         ``power`` is the chain's :class:`~repro.power.models.PowerReport`.
-        Shared by the scalar and batched paths so the metric computation
-        cannot diverge between executors.
+        Every executor reaches it through :meth:`evaluate`, so the metric
+        computation is the same wherever a point runs.
         """
         n_records = self.records.shape[0]
         output = np.asarray(output_signal.data).reshape(n_records, -1)
@@ -365,21 +360,14 @@ class DesignSpaceExplorer:
             parallel executor the invocation order follows *completion*
             order; the returned result is always in grid order.
         executor:
-            ``"serial"`` (default), ``"process"``, ``"thread"``,
-            ``"batched"`` or ``"fleet"``.  Seeds derive from the master seed and the
-            point description, never from evaluation order, so the scalar
-            backends return bit-identical results.  ``"batched"`` groups
-            points sharing a chain topology and runs each group as one
-            vectorised pass through the blocks' ``process_batch`` kernels
-            (see :mod:`repro.core.batch`); points whose chains contain a
-            kernel-less block -- fault-wrapped chains, custom blocks --
-            transparently fall back to the scalar path.  With
-            ``n_workers > 1`` the pending points shard over a process
-            pool and each worker batches its shard.  ``"fleet"``
-            distributes chunks to worker *processes or remote hosts*
-            over the lease-based TCP protocol of :mod:`repro.fleet`,
-            surviving killed workers, silent leases and socket
-            partitions (see the ``fleet`` parameter).
+            ``"serial"`` (default), ``"process"``, ``"thread"`` or
+            ``"fleet"``.  Seeds derive from the master seed and the point
+            description, never from evaluation order, so every executor
+            returns bit-identical results.  ``"fleet"`` distributes
+            chunks to worker *processes or remote hosts* over the
+            lease-based TCP protocol of :mod:`repro.fleet`, surviving
+            killed workers, silent leases and socket partitions (see the
+            ``fleet`` parameter).
         n_workers:
             Pool size for parallel executors (default ``os.cpu_count()``).
         chunk_size:
@@ -512,10 +500,6 @@ class DesignSpaceExplorer:
                         tel.count("explore.retries", stats["retries"])
                     if stats.get("timeouts"):
                         tel.count("explore.timeouts", stats["timeouts"])
-                    if stats.get("batched"):
-                        tel.count("explore.batched_points")
-                    if stats.get("batch_fallback"):
-                        tel.count("explore.batch_fallback_points")
                 if evaluation.error is not None:
                     tel.count("explore.failures")
                 run_elapsed = time.perf_counter() - start_time
@@ -553,10 +537,10 @@ class DesignSpaceExplorer:
             if sampler is not None:
                 sampler.start()
             # Install `tel` as the ambient sink for the sweep's duration:
-            # the serial and in-process batched paths then feed the
-            # simulator/solver instrumentation (block spans, FISTA
-            # iteration stats) into the same sink the sweep reports to,
-            # which is what makes the exported trace hierarchical.
+            # the serial path then feeds the simulator/solver
+            # instrumentation (block spans, FISTA iteration stats) into the
+            # same sink the sweep reports to, which is what makes the
+            # exported trace hierarchical.
             with activate(tel), tel.span("explore.total"):
                 tel.count("explore.sweeps")
                 mirrored: list[tuple[int, Evaluation]] = []
@@ -593,10 +577,6 @@ class DesignSpaceExplorer:
                                     self.evaluator, point, strict, policy
                                 )
                             finalize(index, evaluation, elapsed=elapsed, stats=stats)
-                    elif pending and executor == "batched":
-                        self._run_batched(
-                            pending, n_workers, chunk_size, strict, policy, finalize, tel
-                        )
                     elif pending and executor == "fleet":
                         self._run_fleet(
                             pending, n_workers, chunk_size, policy, finalize, tel, fleet
@@ -653,7 +633,7 @@ class DesignSpaceExplorer:
         keep_frac: float = 1 / 3,
         epsilon: dict[str, float] | None = None,
         group_by: Callable[[Evaluation], object] | None = None,
-        executor: str = "batched",
+        executor: str | None = None,
         progress: Callable[[int, Evaluation], None] | None = None,
         n_workers: int | None = None,
         chunk_size: int | None = None,
@@ -701,6 +681,9 @@ class DesignSpaceExplorer:
             Optional ``f(evaluation) -> key`` partitioning survivor
             selection (e.g. ``lambda e: e.point.use_cs`` keeps both
             architectures' fronts alive, as Fig. 7 needs).
+        executor:
+            Executor of every rung; default ``"process"`` when
+            ``n_workers > 1``, else ``"serial"``.
 
         Returns an :class:`~repro.core.adaptive.AdaptiveExplorationResult`:
         the full-fidelity evaluations of the final survivors plus the
@@ -722,6 +705,8 @@ class DesignSpaceExplorer:
             objectives = objectives.objectives
         if schedule is None:
             schedule = FidelitySchedule.geometric(rungs)
+        if executor is None:
+            executor = "process" if (n_workers or 1) > 1 else "serial"
         if isinstance(space, (ParameterSpace, CompositeSpace)):
             points = list(space.grid(base))
         else:
@@ -865,41 +850,6 @@ class DesignSpaceExplorer:
                     process.terminate()
                     process.join(timeout=5.0)
 
-    def _run_batched(
-        self,
-        pending: list[tuple[int, DesignPoint]],
-        n_workers: int | None,
-        chunk_size: int | None,
-        strict: bool,
-        policy: ExecutionPolicy,
-        finalize: Callable[..., None],
-        tel: Telemetry,
-    ) -> None:
-        """Dispatch ``pending`` through the batched engine.
-
-        ``n_workers`` omitted or 1 runs one in-process batched pass (the
-        common case: batching already amortises the per-point overhead).
-        Larger ``n_workers`` composes batching with process parallelism:
-        the pending points shard over a process pool -- default one
-        contiguous shard per worker, to keep batch groups large -- and
-        each worker vectorises its own shard, reusing the scalar pool's
-        crash-recovery ladder.
-        """
-        workers = max(1, min(n_workers or 1, len(pending)))
-        if workers == 1:
-            for index, evaluation, elapsed, stats in evaluate_batch_chunk_with(
-                self.evaluator, strict, pending, policy=policy
-            ):
-                finalize(index, evaluation, elapsed=elapsed, stats=stats)
-            return
-        if chunk_size is None:
-            chunk_size = -(-len(pending) // workers)
-        chunks = chunk_pending(pending, workers, chunk_size)
-        tel.count("explore.batch_shards", len(chunks))
-        self._run_process_pool(
-            chunks, workers, strict, policy, finalize, tel, task=_evaluate_batch_chunk
-        )
-
     def _run_process_pool(
         self,
         chunks: list[list[tuple[int, DesignPoint]]],
@@ -908,7 +858,6 @@ class DesignSpaceExplorer:
         policy: ExecutionPolicy,
         finalize: Callable[..., None],
         tel: Telemetry,
-        task: Callable = _evaluate_chunk,
     ) -> None:
         """Process-pool dispatch with crash recovery.
 
@@ -953,7 +902,7 @@ class DesignSpaceExplorer:
             try:
                 with pool:
                     futures = {
-                        pool.submit(task, chunk): key
+                        pool.submit(_evaluate_chunk, chunk): key
                         for key, chunk in remaining.items()
                     }
                     try:

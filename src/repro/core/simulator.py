@@ -118,18 +118,8 @@ class Simulator:
 
     def collect_power(self) -> PowerReport:
         """Aggregate every block's power model at the active design point."""
-        return collect_power(self.system, self.design_point)
-
-
-def collect_power(system: SystemModel, design_point: DesignPoint) -> PowerReport:
-    """Aggregate every block's power model of ``system`` at ``design_point``.
-
-    Shared between :class:`Simulator` and the batched evaluation path
-    (:mod:`repro.core.batch`), which collects power per point without
-    instantiating a simulator.
-    """
-    blocks: dict[str, float] = {}
-    for block in system.blocks:
-        for name, watts in block.power(design_point).items():
-            blocks[name] = blocks.get(name, 0.0) + watts
-    return PowerReport(blocks)
+        blocks: dict[str, float] = {}
+        for block in self.system.blocks:
+            for name, watts in block.power(self.design_point).items():
+                blocks[name] = blocks.get(name, 0.0) + watts
+        return PowerReport(blocks)

@@ -85,7 +85,9 @@ log = logging.getLogger("repro.telemetry")
 #: every stats dict gained the histogram fields (``bounds``, ``counts``,
 #: ``m2``, ``p50``/``p95``/``p99``), since one histogram type now
 #: aggregates spans and observations alike.
-MANIFEST_SCHEMA_VERSION = 8
+#: v9 dropped the two ``sweep`` fields that counted and listed the points
+#: the batched executor demoted to the scalar path, with that executor.
+MANIFEST_SCHEMA_VERSION = 9
 
 
 class _Span:

@@ -14,8 +14,8 @@ them as Chrome trace-event JSON, loadable in Perfetto
   (a thread-local stack), which is how sweep -> shard -> point -> block
   -> solver nesting emerges without any block knowing about tracing.
 * **Instant events** -- :meth:`Tracer.instant` marks zero-duration
-  occurrences (cache hits, checkpoint restores, batch demotions) as
-  "i" events so they are visible on the timeline without faking spans.
+  occurrences (cache hits, checkpoint restores) as "i" events so they
+  are visible on the timeline without faking spans.
 * **Cross-process lanes** -- each tracer stamps its events with its
   ``os.getpid()`` and a human label ("driver", "worker-1234").  Worker
   tracers ship their events home inside a telemetry snapshot; the

@@ -337,87 +337,6 @@ class ChargeSharingEncoder:
         return v_hold[0] if single else v_hold
 
 
-def encode_batch(encoders: "list[ChargeSharingEncoder]", frames: np.ndarray) -> np.ndarray:
-    """Encode one frame block per encoder instance in a single column loop.
-
-    ``frames`` has shape ``(n_encoders, n_frames, N_phi)``; row ``i`` is
-    processed by ``encoders[i]`` exactly as
-    :meth:`ChargeSharingEncoder.encode` would (same noise-stream call
-    pattern against each instance's own ``_rng``, same arithmetic order),
-    so per-instance outputs are bit-identical to scalar encoding.  The
-    instances must share the matrix dimensions ``(M, N_phi, s)`` -- the
-    grouping contract :class:`repro.core.batch.BatchCompiler` enforces --
-    while capacitor sizing, mismatch and noise may differ per instance.
-
-    Returns the stacked measurements, shape ``(n_encoders, n_frames, M)``.
-    """
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 3:
-        raise ValueError(f"expected (n_encoders, n_frames, N_phi) frames, got {frames.shape}")
-    if len(encoders) != frames.shape[0]:
-        raise ValueError(f"{len(encoders)} encoders for {frames.shape[0]} frame blocks")
-    first = encoders[0].matrix
-    m, n, s = first.m, first.n, first.sparsity
-    for encoder in encoders:
-        if (encoder.matrix.m, encoder.matrix.n, encoder.matrix.sparsity) != (m, n, s):
-            raise ValueError("encoders in one batch must share matrix dimensions")
-    if frames.shape[2] != n:
-        raise ValueError(f"frame length {frames.shape[2]} does not match N_phi={n}")
-    n_enc, n_frames = frames.shape[0], frames.shape[1]
-
-    routes = np.stack([encoder._routes for encoder in encoders])  # (P, n, s)
-    c_hold = np.stack(
-        [e.config.c_hold * (1.0 + e._perturbation.hold_errors) for e in encoders]
-    )  # (P, m)
-    c_sample = np.stack(
-        [e.config.c_sample * (1.0 + e._perturbation.sample_errors) for e in encoders]
-    )  # (P, s)
-    sample_noise = np.array([e.config.sample_noise_rms for e in encoders])
-    kts = np.array([e.config.kt for e in encoders])
-
-    # Hold voltages transposed to (P, m, n_frames) so the per-column
-    # scatter update is one advanced-indexing assignment per batch.
-    v_hold_t = np.zeros((n_enc, m, n_frames))
-    last_touch = np.zeros((n_enc, m))
-    enc_idx = np.arange(n_enc)[:, None]  # pairs with (P, s) row indices
-    for j in range(n):
-        rows = routes[:, j, :]  # (P, s) destinations of sample j per encoder
-        vin = np.broadcast_to(frames[:, None, :, j], (n_enc, s, n_frames))
-        if np.any(sample_noise > 0):
-            vin = vin.copy()
-            for i, encoder in enumerate(encoders):
-                if sample_noise[i] > 0:
-                    # Scalar draw order/shape: normal(size=(n_frames, s)).
-                    vin[i] += encoder._rng.normal(
-                        0.0, sample_noise[i], size=(n_frames, s)
-                    ).T
-        cs = c_sample[:, :s]  # one sampling cap per route slot
-        ch = np.take_along_axis(c_hold, rows, axis=1)  # (P, s)
-        a = (cs / (cs + ch))[:, :, None]
-        b = (ch / (cs + ch))[:, :, None]
-        current = v_hold_t[enc_idx, rows]  # (P, s, n_frames)
-        updated = b * current + a * vin
-        if np.any(kts > 0):
-            share = np.sqrt(np.maximum(kts[:, None], 0.0) / (cs + ch))  # (P, s)
-            for i, encoder in enumerate(encoders):
-                if kts[i] > 0:
-                    updated[i] += (
-                        encoder._rng.normal(0.0, 1.0, size=(n_frames, s)).T
-                        * share[i][:, None]
-                    )
-        v_hold_t[enc_idx, rows] = updated
-        last_touch[enc_idx, rows] = j
-    measurements = v_hold_t.transpose(0, 2, 1)  # (P, n_frames, m)
-    for i, encoder in enumerate(encoders):
-        cfg = encoder.config
-        if cfg.i_leak > 0:
-            hold_time = (n - last_touch[i]) / cfg.f_sample
-            droop = cfg.i_leak * hold_time / c_hold[i]
-            v = measurements[i]
-            measurements[i] = v - np.sign(v) * np.minimum(np.abs(v), droop)
-    return measurements
-
-
 def encoder_from_design(
     point,
     matrix: SensingMatrix,

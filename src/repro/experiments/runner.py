@@ -418,6 +418,8 @@ def run_adaptive_search_space(
     :mod:`repro.core.adaptive`.  Survivor selection uses the Fig. 7
     trade-off axes (:data:`ADAPTIVE_OBJECTIVES`) and is grouped by
     architecture so both the baseline and the CS fronts survive promotion.
+    ``executor`` defaults as in :func:`run_search_space`: ``"process"``
+    when more than one worker is requested, else ``"serial"``.
     Not memoised: the promotion ledger is per-run state callers typically
     want fresh (the per-scale exhaustive cache in :func:`run_search_space`
     exists because Figs. 8-10 share one sweep).
@@ -427,8 +429,6 @@ def run_adaptive_search_space(
     name = scale if isinstance(scale, str) else scale.name
     if n_workers is None:
         n_workers = default_workers()
-    if executor is None:
-        executor = "batched"
     harness = make_harness(name)
     explorer = DesignSpaceExplorer(harness.evaluator)
     return explorer.explore_adaptive(
@@ -489,11 +489,6 @@ def build_run_manifest(
         if thinned[-1] is not eta_history[-1]:
             thinned.append(eta_history[-1])
         eta_history = thinned
-    batch_fallbacks = [
-        {"index": event.get("index"), "reason": event.get("reason")}
-        for event in snapshot["events"]
-        if event["kind"] == "batch.fallback"
-    ]
     # A fleet run reports its lease/requeue/quarantine accounting as one
     # ``fleet.report`` event when the coordinator finishes; the last one
     # wins (resumed runs emit one per attempt).
@@ -540,8 +535,6 @@ def build_run_manifest(
             "point_seconds": point_stats,
             "events_dropped": counters.get("telemetry.events_dropped", 0),
             "max_events": telemetry.max_events,
-            "batch_fallback_points": counters.get("explore.batch_fallback_points", 0),
-            "batch_fallbacks": batch_fallbacks,
             "representative_point": (
                 representative.point.describe() if representative else None
             ),

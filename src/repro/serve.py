@@ -115,7 +115,10 @@ def default_resolver(payload: dict):
             f"unknown executor {executor!r}; choose one of {EXECUTORS}"
         )
     workers = payload.get("workers")
-    if workers is not None and (not isinstance(workers, int) or workers < 1):
+    # bool is an int subclass: JSON ``true`` must not pass as one worker.
+    if workers is not None and (
+        isinstance(workers, bool) or not isinstance(workers, int) or workers < 1
+    ):
         raise SubmissionError(f"workers must be a positive integer, got {workers!r}")
     name = payload.get("name") or f"fig7-{scale}"
     harness = make_harness(scale)

@@ -22,7 +22,7 @@ out-of-tree backend) runs over every registered backend:
   kernel boundary.
 
 Adding a backend is "register + pass this suite": see
-``docs/extending.md`` §13.
+``docs/extending.md`` §12.
 """
 
 from __future__ import annotations

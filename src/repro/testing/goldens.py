@@ -22,10 +22,8 @@ Three goldens are maintained:
     A miniature smoke-scale Fig. 7a sweep (the same 6-point grid the
     fast test suite uses): per-point metrics, the accuracy-constrained
     optima and the headline power-saving ratio.  Simulation outputs --
-    1e-6 rtol absorbs platform libm drift.  The golden is computed with
-    the serial executor; the regression test replays it on *both* the
-    scalar and batched executors, which also locks the two engines to
-    each other at the metric level.
+    1e-6 rtol absorbs platform libm drift.  The golden is computed and
+    replayed with the serial executor.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Durable file I/O primitives: atomic replace and advisory locking.
 
 Several subsystems persist artefacts that must survive a crash mid-write:
-the evaluation cache, sweep result files, the benchmark ledger, and the
-content-addressed result store.  They all need the same two disciplines:
+the evaluation cache, sweep result files and the content-addressed
+result store.  They all need the same two disciplines:
 
 * **Atomic replacement** (:func:`atomic_write_text`) -- write the new
   content to a temporary file *in the destination directory* (same
@@ -11,17 +11,16 @@ content-addressed result store.  They all need the same two disciplines:
   new complete file, never a truncated hybrid; a crash between the two
   steps leaves the old file untouched.
 * **Advisory locking** (:class:`FileLock`) -- serialise read-modify-write
-  cycles (the bench ledger append, the store index rebuild) across
-  processes.  On POSIX the guard is ``flock``, which the kernel releases
-  even when the holder is SIGKILLed, so there are no stale locks to
-  clean up; on platforms without ``fcntl`` it degrades to a best-effort
-  no-op (single-writer usage remains correct thanks to the atomic
-  replace).
+  cycles (the store index rebuild) across processes.  On POSIX the guard
+  is ``flock``, which the kernel releases even when the holder is
+  SIGKILLed, so there are no stale locks to clean up; on platforms
+  without ``fcntl`` it degrades to a best-effort no-op (single-writer
+  usage remains correct thanks to the atomic replace).
 
 :class:`~repro.core.execution.EvaluationCache.put` pioneered this
 discipline inside ``core``; this module lifts it into a utility both
-``core`` and the higher layers (``repro.bench``, ``repro.store``) can
-share without import cycles.
+``core`` and the higher layers (``repro.store``) can share without
+import cycles.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ def atomic_write_text(path: str | Path, text: str, *, fsync: bool = False) -> Pa
     removed and the destination keeps its previous content.  ``fsync``
     additionally flushes the data to stable storage before the rename,
     for files whose loss is more expensive than one extra disk round-trip
-    (hours-long sweep results, the CI bench ledger).
+    (hours-long sweep results).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -1,10 +1,10 @@
-"""EvaluationCache parity between the scalar and batched executors.
+"""EvaluationCache parity between the serial and thread executors.
 
 The cache key is ``(evaluator fingerprint, point description)`` -- no
 executor in sight -- so a sweep warmed by one executor must be served
-entirely from cache by the other, with identical results.  These tests
-pin that contract in both directions and assert the exact hit/miss
-accounting.
+entirely from cache by another, with identical results.  These tests
+pin that contract in both directions, for a half-warm cache and for a
+JSON round trip, and assert the exact hit/miss accounting.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def assert_same_results(first, second):
 
 @pytest.mark.parametrize(
     "warm_executor, replay_executor",
-    [("serial", "batched"), ("batched", "serial")],
+    [("serial", "thread"), ("thread", "serial")],
 )
 def test_cache_warmed_by_one_executor_serves_the_other(
     tmp_path, evaluator, points, warm_executor, replay_executor
@@ -62,14 +62,14 @@ def test_cache_warmed_by_one_executor_serves_the_other(
 
 
 def test_partial_warm_batches_only_the_misses(tmp_path, evaluator, points):
-    """A half-warm cache: hits come from disk, misses run batched."""
+    """A half-warm cache: hits come from disk, misses run on the threads."""
     explorer = DesignSpaceExplorer(evaluator)
     half = points[: len(points) // 2]
 
     explorer.explore(half, executor="serial", cache=EvaluationCache(tmp_path))
 
     cache = EvaluationCache(tmp_path)
-    full = explorer.explore(points, executor="batched", cache=cache)
+    full = explorer.explore(points, executor="thread", cache=cache)
     assert cache.hits == len(half)
     assert cache.misses == len(points) - len(half)
 
@@ -78,11 +78,11 @@ def test_partial_warm_batches_only_the_misses(tmp_path, evaluator, points):
 
 
 def test_cached_batched_results_round_trip_identically(tmp_path, evaluator, points):
-    """put/get through JSON preserves batched metrics bit for bit."""
+    """put/get through JSON preserves thread-executor metrics bit for bit."""
     explorer = DesignSpaceExplorer(evaluator)
     cache = EvaluationCache(tmp_path)
-    batched = explorer.explore(points, executor="batched", cache=cache)
+    computed = explorer.explore(points, executor="thread", cache=cache)
 
-    replay = explorer.explore(points, executor="batched", cache=cache)
+    replay = explorer.explore(points, executor="thread", cache=cache)
     assert cache.hits == len(points)
-    assert_same_results(batched, replay)
+    assert_same_results(computed, replay)

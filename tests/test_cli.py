@@ -161,6 +161,7 @@ class TestAdaptiveSweep:
         manifest = RunManifest.load(manifest_path)
         assert manifest.schema == MANIFEST_SCHEMA_VERSION
         assert manifest.command == "sweep --adaptive"
+        assert manifest.executor == "serial"
         ledger = manifest.adaptive
         assert ledger["grid_size"] == 18
         assert len(ledger["rungs"]) == 2
@@ -174,7 +175,6 @@ class TestAdaptiveSweep:
             ["fig4", "--log-level", "debug"],
             ["sweep", "--no-progress"],
             ["budget", "--profile"],
-            ["bench", "--trace", "t.json"],
         ):
             args = build_parser().parse_args(argv)
             assert hasattr(args, "profile")

@@ -492,7 +492,7 @@ class TestFleetExplorer:
         manifest = build_run_manifest(
             result, tel, "smoke", executor="fleet", n_workers=2
         )
-        assert manifest.schema == MANIFEST_SCHEMA_VERSION == 8
+        assert manifest.schema == MANIFEST_SCHEMA_VERSION == 9
         assert manifest.fleet["points_total"] == space.size
         assert manifest.fleet["points_completed"] == space.size
         assert sorted(manifest.fleet["workers"]) == ["worker-0", "worker-1"]

@@ -207,7 +207,7 @@ class TestDistributedObservability:
     """The tentpole acceptance path: one chaos-injected fleet sweep must
     leave behind (a) a single merged Chrome trace with per-worker lanes
     and coordinator-parented, clock-aligned spans, (b) a flight-recorder
-    artifact for the killed worker, and (c) a schema-v8 manifest whose
+    artifact for the killed worker, and (c) a schema-v9 manifest whose
     ``trace``/``resources`` sections account for the merge."""
 
     def test_chaos_sweep_produces_merged_trace_and_flight_artifact(
@@ -281,11 +281,11 @@ class TestDistributedObservability:
         triggers = {json.loads(p.read_text())["trigger"] for p in dumps}
         assert triggers & {"fleet-worker-lost", "fleet-quarantine"}
 
-        # (c) Schema-v8 manifest: trace-merge bookkeeping + resources.
+        # (c) Schema-v9 manifest: trace-merge bookkeeping + resources.
         manifest = build_run_manifest(
             result, tel, "smoke", executor="fleet", n_workers=3
         )
-        assert manifest.schema == MANIFEST_SCHEMA_VERSION == 8
+        assert manifest.schema == MANIFEST_SCHEMA_VERSION == 9
         assert manifest.trace["events"] > 0
         assert set(manifest.trace) >= {"clock_offsets", "dropped_by_lane", "lanes"}
         offsets = manifest.trace["clock_offsets"]

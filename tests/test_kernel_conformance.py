@@ -10,10 +10,15 @@ Three layers of enforcement:
 * the fig7a golden replays end-to-end under each backend, so agreement
   is checked through the real evaluation chain, not just per kernel.
 
+An accelerated FISTA must also beat the reference by
+``KERNELS_FISTA_MIN_SPEEDUP``, or it is not worth dispatching to.
+
 On machines without numba the accelerated legs skip (there is
 nothing to conform — dispatch falls back) and the harness itself is
 validated against deliberately broken fake backends instead.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -97,6 +102,46 @@ class TestAcceleratedBackends:
 def test_golden_replay_reference_backend():
     """The golden replays bit-identically through the dispatch layer."""
     assert golden_replay(REFERENCE_BACKEND) == []
+
+
+#: Speedup an accelerated FISTA backend must deliver over the numpy
+#: reference on the small batched solve below, where per-call numpy
+#: overhead dominates.
+KERNELS_FISTA_MIN_SPEEDUP = 2.0
+
+
+def _best_fista_seconds(backend_name, a, y2, lam, n_iter):
+    """Best-of-3 wall time of one solve, after a warm-up that pays the JIT."""
+
+    def solve():
+        with registry.use_backend(backend_name):
+            registry.call("fista", a, y2, lam, n_iter, 0.0)
+
+    solve()
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        solve()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_accelerated_fista_meets_speedup_gate():
+    """m, n, B = 16, 64, 4 and 400 iterations with no early exit: every
+    accelerated FISTA is at least KERNELS_FISTA_MIN_SPEEDUP x faster than
+    the numpy reference, best of 3 each."""
+    backends = [
+        name for name in accelerated_or_skip() if "fista" in registry.backend(name).kernels
+    ]
+    rng = np.random.default_rng(7)
+    m, n, b = 16, 64, 4
+    a = rng.normal(size=(m, n)) / np.sqrt(m)
+    y2 = rng.normal(size=(b, m))
+    lam = 0.02 * float(np.max(np.abs(y2 @ a)))
+    numpy_best = _best_fista_seconds(REFERENCE_BACKEND, a, y2, lam, 400)
+    for backend_name in backends:
+        speedup = numpy_best / _best_fista_seconds(backend_name, a, y2, lam, 400)
+        assert speedup >= KERNELS_FISTA_MIN_SPEEDUP, f"{backend_name}: {speedup:.2f}x"
 
 
 # --- Hypothesis: random problems against every available backend ------------

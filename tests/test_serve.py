@@ -189,12 +189,14 @@ class TestDefaultResolver:
             default_resolver([1, 2])
 
     def test_bad_workers_rejected(self):
-        with pytest.raises(SubmissionError, match="workers"):
-            default_resolver({"scale": "smoke", "workers": 0})
+        for workers in (0, True):
+            with pytest.raises(SubmissionError, match="workers"):
+                default_resolver({"scale": "smoke", "workers": workers})
 
     def test_bad_executor_rejected(self):
-        with pytest.raises(SubmissionError, match="executor"):
-            default_resolver({"scale": "smoke", "executor": "quantum"})
+        for executor in ("quantum", "batched"):
+            with pytest.raises(SubmissionError, match="executor"):
+                default_resolver({"scale": "smoke", "executor": executor})
 
     def test_smoke_scale_resolves(self):
         name, evaluator, points, kwargs = default_resolver({"scale": "smoke"})
