@@ -9,8 +9,9 @@ sparsifying basis.  Three solvers are implemented from scratch:
 * :func:`ista` / :func:`fista` -- proximal-gradient solvers of the LASSO
   problem ``min 0.5 ||y - A z||^2 + lam ||z||_1``.  FISTA adds Nesterov
   momentum and is the workhorse: it is fully vectorised across *batches* of
-  frames (one matrix-matrix product per iteration for thousands of frames),
-  which is what makes sweeping 500-record datasets feasible in Python.
+  frames (two matrix-matrix products per iteration for thousands of
+  frames), which is what makes sweeping 500-record datasets feasible in
+  Python.
 * :func:`least_squares_on_support` -- debiasing step shared by all solvers.
 
 :class:`Reconstructor` packages a basis + solver + parameters into the
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.kernels import registry
+from repro.kernels.numpy_backend import _lipschitz, least_squares_on_support
 from repro.util.validation import check_positive, check_positive_int
 
 _GET_ACTIVE_TELEMETRY = None
@@ -70,24 +72,6 @@ def _note_solve(method: str, iterations: int, frames: int, elapsed_s: float) -> 
         f"cs.{method}.iterations", iterations, bounds=DEFAULT_ITERATION_BUCKETS
     )
     telemetry.observe(f"cs.{method}.solve_seconds", elapsed_s)
-
-
-def least_squares_on_support(
-    a: np.ndarray, y: np.ndarray, support: np.ndarray
-) -> np.ndarray:
-    """Solve ``min ||y - A[:, support] z||`` and embed into full length.
-
-    The standard debiasing step: after the support is identified (greedily
-    or by thresholding a LASSO solution), re-fit the nonzero coefficients
-    without the l1 shrinkage bias.
-    """
-    coeffs = np.zeros(a.shape[1])
-    if support.size == 0:
-        return coeffs
-    sub = a[:, support]
-    solution, *_ = np.linalg.lstsq(sub, y, rcond=None)
-    coeffs[support] = solution
-    return coeffs
 
 
 def omp(
@@ -130,12 +114,6 @@ def omp(
     return coeffs
 
 
-def _lipschitz(a: np.ndarray) -> float:
-    """Largest eigenvalue of A^T A (squared spectral norm), the gradient
-    Lipschitz constant of the LASSO smooth term."""
-    return float(np.linalg.norm(a, ord=2) ** 2)
-
-
 def ista(
     a: np.ndarray,
     y: np.ndarray,
@@ -176,8 +154,8 @@ def fista(
         Measurement matrix (M x N).
     y:
         One measurement vector (M,) or a batch (B, M).  The batch form
-        performs every iteration as one (B, M) x (M, N) product, which is
-        how full-dataset evaluation stays fast.
+        performs every iteration as two products, (B, N) x (N, M) and
+        (B, M) x (M, N), which is how full-dataset evaluation stays fast.
     lam:
         l1 regularisation weight, in the units of ``y`` squared.
     n_iter:

@@ -10,7 +10,8 @@ Exactness: **documented tolerance, not bit-identity** (``rtol``
 below).  The JIT loops accumulate in a different order than numpy's
 BLAS calls (and the Lipschitz constant comes from an SVD rather than
 ``np.linalg.norm(ord=2)``), so results agree to floating-point
-round-off but not bitwise.  The conformance suite
+round-off but not bitwise.  Its FISTA also keeps the ``a.T @ a``
+gradient the reference used before 1.1.0.  The conformance suite
 (:mod:`repro.testing.conformance`) enforces the tolerance; because the
 backend is non-exact, the registry qualifies evaluation-cache keys with
 the backend name whenever it is active (see

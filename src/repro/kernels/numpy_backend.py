@@ -3,11 +3,12 @@
 These are the *definitional* implementations: the golden suite locks
 their numbers down, and every other backend is accepted only if the
 conformance harness proves agreement with them (bit-identical for
-``exact`` backends, documented tolerance otherwise).  The solver bodies
-perform exactly the floating-point operations, in the same order, of the
-loops that used to live inline in :mod:`repro.cs.reconstruction`; the
-wrappers there now validate, time and dispatch, while the numeric cores
-live behind the registry.
+``exact`` backends, documented tolerance otherwise).  The wrappers in
+:mod:`repro.cs.reconstruction` validate, time and dispatch; the numeric
+cores live here, behind the registry.  Their floating-point operations,
+in order, are the contract an ``exact`` backend reproduces: ``fista``
+spells its sequence out in its docstring, and changing it changes the
+package's numbers (see ``docs/extending.md`` §12).
 
 Kernel contract
 ---------------
@@ -31,14 +32,23 @@ import numpy as np
 
 
 def _soft_threshold(z: np.ndarray, threshold: float) -> np.ndarray:
-    return np.sign(z) * np.maximum(np.abs(z) - threshold, 0.0)
+    # sign(z) * max(|z| - t, 0) in two passes; writes +0.0 inside the threshold.
+    return z - np.clip(z, -threshold, threshold)
 
 
 def _lipschitz(a: np.ndarray) -> float:
+    """Largest eigenvalue of A^T A (squared spectral norm), the gradient
+    Lipschitz constant of the LASSO smooth term."""
     return float(np.linalg.norm(a, ord=2) ** 2)
 
 
 def least_squares_on_support(a: np.ndarray, y: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Solve ``min ||y - A[:, support] z||`` and embed into full length.
+
+    The standard debiasing step: after the support is identified (greedily
+    or by thresholding a LASSO solution), re-fit the nonzero coefficients
+    without the l1 shrinkage bias.
+    """
     coeffs = np.zeros(a.shape[1])
     if support.size == 0:
         return coeffs
@@ -55,21 +65,24 @@ def fista(
 
     Each iteration computes, in this order and with these operands::
 
-        gradient = momentum @ gram - ya
+        gradient = (momentum @ a.T - y2) @ a
         v        = momentum - step * gradient
-        z_next   = sign(v) * maximum(abs(v) - lam * step, 0.0)
+        z_next   = v - clip(v, -lam * step, lam * step)
         momentum = z_next + ((t - 1.0) / t_next) * (z_next - z)
         delta    = max(abs(z_next - z))
 
     That sequence is the exactness contract of every ``exact`` backend.
-    It runs in four ``(B, N)`` buffers allocated once per solve: ``out=``
-    ufuncs overwrite them, ``z_next - z`` is formed once for both the
-    momentum and the convergence test, and the buffers rotate roles
-    instead of being reallocated.  ``sign`` writes to a buffer other
-    than its input because numpy's in-place ``sign`` loop is ~8x slower
-    (numpy 2.4 on one Xeon core, 192 x 384 float64: ~400 vs ~50 us).
+    The soft threshold writes +0.0 for every ``v`` inside the threshold.
+    The loop runs in one ``(B, M)`` and four ``(B, N)`` buffers allocated
+    once per solve: ``out=`` ufuncs overwrite them, ``z_next - z`` is
+    formed once for both the momentum and the convergence test, and the
+    buffers rotate roles instead of being reallocated.  The factored
+    gradient costs two ``B x M x N`` products per iteration where the
+    ``a.T @ a`` form costs one ``B x N x N``: cheaper when ``2M < N``,
+    and level at ``M = N/2``, the densest receiver the grids sweep (192
+    of 384).
     """
-    b, _m = y2.shape
+    b, m = y2.shape
     n = a.shape[1]
     lipschitz = _lipschitz(a)
     if lipschitz == 0:
@@ -80,21 +93,18 @@ def fista(
     momentum = np.zeros((b, n))
     z_next = np.empty((b, n))
     work = np.empty((b, n))
+    residual = np.empty((b, m))
     t = 1.0
-    gram = a.T @ a  # (N, N), precomputed: gradient = momentum @ gram - y A
-    ya = y2 @ a  # (B, N)
     iterations = 0
     for _ in range(n_iter):
         iterations += 1
-        np.matmul(momentum, gram, out=work)
-        np.subtract(work, ya, out=work)  # gradient
+        np.matmul(momentum, a.T, out=residual)
+        np.subtract(residual, y2, out=residual)
+        np.matmul(residual, a, out=work)  # gradient
         np.multiply(step, work, out=work)
         np.subtract(momentum, work, out=work)  # v; momentum is dead from here
-        np.abs(work, out=z_next)
-        np.subtract(z_next, threshold, out=z_next)
-        np.maximum(z_next, 0.0, out=z_next)
-        np.sign(work, out=momentum)
-        np.multiply(momentum, z_next, out=z_next)
+        np.clip(work, -threshold, threshold, out=z_next)
+        np.subtract(work, z_next, out=z_next)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         diff = np.subtract(z_next, z, out=z)  # z is dead from here
         delta = np.max(np.abs(diff, out=work))

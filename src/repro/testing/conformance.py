@@ -123,15 +123,23 @@ def default_problems(seed: int = 0) -> list[Problem]:
 
 
 def _compare_arrays(name: str, got, want, *, exact: bool, rtol: float) -> list[str]:
-    got = np.asarray(got, dtype=np.float64)
-    want = np.asarray(want, dtype=np.float64)
+    got = np.asarray(got)
+    want = np.asarray(want)
     if got.shape != want.shape:
         return [f"{name}: shape {got.shape} != reference {want.shape}"]
     if exact:
-        if not np.array_equal(got, want, equal_nan=True):
-            worst = float(np.nanmax(np.abs(got - want))) if got.size else 0.0
-            return [f"{name}: not bit-identical to reference (max abs diff {worst:.3e})"]
+        # Bytes, not ``==``: equality misses a flipped sign of zero, a NaN
+        # payload and (after a cast) a changed dtype.
+        if got.dtype != want.dtype:
+            return [f"{name}: dtype {got.dtype} != reference {want.dtype}"]
+        if got.tobytes() != want.tobytes():
+            rows = (got.size, got.dtype.itemsize)
+            bits = [np.frombuffer(x.tobytes(), np.uint8).reshape(rows) for x in (got, want)]
+            count = int(np.count_nonzero((bits[0] != bits[1]).any(axis=1)))
+            return [f"{name}: not bit-identical to reference ({count} of {got.size} values differ)"]
         return []
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
     finite_mismatch = ~(np.isfinite(got) == np.isfinite(want))
     if np.any(finite_mismatch):
         return [f"{name}: finiteness pattern differs from reference"]

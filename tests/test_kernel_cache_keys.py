@@ -60,6 +60,15 @@ class TestEvaluatorFingerprint:
         # Restored selection restores the key.
         assert evaluator.fingerprint() == baseline
 
+    def test_changes_with_the_package_version(self, evaluator, monkeypatch):
+        """A release that changes the reference's arithmetic bumps the
+        version; the stamp is what keeps old cache entries from being served."""
+        import repro
+
+        baseline = evaluator.fingerprint()
+        monkeypatch.setattr(repro, "__version__", "0.0.0")
+        assert evaluator.fingerprint() != baseline
+
     def test_unavailable_tolerance_backend_is_effectively_reference(self, evaluator):
         ghost = KernelBackend(name="fake-ghost", kernels={}, available=False, rtol=1e-6)
         registry.register(ghost)
