@@ -60,6 +60,11 @@ from repro.core.simulator import Simulator
 from repro.cs.dictionaries import dct_basis
 from repro.cs.reconstruction import Reconstructor
 from repro.detection.classifier import SeizureDetector
+from repro.detection.spectral import (
+    SpectralCombDetector,
+    hard_accuracy,
+    mean_correct_probability,
+)
 from repro.metrics.snr import snr_vs_reference
 from repro.power.area import chain_area
 from repro.power.technology import DesignPoint
@@ -290,17 +295,23 @@ class FrontEndEvaluator:
             "area_units": chain_area(point).units,
         }
         if self.detector is not None and self.labels is not None:
-            metrics["accuracy_hard"] = self.detector.accuracy(output, self.labels)
-            soft = getattr(self.detector, "soft_accuracy", None)
-            if soft is not None:
-                # Mean correct-class probability: a continuous, low-variance
-                # estimator of population accuracy.  Hard accuracy over R
-                # records is quantised at 1/R, which masks the sub-percent
-                # differences the paper resolves with 500 records; the soft
-                # estimate restores that resolution at reduced scale.
-                metrics["accuracy"] = soft(output, self.labels)
+            # "accuracy" is the mean correct-class probability: a continuous,
+            # low-variance estimator of population accuracy.  Hard accuracy
+            # over R records is quantised at 1/R, which masks the sub-percent
+            # differences the paper resolves with 500 records; the soft
+            # estimate restores that resolution at reduced scale.
+            if isinstance(self.detector, SpectralCombDetector):
+                # One feature pass scores both accuracies.
+                probabilities = self.detector.predict_proba(output)
+                metrics["accuracy_hard"] = hard_accuracy(probabilities, self.labels)
+                metrics["accuracy"] = mean_correct_probability(probabilities, self.labels)
             else:
-                metrics["accuracy"] = metrics["accuracy_hard"]
+                metrics["accuracy_hard"] = self.detector.accuracy(output, self.labels)
+                soft = getattr(self.detector, "soft_accuracy", None)
+                if soft is not None:
+                    metrics["accuracy"] = soft(output, self.labels)
+                else:
+                    metrics["accuracy"] = metrics["accuracy_hard"]
         return Evaluation(point=point, metrics=metrics, breakdown=dict(power.blocks))
 
     def evaluate(self, point: DesignPoint) -> Evaluation:

@@ -28,8 +28,11 @@ Analog non-idealities modelled here:
 * **Leakage droop** -- hold capacitors lose ``I_leak / C_hold`` volts per
   second between their last accumulation and readout.
 
-Everything is vectorised across frames: encoding B frames costs one Python
-loop over the N_phi columns, with numpy doing the (B, s) updates.
+Everything is vectorised across frames and hold capacitors: one encode
+draws all of its noise in a single call, and the accumulation loops over
+share rank -- step k applies the k-th share of every hold capacitor at
+once -- so B frames cost as many numpy steps as the largest row degree
+of ``Phi`` (11 at M = 75, N_phi = 384, s = 2), not one per column.
 """
 
 from __future__ import annotations
@@ -196,6 +199,8 @@ class ChargeSharingEncoder:
     seed: int | None = None
     _perturbation: EncoderPerturbation = field(init=False, repr=False)
     _rng: np.random.Generator = field(init=False, repr=False)
+    _routes: np.ndarray = field(init=False, repr=False)
+    _phi_effective: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.matrix.sparsity is None:
@@ -211,18 +216,32 @@ class ChargeSharingEncoder:
             self.config.mismatch_sigma_hold,
             self._rng,
         )
-        # Pre-compute the routing table: for column j, the s destination
-        # rows in a fixed order (which sampling capacitor serves which row).
-        self._routes = np.stack(
-            [np.flatnonzero(self.matrix.phi[:, j]) for j in range(self.matrix.n)]
+        # The routing table: for column j, its s destination rows in
+        # ascending order (which sampling capacitor serves which row).
+        cols, rows = np.nonzero(self.matrix.phi.T)
+        counts = np.bincount(cols, minlength=self.matrix.n)
+        if np.any(counts != self.matrix.sparsity):
+            j = int(np.flatnonzero(counts != self.matrix.sparsity)[0])
+            raise ValueError(
+                f"column {j} of the routing matrix holds {counts[j]} nonzeros, "
+                f"not s={self.matrix.sparsity}"
+            )
+        self._routes = rows.reshape(self.matrix.n, self.matrix.sparsity)
+        self._phi_effective = effective_matrix(
+            self.matrix, self.config.share_gain, self.config.retention
         )
+        self._phi_effective.flags.writeable = False
 
     # --- nominal algebra ----------------------------------------------------
 
     @property
     def phi_effective(self) -> np.ndarray:
-        """Nominal effective sensing matrix (known to the reconstructor)."""
-        return effective_matrix(self.matrix, self.config.share_gain, self.config.retention)
+        """Nominal effective sensing matrix (known to the reconstructor).
+
+        Computed once per encoder and read-only, so every consumer shares
+        the one array.
+        """
+        return self._phi_effective
 
     @property
     def perturbation(self) -> EncoderPerturbation:
@@ -299,23 +318,23 @@ class ChargeSharingEncoder:
         c_hold = cfg.c_hold * (1.0 + pert.hold_errors)  # (m,)
         c_sample = cfg.c_sample * (1.0 + pert.sample_errors)  # (s,)
 
-        # Pre-draw the noise in the original per-column order (one
-        # sample-noise draw, then one share-noise draw, per column) so
-        # the RNG stream — and therefore seeded replay via
-        # ``reset_noise`` — stays bit-identical no matter which kernel
-        # backend runs the accumulation arithmetic below.
+        # Pre-draw the noise so the RNG stream -- and therefore seeded
+        # replay via ``reset_noise`` -- stays bit-identical no matter which
+        # kernel backend runs the accumulation arithmetic below.  One call
+        # draws it in the per-column order (per column: the sample noise,
+        # then the share noise) and scales it in place as ``0.0 + sigma *
+        # z``, which is what ``normal(0.0, sigma)`` computes per value.
         sample_noise = cfg.sample_noise_rms
         s = self._routes.shape[1]
-        n = self.matrix.n
-        sample_draws = (
-            np.empty((n, n_frames, s)) if sample_noise > 0 else None
-        )
-        share_draws = np.empty((n, n_frames, s)) if cfg.kt > 0 else None
-        for j in range(n):
-            if sample_draws is not None:
-                sample_draws[j] = self._rng.normal(0.0, sample_noise, size=(n_frames, s))
-            if share_draws is not None:
-                share_draws[j] = self._rng.normal(0.0, 1.0, size=(n_frames, s))
+        sigmas = [sample_noise] if sample_noise > 0 else []
+        if cfg.kt > 0:
+            sigmas.append(1.0)
+        draws = self._rng.standard_normal((self.matrix.n, len(sigmas), n_frames, s))
+        for k, sigma in enumerate(sigmas):
+            np.multiply(draws[:, k], sigma, out=draws[:, k])
+            np.add(draws[:, k], 0.0, out=draws[:, k])
+        sample_draws = draws[:, 0] if sample_noise > 0 else None
+        share_draws = draws[:, -1] if cfg.kt > 0 else None
 
         from repro.kernels import registry
 

@@ -175,7 +175,11 @@ def srbm_balanced(m: int, n: int, sparsity: int = 2, seed: int | None = None) ->
         segment = pool[column * sparsity : (column + 1) * sparsity]
         return len(set(segment.tolist())) == sparsity
 
-    for j in range(n):
+    # A kept swap leaves the other column valid, so a valid column never
+    # turns invalid: only the columns that start with a duplicate can need
+    # a repair (an earlier repair may already have fixed one).
+    columns = np.sort(pool.reshape(n, sparsity), axis=1)
+    for j in np.flatnonzero((columns[:, 1:] == columns[:, :-1]).any(axis=1)).tolist():
         guard = 0
         while not column_ok(j):
             guard += 1
@@ -202,8 +206,7 @@ def srbm_balanced(m: int, n: int, sparsity: int = 2, seed: int | None = None) ->
             if not column_ok(other):
                 pool[src], pool[dst] = pool[dst], pool[src]  # undo
     phi = np.zeros((m, n), dtype=np.float64)
-    for j in range(n):
-        phi[pool[j * sparsity : (j + 1) * sparsity], j] = 1.0
+    phi[pool, np.repeat(np.arange(n), sparsity)] = 1.0
     return SensingMatrix(phi=phi, kind="srbm-balanced", sparsity=sparsity, seed=seed)
 
 

@@ -74,6 +74,19 @@ def logistic_predict(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def hard_accuracy(probabilities: np.ndarray, labels: np.ndarray) -> float:
+    """Share of records whose decision at probability 0.5 matches the label."""
+    decisions = (probabilities >= 0.5).astype(int)
+    return float(np.mean(decisions == np.asarray(labels, dtype=int)))
+
+
+def mean_correct_probability(probabilities: np.ndarray, labels: np.ndarray) -> float:
+    """Mean probability assigned to the correct class (soft accuracy)."""
+    labels = np.asarray(labels, dtype=int)
+    correct = np.where(labels == 1, probabilities, 1.0 - probabilities)
+    return float(np.mean(correct))
+
+
 @dataclass
 class SpectralCombDetector:
     """Deterministic rhythmic-discharge detector with logistic read-out.
@@ -204,14 +217,11 @@ class SpectralCombDetector:
 
     def accuracy(self, records: np.ndarray, labels: np.ndarray) -> float:
         """Hard record-level accuracy."""
-        return float(np.mean(self.predict(records) == np.asarray(labels, dtype=int)))
+        return hard_accuracy(self.predict_proba(records), labels)
 
     def soft_accuracy(self, records: np.ndarray, labels: np.ndarray) -> float:
         """Mean correct-class probability (continuous accuracy estimator)."""
-        labels = np.asarray(labels, dtype=int)
-        probs = self.predict_proba(records)
-        correct = np.where(labels == 1, probs, 1.0 - probs)
-        return float(np.mean(correct))
+        return mean_correct_probability(self.predict_proba(records), labels)
 
     def sensitivity_specificity(
         self, records: np.ndarray, labels: np.ndarray

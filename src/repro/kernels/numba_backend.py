@@ -61,7 +61,9 @@ def _compiled() -> dict:
                 elif v < -thr:
                     out[i, k] = v + thr
                 else:
-                    out[i, k] = 0.0
+                    # +0.0 inside the threshold, and NaN stays NaN: the
+                    # reference's v - clip(v, -thr, thr).
+                    out[i, k] = v - v
 
     @njit(fastmath=False)
     def _fista(a, y2, lam, n_iter, tol):

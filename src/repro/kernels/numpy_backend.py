@@ -21,9 +21,13 @@ Kernel contract
     The charge-sharing accumulation of paper Eq. (1) with *pre-drawn*
     noise: ``(frames(B,N), routes(N,s), c_sample(s,), c_hold(m,), kt,
     sample_draws(N,B,s)|None, share_draws(N,B,s)|None) ->
-    (v_hold(B,m), last_touch(m,))``.  The caller draws the noise from
-    its RNG in the original order, so replay stays bit-identical no
-    matter which backend runs the arithmetic.
+    (v_hold(B,m), last_touch(m,))``.  Each column of ``routes`` holds s
+    distinct rows.  The caller draws the noise from its RNG in the
+    original order, so replay stays bit-identical no matter which
+    backend runs the arithmetic.  The exactness contract is per element:
+    every ``v_hold[f, r]`` takes its shares in column order with the
+    operations its docstring lists.  The loop order is free; the
+    reference loops over share rank, the numba backend over columns.
 """
 
 from __future__ import annotations
@@ -170,26 +174,53 @@ def encoder_multiply(
     sample_draws: np.ndarray | None,
     share_draws: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Charge-sharing accumulation (paper Eq. 1) with pre-drawn noise."""
+    """Charge-sharing accumulation (paper Eq. 1) with pre-drawn noise.
+
+    Share ``(j, slot)`` moves sample ``j`` onto hold row ``r = routes[j,
+    slot]``; for every frame ``f`` it computes, in this order::
+
+        cs, ch = c_sample[slot], c_hold[r]
+        vin    = frames[f, j] + sample_draws[j, f, slot]   # if drawn
+        v      = (ch / (cs + ch)) * v + (cs / (cs + ch)) * vin
+        v      = v + share_draws[j, f, slot] * sqrt(kt / (cs + ch))  # if drawn
+
+    and each row takes its shares in column order.  That per-element
+    sequence is the exactness contract; the loop order is free.  Here
+    step ``k`` applies the ``k``-th share of every row at once, so the
+    loop runs max-row-degree times instead of N.
+    """
     n_frames = frames.shape[0]
-    n = routes.shape[0]
+    s = routes.shape[1]
     m = c_hold.shape[0]
     v_hold = np.zeros((n_frames, m))
     last_touch = np.zeros(m)  # sample index of the last share per row
-    for j in range(n):
-        rows = routes[j]  # (s,) destinations of sample j
-        vin = frames[:, j][:, None]  # (n_frames, 1)
+    # Shares in column order, then grouped by row (stable: column order
+    # within a row), then ordered by their rank within the row.
+    flat = routes.ravel()
+    by_row = np.argsort(flat, kind="stable")
+    grouped = flat[by_row]
+    rank = np.empty_like(by_row)
+    rank[by_row] = np.arange(flat.size) - np.searchsorted(grouped, grouped)
+    shares = np.argsort(rank, kind="stable")
+    rows = flat[shares]
+    cols, slots = np.divmod(shares, s)
+    cs = c_sample[slots]
+    ch = c_hold[rows]
+    a = cs / (cs + ch)
+    b = ch / (cs + ch)
+    share_noise = np.sqrt(kt / (cs + ch)) if share_draws is not None else None
+    stop = 0
+    for width in np.bincount(rank):  # step k updates `width` distinct rows
+        step = slice(stop, stop + width)
+        stop += width
+        r, j, slot = rows[step], cols[step], slots[step]
+        vin = frames[:, j]
         if sample_draws is not None:
-            vin = vin + sample_draws[j]
-        cs = c_sample[: len(rows)]  # one sampling cap per route slot
-        ch = c_hold[rows]
-        a = cs / (cs + ch)  # (s,)
-        b = ch / (cs + ch)
-        v_hold[:, rows] = b * v_hold[:, rows] + a * vin
+            vin = vin + sample_draws[j, :, slot].T
+        v_hold[:, r] = b[step] * v_hold[:, r] + a[step] * vin
         if share_draws is not None:
-            share_noise = np.sqrt(kt / (cs + ch))
-            v_hold[:, rows] += share_draws[j] * (share_noise)
-        last_touch[rows] = j
+            v_hold[:, r] += share_draws[j, :, slot].T * share_noise[step]
+        last_touch[r] = j
     return v_hold, last_touch
 
 

@@ -172,6 +172,101 @@ class TestEncoderSimulation:
         assert np.all(np.abs(leaky.encode(x)) <= np.abs(quiet.encode(x)) + 1e-15)
 
 
+def _per_column_encode(enc: ChargeSharingEncoder, frames: np.ndarray) -> np.ndarray:
+    """``encode`` as it drew its noise before the one-call draw.
+
+    Two ``normal`` calls per column (the sample noise, then the share
+    noise) and the column loop for the accumulation; no droop.
+    """
+    cfg = enc.config
+    pert = enc.perturbation
+    c_hold = cfg.c_hold * (1.0 + pert.hold_errors)
+    c_sample = cfg.c_sample * (1.0 + pert.sample_errors)
+    routes = np.stack(enc.matrix.column_support())
+    n, s = routes.shape
+    n_frames = frames.shape[0]
+    sample_noise = cfg.sample_noise_rms
+    sample_draws = np.empty((n, n_frames, s)) if sample_noise > 0 else None
+    share_draws = np.empty((n, n_frames, s)) if cfg.kt > 0 else None
+    for j in range(n):
+        if sample_draws is not None:
+            sample_draws[j] = enc._rng.normal(0.0, sample_noise, size=(n_frames, s))
+        if share_draws is not None:
+            share_draws[j] = enc._rng.normal(0.0, 1.0, size=(n_frames, s))
+    v_hold = np.zeros((n_frames, enc.matrix.m))
+    for j in range(n):
+        rows = routes[j]
+        vin = frames[:, j][:, None]
+        if sample_draws is not None:
+            vin = vin + sample_draws[j]
+        cs = c_sample[: len(rows)]
+        ch = c_hold[rows]
+        a = cs / (cs + ch)
+        b = ch / (cs + ch)
+        v_hold[:, rows] = b * v_hold[:, rows] + a * vin
+        if share_draws is not None:
+            share_noise = np.sqrt(cfg.kt / (cs + ch))
+            v_hold[:, rows] += share_draws[j] * (share_noise)
+    return v_hold
+
+
+class TestNoiseStreamLock:
+    """One noise draw per encode replays the per-column draws bit for bit."""
+
+    @pytest.mark.parametrize("kt", [0.0, 4.14e-21], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("shape", [(40,), (1, 40), (5, 40)], ids=["1d", "one", "batch"])
+    @pytest.mark.parametrize("sparsity", [1, 2, 5])
+    def test_encode_matches_per_column_draws(self, kt, shape, sparsity, rng):
+        mat = srbm_balanced(8, 40, sparsity, seed=11)
+        cfg = ChargeSharingConfig(
+            c_sample=2e-15,
+            c_hold=16e-15,
+            kt=kt,
+            mismatch_sigma_sample=0.01,
+            mismatch_sigma_hold=0.02,
+        )
+        enc = ChargeSharingEncoder(mat, cfg, seed=3)
+        oracle = ChargeSharingEncoder(mat, cfg, seed=3)
+        frames = rng.normal(size=shape)
+
+        def assert_same_bytes():
+            got = enc.encode(frames)
+            want = _per_column_encode(oracle, np.atleast_2d(frames)).reshape(got.shape)
+            assert got.tobytes() == want.tobytes()
+
+        assert_same_bytes()
+        assert_same_bytes()  # the second encode continues the stream
+        enc.reset_noise()
+        oracle.reset_noise()
+        assert_same_bytes()
+        # The generator is left where the per-column draws left it.
+        assert enc._rng.random() == oracle._rng.random()
+
+
+class TestNominalAlgebra:
+    def test_phi_effective_is_read_only_and_nominal(self):
+        mat = srbm_balanced(8, 32, 2, seed=3)
+        cfg = ideal_config(6.0)
+        enc = ChargeSharingEncoder(mat, cfg, seed=1)
+        phi_eff = enc.phi_effective
+        assert phi_eff is enc.phi_effective  # computed once per encoder
+        assert not phi_eff.flags.writeable
+        with pytest.raises(ValueError):
+            phi_eff[0, 0] = 1.0
+        expected = effective_matrix(mat, cfg.share_gain, cfg.retention)
+        assert phi_eff.tobytes() == expected.tobytes()
+
+    def test_rejects_column_without_s_nonzeros(self):
+        from repro.cs.matrices import SensingMatrix
+
+        phi = srbm_balanced(4, 12, 2, seed=1).phi.copy()
+        phi[:, 5] = 0.0
+        phi[0, 5] = 1.0
+        mat = SensingMatrix(phi=phi, kind="srbm", sparsity=2, seed=None)
+        with pytest.raises(ValueError, match="column 5 .* 1 nonzeros"):
+            ChargeSharingEncoder(mat, ideal_config(), seed=1)
+
+
 class TestPerturbation:
     def test_none_is_zero(self):
         pert = EncoderPerturbation.none(2, 8)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cs.matrices import (
     SensingMatrix,
@@ -11,6 +13,7 @@ from repro.cs.matrices import (
     srbm,
     srbm_balanced,
 )
+from repro.util.rng import make_rng
 
 
 class TestSrbm:
@@ -65,6 +68,68 @@ class TestSrbmBalanced:
         degrees = mat.row_degrees()
         # 384*2/150 = 5.12 -> rows hold 5 or 6 samples.
         assert set(degrees.tolist()).issubset({5, 6})
+
+
+def _visit_every_column_srbm_balanced(m, n, sparsity, seed):
+    """``srbm_balanced`` as it was before its repair pass skipped valid columns.
+
+    The repair loop visits every column and ``phi`` is filled one column
+    at a time; the generated matrix must be the same, byte for byte.
+    """
+    rng = make_rng(seed)
+    total = n * sparsity
+    base, remainder = divmod(total, m)
+    pool = np.repeat(np.arange(m), base)
+    if remainder:
+        pool = np.concatenate([pool, rng.choice(m, size=remainder, replace=False)])
+    rng.shuffle(pool)
+
+    def column_ok(column):
+        segment = pool[column * sparsity : (column + 1) * sparsity]
+        return len(set(segment.tolist())) == sparsity
+
+    for j in range(n):
+        guard = 0
+        while not column_ok(j):
+            guard += 1
+            if guard > 10_000:
+                return srbm(m, n, sparsity=sparsity, seed=seed).phi
+            rows = pool[j * sparsity : (j + 1) * sparsity]
+            seen = set()
+            dup_offset = 0
+            for offset, row in enumerate(rows.tolist()):
+                if row in seen:
+                    dup_offset = offset
+                    break
+                seen.add(row)
+            src = j * sparsity + dup_offset
+            dst = int(rng.integers(0, total))
+            other = dst // sparsity
+            if other == j:
+                continue
+            pool[src], pool[dst] = pool[dst], pool[src]
+            if not column_ok(other):
+                pool[src], pool[dst] = pool[dst], pool[src]
+    phi = np.zeros((m, n), dtype=np.float64)
+    for j in range(n):
+        phi[pool[j * sparsity : (j + 1) * sparsity], j] = 1.0
+    return phi
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(1, 24),
+    extra_columns=st.integers(1, 72),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_srbm_balanced_matches_the_visit_every_column_repair(m, extra_columns, seed, data):
+    sparsity = data.draw(st.integers(1, m), label="sparsity")
+    n = m + extra_columns
+    got = srbm_balanced(m, n, sparsity, seed=seed).phi
+    want = _visit_every_column_srbm_balanced(m, n, sparsity, seed)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestDenseMatrices:

@@ -10,6 +10,8 @@ import pytest
 from repro.core.explorer import DesignSpaceExplorer
 from repro.core.goal import accuracy_power_goal, snr_power_goal
 from repro.core.parameters import ParameterSpace
+from repro.core.simulator import Simulator
+from repro.detection.spectral import SpectralCombDetector
 from repro.experiments.fig7 import analyze_fig7
 from repro.experiments.runner import make_harness
 from repro.power.technology import DesignPoint
@@ -47,6 +49,31 @@ class TestEndToEndEvaluation:
         assert evaluation.metrics["power_uw"] < 4.0
         assert evaluation.metrics["accuracy"] > 0.8
         assert "cs_encoder" in evaluation.breakdown
+
+    def test_score_output_runs_the_detector_once(self, harness, monkeypatch):
+        evaluator = harness.evaluator
+        point = DesignPoint(n_bits=8, lna_noise_rms=8e-6)
+        chain, run_seed = evaluator.build_point_chain(point)
+        result = Simulator(chain, point, seed=run_seed).run(
+            evaluator.source_signal(), record_taps=False
+        )
+        features = SpectralCombDetector.features
+        calls = []
+
+        def counted(detector, records):
+            calls.append(records.shape)
+            return features(detector, records)
+
+        monkeypatch.setattr(SpectralCombDetector, "features", counted)
+        evaluation = evaluator.score_output(point, result.output, result.power)
+        assert len(calls) == 1
+        output = np.asarray(result.output.data).reshape(harness.records.shape[0], -1)
+        assert evaluation.metrics["accuracy_hard"] == harness.detector.accuracy(
+            output, harness.labels
+        )
+        assert evaluation.metrics["accuracy"] == harness.detector.soft_accuracy(
+            output, harness.labels
+        )
 
     def test_noise_tradeoff_monotone(self, harness):
         quiet = harness.evaluator.evaluate(DesignPoint(lna_noise_rms=2e-6))

@@ -14,11 +14,18 @@ An accelerated FISTA must also beat the reference by
 ``KERNELS_FISTA_MIN_SPEEDUP``, or it is not worth dispatching to.
 
 On machines without numba the accelerated legs skip (there is
-nothing to conform — dispatch falls back) and the harness itself is
-validated against deliberately broken fake backends instead.
+nothing to conform — dispatch falls back); the numba kernels' source
+still runs uncompiled against the reference, and the harness itself is
+validated against deliberately broken fake backends.
+
+The reference is also pinned to its own bits: ``fista`` to its
+operation sequence written with temporaries, and ``encoder_multiply``
+to the column loop it replaced.
 """
 
+import sys
 import time
+import types
 
 import numpy as np
 import pytest
@@ -31,7 +38,8 @@ from repro.kernels import (
     KernelRegistry,
     registry,
 )
-from repro.kernels import numpy_backend
+from repro.cs.matrices import srbm, srbm_balanced
+from repro.kernels import numba_backend, numpy_backend
 from repro.testing.conformance import (
     Problem,
     check_backend,
@@ -102,6 +110,43 @@ class TestAcceleratedBackends:
 def test_golden_replay_reference_backend():
     """The golden replays bit-identically through the dispatch layer."""
     assert golden_replay(REFERENCE_BACKEND) == []
+
+
+def _identity_numba() -> types.ModuleType:
+    """A stand-in ``numba`` whose ``njit`` returns the function unchanged."""
+    module = types.ModuleType("numba")
+
+    def njit(*args, **kwargs):
+        if args and callable(args[0]):
+            return args[0]
+        return lambda function: function
+
+    module.njit = njit
+    return module
+
+
+def test_numba_kernel_bodies_conform_as_plain_python(monkeypatch):
+    """The numba kernels' source, run uncompiled, conforms at ``RTOL``.
+
+    Hosts without numba skip the accelerated legs above, so this is the
+    only check of the numba kernels' arithmetic that every host runs.
+    """
+    monkeypatch.setitem(sys.modules, "numba", _identity_numba())
+    monkeypatch.setattr(numba_backend, "_COMPILED", None)
+    reg = KernelRegistry()
+    reg.register(numpy_backend.make_backend())
+    reg.register(
+        KernelBackend(
+            name="numba-uncompiled",
+            kernels={
+                name: getattr(numba_backend, name)
+                for name in ("fista", "ista", "omp", "encoder_multiply")
+            },
+            rtol=numba_backend.RTOL,
+        )
+    )
+    mismatches = check_backend("numba-uncompiled", registry=reg)
+    assert mismatches == [], "\n".join(mismatches)
 
 
 #: Speedup an accelerated FISTA backend must deliver over the numpy
@@ -218,6 +263,84 @@ def test_encoder_multiply_conforms_on_random_problems(seed, n, m, n_frames, nois
             "encoder_multiply",
             (frames, routes, c_sample, c_hold, kt, sample_draws, share_draws),
         )
+    )
+
+
+# --- the encoder reference pinned to the column loop --------------------------
+#
+# ``_column_loop_encoder`` is the reference ``encoder_multiply`` as it was
+# before it looped over share rank: one numpy step per column of Phi.  Both
+# give every (frame, row) element the same operands in the same order, so
+# the rank loop must return exactly its bytes.
+
+
+def _column_loop_encoder(frames, routes, c_sample, c_hold, kt, sample_draws, share_draws):
+    n_frames = frames.shape[0]
+    n = routes.shape[0]
+    m = c_hold.shape[0]
+    v_hold = np.zeros((n_frames, m))
+    last_touch = np.zeros(m)
+    for j in range(n):
+        rows = routes[j]
+        vin = frames[:, j][:, None]
+        if sample_draws is not None:
+            vin = vin + sample_draws[j]
+        cs = c_sample[: len(rows)]
+        ch = c_hold[rows]
+        a = cs / (cs + ch)
+        b = ch / (cs + ch)
+        v_hold[:, rows] = b * v_hold[:, rows] + a * vin
+        if share_draws is not None:
+            share_noise = np.sqrt(kt / (cs + ch))
+            v_hold[:, rows] += share_draws[j] * (share_noise)
+        last_touch[rows] = j
+    return v_hold, last_touch
+
+
+def _assert_encoder_bits_match_column_loop(*args) -> None:
+    got = numpy_backend.encoder_multiply(*args)
+    want = _column_loop_encoder(*args)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("problem", encoder_problems(), ids=lambda p: p.name)
+def test_reference_encoder_is_byte_identical_to_column_loop(problem):
+    _assert_encoder_bits_match_column_loop(*problem.args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=_seeds,
+    m=st.integers(1, 12),
+    extra_columns=st.integers(1, 30),
+    n_frames=st.integers(1, 4),
+    noisy=st.booleans(),
+    balanced=st.booleans(),
+    non_finite=st.sampled_from([None, np.nan, np.inf]),
+    data=st.data(),
+)
+def test_reference_encoder_bits_on_random_routes(
+    seed, m, extra_columns, n_frames, noisy, balanced, non_finite, data
+):
+    # Plain srbm routes leave the row degrees unbalanced, so some steps of
+    # the rank loop update only a few rows.
+    s = data.draw(st.integers(1, m), label="s")
+    n = m + extra_columns
+    build = srbm_balanced if balanced else srbm
+    routes = np.stack(build(m, n, s, seed=seed).column_support())
+    rng = np.random.default_rng(seed)
+    frames = rng.normal(size=(n_frames, n))
+    if non_finite is not None:
+        frames[rng.integers(n_frames), rng.integers(n)] = non_finite
+    c_sample = 1e-14 * (1.0 + rng.normal(0, 0.01, size=s))
+    c_hold = 8e-14 * (1.0 + rng.normal(0, 0.01, size=m))
+    sample_draws = rng.normal(size=(n, n_frames, s)) * 1e-4 if noisy else None
+    share_draws = rng.normal(size=(n, n_frames, s)) if noisy else None
+    kt = 4.14e-21 if noisy else 0.0
+    _assert_encoder_bits_match_column_loop(
+        frames, routes, c_sample, c_hold, kt, sample_draws, share_draws
     )
 
 

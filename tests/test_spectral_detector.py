@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.detection.spectral import SpectralCombDetector, logistic_fit, logistic_predict
+from repro.detection.spectral import (
+    SpectralCombDetector,
+    hard_accuracy,
+    logistic_fit,
+    logistic_predict,
+    mean_correct_probability,
+)
 from repro.eeg.synthetic import SyntheticEegConfig, generate_record
 from repro.util.rng import derive_seed
 
@@ -118,6 +124,17 @@ class TestDetection:
         ]
         assert accuracies[0] >= accuracies[1] >= accuracies[2] - 0.02
         assert accuracies[0] > accuracies[2]
+
+    def test_accuracies_follow_from_the_probabilities(self, fitted):
+        det, records, labels = fitted
+        rng = np.random.default_rng(5)
+        noisy = records + rng.normal(0, 25e-6, records.shape)
+        probs = det.predict_proba(noisy)
+        hard = hard_accuracy(probs, labels)
+        soft = mean_correct_probability(probs, labels)
+        assert hard == float(np.mean(det.predict(noisy) == labels))
+        assert soft == float(np.mean(np.where(labels == 1, probs, 1.0 - probs)))
+        assert (det.accuracy(noisy, labels), det.soft_accuracy(noisy, labels)) == (hard, soft)
 
     def test_probabilities_in_unit_interval(self, fitted):
         det, records, _ = fitted
