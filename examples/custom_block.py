@@ -12,9 +12,8 @@ noise at the cost of extra switching power -- following the same recipe:
    design point;
 3. drop the block into an existing chain and compare system metrics.
 
-The polished version of this block graduated into the library as
-``repro.blocks.Chopper`` -- this walkthrough keeps the from-scratch
-definition so the extension recipe stays visible end to end.
+The chopper lives only here, defined from scratch, so the extension
+recipe stays visible end to end; CI runs this script as a smoke test.
 
 Run:  python examples/custom_block.py
 """

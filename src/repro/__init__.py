@@ -23,7 +23,7 @@ Package map
 ``repro.eeg``
     Synthetic Bonn-like EEG corpus and preprocessing (Step 4 substitute).
 ``repro.detection``
-    EEG features + numpy MLP seizure detector (the accuracy goal oracle).
+    Deterministic spectral seizure detector (the accuracy goal oracle).
 ``repro.metrics``
     SNR/SNDR/ENOB, NMSE/PRD.
 ``repro.faults``

@@ -19,8 +19,7 @@ from repro.blocks.cs_frontend import (
     FramerBlock,
     frame_stream,
 )
-from repro.blocks.chopper import Chopper
-from repro.blocks.dsp import Decimator, FirFilter, Normalizer
+from repro.blocks.dsp import Normalizer
 from repro.blocks.lna import LNA
 from repro.blocks.sample_hold import SampleHold
 from repro.blocks.sar_adc import SarAdc, ideal_quantize
@@ -30,10 +29,7 @@ from repro.blocks.transmitter import Transmitter
 __all__ = [
     "CsEncoderBlock",
     "DigitalCsEncoderBlock",
-    "Chopper",
     "CsReconstructionBlock",
-    "Decimator",
-    "FirFilter",
     "FramerBlock",
     "LNA",
     "Normalizer",

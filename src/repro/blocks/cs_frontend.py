@@ -95,16 +95,16 @@ class CsEncoderBlock(Block):
         matrix: SensingMatrix,
         name: str = "cs_encoder",
         seed: int | None = None,
-        include_droop: bool = False,
     ) -> "CsEncoderBlock":
         """Wire capacitor sizing and mismatch from the design point.
 
-        Leakage droop is off by default for the same reason as in
-        :meth:`SampleHold.from_design`: at Table III's raw I_leak the
-        pathfinding-scale hold capacitors would droop by volts over a
-        frame, which real charge-sharing designs prevent with low-leakage
-        switches; leakage remains in the static-power budget.  Set
-        ``include_droop=True`` for explicit droop studies.
+        Mismatch sigmas follow Pelgrom from the technology.  Leakage droop
+        is off, for the same reason as in :meth:`SampleHold.from_design`:
+        at Table III's raw I_leak the pathfinding-scale hold capacitors
+        would droop by volts over a frame, which real charge-sharing
+        designs prevent with low-leakage switches; leakage remains in the
+        static-power budget.  A droop study builds the block from a
+        :class:`ChargeSharingConfig` with ``i_leak`` set.
         """
         tech = point.technology
         c_hold = point.cs_hold_capacitance
@@ -115,7 +115,6 @@ class CsEncoderBlock(Block):
             kt=tech.kt,
             mismatch_sigma_sample=tech.cap_mismatch_sigma(c_sample),
             mismatch_sigma_hold=tech.cap_mismatch_sigma(c_hold),
-            i_leak=tech.i_leak if include_droop else 0.0,
             f_sample=point.f_sample,
         )
         return cls(matrix=matrix, config=config, name=name, seed=seed)

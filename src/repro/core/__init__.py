@@ -30,7 +30,6 @@ from repro.core.execution import (
 from repro.core.explorer import DesignSpaceExplorer, FrontEndEvaluator
 from repro.core.goal import (
     Goal,
-    WeightedGoal,
     accuracy_power_goal,
     area_constrained_goal,
     snr_power_goal,
@@ -55,7 +54,7 @@ from repro.core.metrics import Histogram, JsonlEventWriter, write_openmetrics
 from repro.core.resources import ResourceSampler, resources_section, sample_resources
 from repro.core.signal import DOMAINS, Signal
 from repro.core.simulator import SimulationResult, Simulator
-from repro.core.system import SystemGraph, SystemModel
+from repro.core.system import SystemModel
 from repro.core.telemetry import (
     NULL,
     NullTelemetry,
@@ -107,10 +106,8 @@ __all__ = [
     "SimulationResult",
     "Simulator",
     "SweepCheckpoint",
-    "SystemGraph",
     "SystemModel",
     "Signal",
-    "WeightedGoal",
     "accuracy_power_goal",
     "activate",
     "get_active",

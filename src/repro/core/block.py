@@ -1,6 +1,6 @@
 """Block abstraction of the simulation engine.
 
-EffiCSense models a front-end as a chain (or DAG) of *blocks*, mirroring
+EffiCSense models a front-end as a chain of *blocks*, mirroring
 the plug-and-play Simulink library of the paper.  Each block couples
 
 * a **functional model** -- :meth:`Block.process` transforms an incoming

@@ -5,7 +5,7 @@ Two layers:
 * :class:`FrontEndEvaluator` -- evaluates ONE design point: builds the
   matching front-end chain, streams the whole (truncated, stacked) dataset
   through it, and returns quality (SNR vs clean reference, detection
-  accuracy via a pre-trained :class:`~repro.detection.SeizureDetector`)
+  accuracy via a calibrated :class:`~repro.detection.SpectralCombDetector`)
   together with the Table II power estimate and the Fig. 9 area metric.
   Records are concatenated into one stream so the CS reconstruction runs
   as a single batched FISTA solve across all frames -- the trick that
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import os
 import pickle
 import time
@@ -59,7 +60,6 @@ from repro.core.signal import Signal
 from repro.core.simulator import Simulator
 from repro.cs.dictionaries import dct_basis
 from repro.cs.reconstruction import Reconstructor
-from repro.detection.classifier import SeizureDetector
 from repro.detection.spectral import (
     SpectralCombDetector,
     hard_accuracy,
@@ -73,6 +73,19 @@ from repro.util.rng import derive_seed
 from repro.util.validation import check_positive
 
 log = logging.getLogger("repro.explorer")
+
+
+def _check_rate(records_rate: float, other_rate: float, what: str, remedy: str) -> None:
+    """Reject ``other_rate`` unless it is within 2 % of ``records_rate``.
+
+    The tolerance is symmetric (relative to the larger rate, as in
+    :func:`math.isclose`): dividing by only one of the two rates would
+    accept/reject asymmetrically around the nominal rate.
+    """
+    if not math.isclose(records_rate, other_rate, rel_tol=0.02):
+        raise ValueError(
+            f"records are at {records_rate} Hz but {what} at {other_rate} Hz; {remedy}"
+        )
 
 
 class FrontEndEvaluator:
@@ -92,7 +105,8 @@ class FrontEndEvaluator:
         the functional simulation and the power models to describe the
         same system (a tolerance check enforces this).
     detector:
-        Trained detector at ``sample_rate``; ``None`` skips accuracy.
+        Detector calibrated at ``sample_rate`` (the same 2 % tolerance
+        applies); ``None`` skips accuracy.
     seed:
         Master seed: mismatch realisations and noise streams derive from
         it per design point, so the sweep is reproducible point-by-point.
@@ -115,7 +129,7 @@ class FrontEndEvaluator:
         records: np.ndarray,
         labels: np.ndarray | None,
         sample_rate: float,
-        detector: SeizureDetector | None = None,
+        detector: SpectralCombDetector | None = None,
         seed: int = 0,
         reconstructor_factory: Callable[[DesignPoint], Reconstructor] | None = None,
         chain_transform: Callable[..., object] | None = None,
@@ -130,8 +144,15 @@ class FrontEndEvaluator:
             )
         self.sample_rate = check_positive("sample_rate", sample_rate)
         self.detector = detector
-        if detector is not None and not detector.is_fitted:
-            raise ValueError("detector must be fitted before exploration")
+        if detector is not None:
+            if not detector.is_fitted:
+                raise ValueError("detector must be fitted before exploration")
+            _check_rate(
+                self.sample_rate,
+                detector.sample_rate,
+                "the detector is calibrated",
+                "recalibrate it on records at the corpus rate",
+            )
         self.seed = int(seed)
         self.reconstructor_factory = reconstructor_factory or self._default_reconstructor
         self.chain_transform = chain_transform
@@ -238,16 +259,12 @@ class FrontEndEvaluator:
             build_digital_cs_chain,
         )
 
-        # Symmetric 2 % relative tolerance (math.isclose-style): dividing
-        # by only one of the two rates would accept/reject asymmetrically
-        # around the nominal rate.
-        if abs(point.f_sample - self.sample_rate) > 0.02 * max(
-            point.f_sample, self.sample_rate
-        ):
-            raise ValueError(
-                f"records are at {self.sample_rate} Hz but the design point samples "
-                f"at {point.f_sample} Hz; resample the corpus to f_sample"
-            )
+        _check_rate(
+            self.sample_rate,
+            point.f_sample,
+            "the design point samples",
+            "resample the corpus to f_sample",
+        )
         n_samples = self.records.shape[1]
         point_seed = derive_seed(self.seed, point.describe())
         if point.use_cs:
@@ -299,19 +316,11 @@ class FrontEndEvaluator:
             # low-variance estimator of population accuracy.  Hard accuracy
             # over R records is quantised at 1/R, which masks the sub-percent
             # differences the paper resolves with 500 records; the soft
-            # estimate restores that resolution at reduced scale.
-            if isinstance(self.detector, SpectralCombDetector):
-                # One feature pass scores both accuracies.
-                probabilities = self.detector.predict_proba(output)
-                metrics["accuracy_hard"] = hard_accuracy(probabilities, self.labels)
-                metrics["accuracy"] = mean_correct_probability(probabilities, self.labels)
-            else:
-                metrics["accuracy_hard"] = self.detector.accuracy(output, self.labels)
-                soft = getattr(self.detector, "soft_accuracy", None)
-                if soft is not None:
-                    metrics["accuracy"] = soft(output, self.labels)
-                else:
-                    metrics["accuracy"] = metrics["accuracy_hard"]
+            # estimate restores that resolution at reduced scale.  One
+            # feature pass scores both accuracies.
+            probabilities = self.detector.predict_proba(output)
+            metrics["accuracy_hard"] = hard_accuracy(probabilities, self.labels)
+            metrics["accuracy"] = mean_correct_probability(probabilities, self.labels)
         return Evaluation(point=point, metrics=metrics, breakdown=dict(power.blocks))
 
     def evaluate(self, point: DesignPoint) -> Evaluation:

@@ -9,7 +9,7 @@ goals compose from :class:`~repro.core.pareto.Objective` directly.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.pareto import Objective
 
@@ -67,20 +67,3 @@ def area_constrained_goal(max_area_units: float, min_accuracy: float = 0.98) -> 
         ),
     )
 
-
-@dataclass(frozen=True)
-class WeightedGoal:
-    """Scalarised goal for single-number ranking (ablations, regressions).
-
-    ``score = sum(weight * metric)`` with sign conventions folded into the
-    weights (negative weight = minimise).  Not used by the paper's figures
-    but handy for quick comparisons and optimisation loops.
-    """
-
-    weights: dict[str, float] = field(default_factory=dict)
-
-    def score(self, metrics: dict) -> float:
-        """Weighted scalar score of a metric dict."""
-        if not self.weights:
-            raise ValueError("weighted goal has no weights")
-        return float(sum(weight * metrics[name] for name, weight in self.weights.items()))

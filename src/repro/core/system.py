@@ -1,17 +1,12 @@
-"""System composition: chains and DAGs of blocks.
+"""System composition: an ordered chain of blocks.
 
 :class:`SystemModel` is the ordered single-path chain that covers both of
-the paper's architectures (Fig. 1 a/b are linear chains).  For more exotic
-topologies (multi-channel front-ends, feedback calibration paths)
-:class:`SystemGraph` composes blocks as a networkx DAG with named multi-
-input blocks; the chain remains the primary, heavily-tested surface.
+the paper's architectures (Fig. 1 a/b are linear chains).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-
-import networkx as nx
 
 from repro.core.block import Block, SimulationContext
 from repro.core.signal import Signal
@@ -140,69 +135,3 @@ class SystemModel:
         for block in self._blocks:
             block.reset()
 
-
-class SystemGraph:
-    """DAG composition of blocks for non-linear topologies.
-
-    Nodes are blocks; an edge ``(u, v)`` feeds u's output into v.  Blocks
-    with several predecessors receive the inputs as a list ordered by the
-    ``slot`` edge attribute.  Execution is a topological sweep.
-
-    The linear chain is a special case, but :class:`SystemModel` stays the
-    preferred API for it (simpler, ordered, replaceable-by-name).
-    """
-
-    def __init__(self, name: str = "graph"):
-        self.name = name
-        self._graph = nx.DiGraph()
-        self._blocks: dict[str, Block] = {}
-
-    def add(self, block: Block) -> "SystemGraph":
-        """Register a block as a node."""
-        if block.name in self._blocks:
-            raise ValueError(f"block name {block.name!r} already present")
-        self._blocks[block.name] = block
-        self._graph.add_node(block.name)
-        return self
-
-    def connect(self, src: str, dst: str, slot: int = 0) -> "SystemGraph":
-        """Feed ``src``'s output into ``dst`` (input position ``slot``)."""
-        for name in (src, dst):
-            if name not in self._blocks:
-                raise KeyError(f"unknown block {name!r}")
-        self._graph.add_edge(src, dst, slot=slot)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(src, dst)
-            raise ValueError(f"edge {src!r} -> {dst!r} would create a cycle")
-        return self
-
-    def blocks(self) -> dict[str, Block]:
-        """Name -> block mapping."""
-        return dict(self._blocks)
-
-    def run(self, inputs: dict[str, Signal], ctx: SimulationContext) -> dict[str, Signal]:
-        """Execute the DAG.
-
-        ``inputs`` maps source-node names (in-degree 0) to their signals.
-        Returns the outputs of every sink node (out-degree 0).
-        """
-        outputs: dict[str, Signal] = {}
-        for node in nx.topological_sort(self._graph):
-            block = self._blocks[node]
-            preds = list(self._graph.predecessors(node))
-            if not preds:
-                if node not in inputs:
-                    raise ValueError(f"source block {node!r} has no input signal")
-                incoming: Signal | list[Signal] = inputs[node]
-            else:
-                ordered = sorted(preds, key=lambda p: self._graph.edges[p, node]["slot"])
-                gathered = [outputs[p] for p in ordered]
-                incoming = gathered[0] if len(gathered) == 1 else gathered
-            result = block.process(incoming, ctx)  # type: ignore[arg-type]
-            outputs[node] = result
-            ctx.record(node, result)
-        return {
-            node: outputs[node]
-            for node in self._graph.nodes
-            if self._graph.out_degree(node) == 0
-        }

@@ -12,12 +12,9 @@ from repro.cs.charge_sharing import (
     ChargeSharingEncoder,
     EncoderPerturbation,
     effective_matrix,
-    encoder_from_design,
 )
 from repro.cs.diagnostics import (
     mutual_coherence,
-    recovery_rate,
-    rip_spread,
     weight_dynamic_range,
 )
 from repro.cs.dictionaries import (
@@ -38,7 +35,6 @@ from repro.cs.matrices import (
 from repro.cs.reconstruction import (
     Reconstructor,
     fista,
-    iht,
     ista,
     least_squares_on_support,
     omp,
@@ -54,19 +50,15 @@ __all__ = [
     "bernoulli",
     "dct_basis",
     "effective_matrix",
-    "encoder_from_design",
     "fista",
     "gaussian",
     "identity_basis",
-    "iht",
     "ista",
     "least_squares_on_support",
     "make_basis",
     "make_sensing_matrix",
     "mutual_coherence",
     "omp",
-    "recovery_rate",
-    "rip_spread",
     "srbm",
     "srbm_balanced",
     "wavelet_basis",

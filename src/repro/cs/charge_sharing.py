@@ -355,36 +355,3 @@ class ChargeSharingEncoder:
             v_hold = v_hold - np.sign(v_hold) * np.minimum(np.abs(v_hold), droop)
         return v_hold[0] if single else v_hold
 
-
-def encoder_from_design(
-    point,
-    matrix: SensingMatrix,
-    seed: int | None = None,
-    include_droop: bool = False,
-):
-    """Build a :class:`ChargeSharingEncoder` from a ``DesignPoint``.
-
-    Wires the capacitor sizing and mismatch sigmas (Pelgrom, from the
-    technology) of the design point into the encoder config.  Accepts any
-    object exposing the ``DesignPoint`` capacitor/clock properties (kept
-    duck-typed to avoid a circular import with ``repro.power``).
-
-    ``include_droop`` additionally applies the raw Table III leakage as
-    hold-node droop; off by default because at 1 pA on femtofarad holds it
-    is catastrophic within a frame -- circuit-level mitigations the
-    behavioural model abstracts away (leakage still counts in the static
-    power budget).
-    """
-    tech = point.technology
-    c_hold = point.cs_hold_capacitance
-    c_sample = point.cs_sample_capacitance
-    config = ChargeSharingConfig(
-        c_sample=c_sample,
-        c_hold=c_hold,
-        kt=tech.kt,
-        mismatch_sigma_sample=tech.cap_mismatch_sigma(c_sample),
-        mismatch_sigma_hold=tech.cap_mismatch_sigma(c_hold),
-        i_leak=tech.i_leak if include_droop else 0.0,
-        f_sample=point.f_sample,
-    )
-    return ChargeSharingEncoder(matrix=matrix, config=config, seed=seed)

@@ -1,19 +1,14 @@
 """Diagnostics for sensing-matrix / dictionary quality.
 
-Small numerical tools used when choosing CS parameters: mutual coherence,
-empirical restricted-isometry spread, and a Monte-Carlo recovery-rate probe.
-These back the design guidance of Section III (how sparse can s-SRBM be,
-how much compression M/N_phi tolerates) and are exercised by the property
-tests.
+Two small numerical tools used when choosing CS parameters: the mutual
+coherence of a dictionary, and the weight dynamic range of the
+charge-sharing encoder's effective matrix (the C_hold/C_sample ablation
+reports it).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.cs.reconstruction import omp
-from repro.util.rng import make_rng
-from repro.util.validation import check_positive_int
 
 
 def mutual_coherence(a: np.ndarray) -> float:
@@ -23,72 +18,6 @@ def mutual_coherence(a: np.ndarray) -> float:
     gram = (a / norms).T @ (a / norms)
     np.fill_diagonal(gram, 0.0)
     return float(np.max(np.abs(gram)))
-
-
-def rip_spread(
-    a: np.ndarray,
-    sparsity: int,
-    n_trials: int = 200,
-    seed: int | None = None,
-) -> tuple[float, float]:
-    """Empirical restricted-isometry spread of ``a`` for K-sparse vectors.
-
-    Samples ``n_trials`` random K-sparse unit vectors ``x`` and returns
-    ``(min, max)`` of ``||A x||^2`` -- an empirical view of the RIP
-    constants ``(1 - delta, 1 + delta)``.  Exact RIP verification is
-    NP-hard; this sampled spread is the standard practical proxy.
-    """
-    sparsity = check_positive_int("sparsity", sparsity)
-    n_trials = check_positive_int("n_trials", n_trials)
-    rng = make_rng(seed)
-    n = a.shape[1]
-    if sparsity > n:
-        raise ValueError(f"sparsity ({sparsity}) exceeds dictionary size ({n})")
-    energies = np.empty(n_trials)
-    for t in range(n_trials):
-        support = rng.choice(n, size=sparsity, replace=False)
-        x = np.zeros(n)
-        x[support] = rng.normal(size=sparsity)
-        x /= np.linalg.norm(x)
-        energies[t] = np.linalg.norm(a @ x) ** 2
-    return float(energies.min()), float(energies.max())
-
-
-def recovery_rate(
-    a: np.ndarray,
-    sparsity: int,
-    n_trials: int = 50,
-    snr_db: float = np.inf,
-    success_nmse: float = 1e-2,
-    seed: int | None = None,
-) -> float:
-    """Monte-Carlo exact-recovery probability of OMP on matrix ``a``.
-
-    Draws random K-sparse coefficient vectors, measures them (optionally
-    with additive white noise at ``snr_db``), reconstructs with OMP at the
-    true sparsity, and reports the fraction of trials whose normalised MSE
-    is below ``success_nmse``.
-    """
-    sparsity = check_positive_int("sparsity", sparsity)
-    n_trials = check_positive_int("n_trials", n_trials)
-    rng = make_rng(seed)
-    n = a.shape[1]
-    successes = 0
-    for t in range(n_trials):
-        support = rng.choice(n, size=sparsity, replace=False)
-        x = np.zeros(n)
-        x[support] = rng.normal(size=sparsity)
-        y = a @ x
-        if np.isfinite(snr_db):
-            signal_power = np.mean(y**2)
-            noise_rms = np.sqrt(signal_power / 10 ** (snr_db / 10))
-            y = y + rng.normal(0.0, noise_rms, size=y.shape)
-        x_hat = omp(a, y, sparsity=sparsity)
-        denom = np.sum(x**2)
-        nmse = np.sum((x - x_hat) ** 2) / denom if denom > 0 else 0.0
-        if nmse < success_nmse:
-            successes += 1
-    return successes / n_trials
 
 
 def weight_dynamic_range(phi_eff: np.ndarray) -> float:

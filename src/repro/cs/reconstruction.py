@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.kernels import registry
-from repro.kernels.numpy_backend import _lipschitz, least_squares_on_support
+from repro.kernels.numpy_backend import least_squares_on_support
 from repro.util.validation import check_positive, check_positive_int
 
 _GET_ACTIVE_TELEMETRY = None
@@ -189,58 +189,6 @@ def fista(
     return z[0] if single else z
 
 
-def iht(
-    a: np.ndarray,
-    y: np.ndarray,
-    sparsity: int,
-    n_iter: int = 200,
-    tol: float = 1e-10,
-) -> np.ndarray:
-    """Iterative Hard Thresholding (Blumensath & Davies).
-
-    Projected gradient descent onto the set of K-sparse vectors:
-    ``z <- H_K(z + step * A^T (y - A z))`` with step ``1/L``.  Converges
-    to a local optimum when A satisfies a RIP at level 3K; cheaper per
-    iteration than OMP's growing least-squares and, unlike the LASSO
-    solvers, returns an exactly K-sparse iterate.
-
-    Supports batches like :func:`fista`: ``y`` of shape (M,) or (B, M).
-    """
-    sparsity = check_positive_int("sparsity", sparsity)
-    n_iter = check_positive_int("n_iter", n_iter)
-    single = np.ndim(y) == 1
-    y2 = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    b, m = y2.shape
-    if m != a.shape[0]:
-        raise ValueError(f"y frames have length {m}, expected {a.shape[0]}")
-    n = a.shape[1]
-    if sparsity > n:
-        raise ValueError(f"sparsity ({sparsity}) exceeds dictionary size ({n})")
-    lipschitz = _lipschitz(a)
-    if lipschitz == 0:
-        out = np.zeros((b, n))
-        return out[0] if single else out
-    step = 1.0 / lipschitz
-    z = np.zeros((b, n))
-    start = time.perf_counter()
-    iterations = 0
-    for _ in range(n_iter):
-        iterations += 1
-        gradient = (z @ a.T - y2) @ a
-        candidate = z - step * gradient
-        # Keep the K largest-magnitude entries per row.
-        thresholds = np.partition(np.abs(candidate), n - sparsity, axis=1)[
-            :, n - sparsity
-        ][:, None]
-        z_next = np.where(np.abs(candidate) >= thresholds, candidate, 0.0)
-        if np.max(np.abs(z_next - z)) <= tol:
-            z = z_next
-            break
-        z = z_next
-    _note_solve("iht", iterations, b, time.perf_counter() - start)
-    return z[0] if single else z
-
-
 @dataclass
 class Reconstructor:
     """Basis + solver bundle used by the CS signal chain.
@@ -271,7 +219,7 @@ class Reconstructor:
     debias: bool = False
 
     def __post_init__(self) -> None:
-        if self.method not in ("fista", "ista", "omp", "iht"):
+        if self.method not in ("fista", "ista", "omp"):
             raise ValueError(f"unknown reconstruction method {self.method!r}")
         check_positive("lam_rel", self.lam_rel)
         check_positive_int("sparsity", self.sparsity)
@@ -295,8 +243,6 @@ class Reconstructor:
     def _solve(self, a: np.ndarray, y2: np.ndarray, single: bool) -> np.ndarray:
         if self.method == "omp":
             coeffs = np.stack([omp(a, row, sparsity=self.sparsity) for row in y2])
-        elif self.method == "iht":
-            coeffs = np.atleast_2d(iht(a, y2, sparsity=self.sparsity, n_iter=self.n_iter))
         else:
             lam_scale = np.max(np.abs(y2 @ a))
             lam = self.lam_rel * (lam_scale if lam_scale > 0 else 1.0)

@@ -1,41 +1,16 @@
-"""Seizure detection: the accuracy oracles of the pathfinding experiments.
+"""Seizure detection: the accuracy oracle of the pathfinding experiments.
 
-Three interchangeable detectors (all expose ``fit`` / ``predict`` /
-``accuracy`` / ``soft_accuracy``):
-
-* :class:`SpectralCombDetector` -- deterministic spectral detector
-  (comb ratio + floor-compensated gamma contrast + power, logistic
-  read-out).  The oracle used by the paper experiments.
-* :class:`SeizureDetector` -- engineered EEG features + numpy MLP.
-* :class:`FrameMlpDetector` -- raw-waveform frame MLP (closest in spirit
-  to the CNN of the paper's ref. [20]).
+:class:`SpectralCombDetector` is a deterministic spectral detector (comb
+ratio + floor-compensated gamma contrast + power, logistic read-out).  It
+stands in for the CNN of the paper's ref. [20] in every experiment; see
+:mod:`repro.detection.spectral` for why a deterministic oracle, not a
+learned network, drives the sweeps.
 """
 
-from repro.detection.classifier import SeizureDetector
-from repro.detection.features import (
-    FEATURE_BANDS,
-    FEATURE_NAMES,
-    dataset_features,
-    extract_feature_matrix,
-    extract_features,
-)
-from repro.detection.frame_detector import FrameMlpDetector
-from repro.detection.mlp import Mlp, MlpConfig, cross_entropy, softmax
 from repro.detection.spectral import SpectralCombDetector, logistic_fit, logistic_predict
 
 __all__ = [
-    "FEATURE_BANDS",
-    "FEATURE_NAMES",
-    "FrameMlpDetector",
-    "Mlp",
-    "MlpConfig",
-    "SeizureDetector",
     "SpectralCombDetector",
-    "cross_entropy",
-    "dataset_features",
-    "extract_feature_matrix",
-    "extract_features",
     "logistic_fit",
     "logistic_predict",
-    "softmax",
 ]

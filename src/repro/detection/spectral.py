@@ -22,9 +22,7 @@ quantization does the same; CS reconstruction -- which preserves dominant
 spectral lines while shrinking the broadband floor -- passes it almost
 unharmed.  That is precisely the averaging-effect asymmetry the paper
 reports, obtained here from first principles instead of from the training
-noise of a small neural network.  (Learned alternatives are provided by
-:class:`repro.detection.classifier.SeizureDetector` and
-:class:`repro.detection.frame_detector.FrameMlpDetector`.)
+noise of a small neural network.
 
 The logistic calibration (2 weights + bias, deterministic Newton solve)
 is fitted once on clean training records; accuracy and the soft accuracy

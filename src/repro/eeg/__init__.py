@@ -4,10 +4,8 @@ preprocessing (Step 4 of the paper's flow)."""
 from repro.eeg.dataset import NON_SEIZURE, SEIZURE, EegDataset, EegRecord
 from repro.eeg.preprocessing import (
     SIMULATION_RATE,
-    bandpass_record,
     resample_dataset,
     resample_record,
-    window_record,
 )
 from repro.eeg.synthetic import (
     BANDS,
@@ -30,12 +28,10 @@ __all__ = [
     "SEIZURE",
     "SIMULATION_RATE",
     "SyntheticEegConfig",
-    "bandpass_record",
     "colored_noise",
     "generate_background",
     "generate_record",
     "make_bonn_like_dataset",
     "resample_dataset",
     "resample_record",
-    "window_record",
 ]

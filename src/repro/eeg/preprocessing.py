@@ -1,4 +1,4 @@
-"""EEG preprocessing: resampling, filtering, windowing.
+"""EEG preprocessing: resampling.
 
 Implements the paper's Step 4 conditioning: the 173.61 Hz Bonn records are
 upsampled to 512 Hz to mimic a continuous-time signal entering the analog
@@ -8,11 +8,10 @@ exactly on the fixed-length records.
 
 from __future__ import annotations
 
-import numpy as np
 from scipy import signal as sp_signal
 
 from repro.eeg.dataset import EegDataset, EegRecord
-from repro.util.validation import check_positive, check_positive_int
+from repro.util.validation import check_positive
 
 #: The simulation rate used by the paper after upsampling.
 SIMULATION_RATE = 512.0
@@ -41,43 +40,3 @@ def resample_dataset(dataset: EegDataset, new_rate: float = SIMULATION_RATE) -> 
         name=f"{dataset.name}@{new_rate:g}Hz",
     )
 
-
-def bandpass_record(record: EegRecord, low: float, high: float, order: int = 4) -> EegRecord:
-    """Zero-phase Butterworth band-pass (standard EEG conditioning)."""
-    check_positive("low", low)
-    if not low < high < record.sample_rate / 2:
-        raise ValueError(
-            f"need low < high < Nyquist; got ({low}, {high}) at fs={record.sample_rate}"
-        )
-    sos = sp_signal.butter(order, [low, high], btype="band", output="sos", fs=record.sample_rate)
-    data = sp_signal.sosfiltfilt(sos, record.data)
-    return EegRecord(
-        data=data,
-        sample_rate=record.sample_rate,
-        label=record.label,
-        record_id=record.record_id,
-        meta={**record.meta, "bandpass": (low, high)},
-    )
-
-
-def window_record(
-    record: EegRecord, window_samples: int, overlap: float = 0.0
-) -> np.ndarray:
-    """Slice a record into (n_windows, window_samples) frames.
-
-    ``overlap`` is the fractional overlap between consecutive windows
-    (0 = disjoint).  Trailing samples that do not fill a window are
-    dropped.
-    """
-    window_samples = check_positive_int("window_samples", window_samples)
-    if not 0.0 <= overlap < 1.0:
-        raise ValueError(f"overlap must be in [0, 1), got {overlap}")
-    step = max(1, int(round(window_samples * (1.0 - overlap))))
-    starts = range(0, record.data.size - window_samples + 1, step)
-    windows = [record.data[s : s + window_samples] for s in starts]
-    if not windows:
-        raise ValueError(
-            f"record of {record.data.size} samples is shorter than one window "
-            f"({window_samples})"
-        )
-    return np.stack(windows)

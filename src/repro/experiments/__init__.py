@@ -38,7 +38,6 @@ from repro.experiments.runner import (
     ExperimentScale,
     FistaReconstructorFactory,
     active_scale,
-    augment_training_set,
     build_run_manifest,
     default_workers,
     make_harness,
@@ -89,7 +88,6 @@ __all__ = [
     "analyze_fig7",
     "analyze_fig8",
     "analyze_fig9",
-    "augment_training_set",
     "build_robustness_manifest",
     "build_run_manifest",
     "make_harness",

@@ -37,7 +37,7 @@ from repro.core.pareto import Objective
 from repro.core.results import Evaluation, ExplorationResult
 from repro.core.resources import resources_section
 from repro.core.telemetry import Telemetry, RunManifest
-from repro.cs.dictionaries import dct_basis, wavelet_basis
+from repro.cs.dictionaries import dct_basis
 from repro.cs.reconstruction import Reconstructor
 from repro.kernels import registry as kernel_registry
 from repro.detection.spectral import SpectralCombDetector
@@ -126,45 +126,6 @@ def default_workers() -> int | None:
     if workers < 1:
         raise ValueError(f"REPRO_WORKERS={workers} must be >= 1")
     return workers
-
-
-def _shrink(records: np.ndarray, keep: float, psi: np.ndarray) -> np.ndarray:
-    """Per-frame hard thresholding in basis ``psi``, keeping a fraction."""
-    frames = records.reshape(records.shape[0], -1, CS_N_PHI)
-    coefficients = frames @ psi
-    k = max(1, int(keep * CS_N_PHI))
-    thresholds = np.sort(np.abs(coefficients), axis=2)[:, :, -k][..., None]
-    kept = np.where(np.abs(coefficients) >= thresholds, coefficients, 0.0)
-    return (kept @ psi.T).reshape(records.shape)
-
-
-def augment_training_set(
-    records: np.ndarray,
-    labels: np.ndarray,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shrinkage augmentation of the detector training set.
-
-    Adds, per clean record, sparse-shrinkage copies (per-frame hard
-    thresholding in the DCT and db4 wavelet domains) that mimic the
-    artefacts of l1 reconstruction.  This reflects the realistic CS
-    deployment protocol: the receiver-side classifier always sees
-    *reconstructed* signals, so training it on reconstruction-like data is
-    standard practice.  No analog-noise augmentation is applied -- the
-    deployed noise floor is a design unknown at training time, which is
-    exactly why the paper's accuracy goal is sensitive to it.
-    """
-    del seed  # shrinkage is deterministic; kept for signature stability
-    psi_dct = dct_basis(CS_N_PHI)
-    psi_db4 = wavelet_basis(CS_N_PHI, "db4")
-    variants = [
-        records,
-        _shrink(records, 0.08, psi_dct),
-        _shrink(records, 0.06, psi_db4),
-        _shrink(records, 0.12, psi_db4),
-    ]
-    augmented = np.vstack(variants)
-    return augmented, np.tile(labels, len(variants))
 
 
 @lru_cache(maxsize=8)

@@ -643,6 +643,10 @@ class FleetCoordinator:
             if table is None:
                 # The sweep has not started (worker connected early).
                 return {"type": "wait", "delay_s": 0.05}
+            if self._interrupted:
+                # The run loop is about to raise: leases granted now
+                # would let fast workers finish points past the interrupt.
+                return {"type": "wait", "delay_s": 0.05}
             if table.all_done:
                 return {"type": "done"}
             if self._fair_start_left > 0 and worker in self._fair_start_granted:

@@ -1,5 +1,4 @@
-"""Tests of the Block abstraction, SystemModel chains, SystemGraph DAGs and
-the Simulator."""
+"""Tests of the Block abstraction, SystemModel chains and the Simulator."""
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ import pytest
 from repro.core.block import Block, FunctionBlock, PassthroughBlock, SimulationContext
 from repro.core.signal import Signal
 from repro.core.simulator import SimulationResult, Simulator
-from repro.core.system import SystemGraph, SystemModel
+from repro.core.system import SystemModel
 from repro.power.technology import DesignPoint
 
 
@@ -177,60 +176,3 @@ class TestSimulator:
         Simulator(SystemModel([Probe("probe")]), point, seed=0).run(make_signal(2))
         assert captured["point"].n_bits == 7
 
-
-class TestSystemGraph:
-    def test_linear_graph_matches_chain(self):
-        graph = SystemGraph()
-        graph.add(AddConstant(1, "a")).add(AddConstant(2, "b")).connect("a", "b")
-        ctx = SimulationContext()
-        outputs = graph.run({"a": make_signal(4)}, ctx)
-        assert list(outputs) == ["b"]
-        np.testing.assert_array_equal(outputs["b"].data, np.full(4, 3.0))
-
-    def test_fanout_two_sinks(self):
-        graph = SystemGraph()
-        graph.add(AddConstant(1, "src")).add(AddConstant(10, "s1")).add(AddConstant(20, "s2"))
-        graph.connect("src", "s1").connect("src", "s2")
-        outputs = graph.run({"src": make_signal(2)}, SimulationContext())
-        assert set(outputs) == {"s1", "s2"}
-        np.testing.assert_array_equal(outputs["s1"].data, np.full(2, 11.0))
-        np.testing.assert_array_equal(outputs["s2"].data, np.full(2, 21.0))
-
-    def test_multi_input_slots_ordered(self):
-        class Subtract(Block):
-            def process(self, signals, ctx):
-                first, second = signals
-                return first.replaced(data=first.data - second.data)
-
-        graph = SystemGraph()
-        graph.add(AddConstant(5, "a")).add(AddConstant(2, "b")).add(Subtract("diff"))
-        graph.connect("a", "diff", slot=0).connect("b", "diff", slot=1)
-        outputs = graph.run(
-            {"a": make_signal(2), "b": make_signal(2)}, SimulationContext()
-        )
-        np.testing.assert_array_equal(outputs["diff"].data, np.full(2, 3.0))
-
-    def test_cycle_rejected(self):
-        graph = SystemGraph()
-        graph.add(AddConstant(1, "a")).add(AddConstant(2, "b"))
-        graph.connect("a", "b")
-        with pytest.raises(ValueError, match="cycle"):
-            graph.connect("b", "a")
-
-    def test_missing_input_rejected(self):
-        graph = SystemGraph()
-        graph.add(AddConstant(1, "a"))
-        with pytest.raises(ValueError, match="no input"):
-            graph.run({}, SimulationContext())
-
-    def test_unknown_node_rejected(self):
-        graph = SystemGraph()
-        graph.add(AddConstant(1, "a"))
-        with pytest.raises(KeyError):
-            graph.connect("a", "zzz")
-
-    def test_duplicate_add_rejected(self):
-        graph = SystemGraph()
-        graph.add(AddConstant(1, "a"))
-        with pytest.raises(ValueError):
-            graph.add(AddConstant(2, "a"))

@@ -8,7 +8,6 @@ from repro.cs.charge_sharing import (
     ChargeSharingEncoder,
     EncoderPerturbation,
     effective_matrix,
-    encoder_from_design,
 )
 from repro.cs.matrices import gaussian, srbm_balanced
 
@@ -282,19 +281,3 @@ class TestPerturbation:
         pert = EncoderPerturbation.draw(2, 8, 0.0, 0.0, rng)
         assert np.all(pert.sample_errors == 0)
 
-
-class TestEncoderFromDesign:
-    def test_wires_capacitances(self, cs_point):
-        mat = srbm_balanced(cs_point.cs_m, cs_point.cs_n_phi, 2, seed=1)
-        enc = encoder_from_design(cs_point, mat, seed=1)
-        assert enc.config.c_hold == pytest.approx(cs_point.cs_hold_capacitance)
-        assert enc.config.c_sample == pytest.approx(cs_point.cs_sample_capacitance)
-
-    def test_droop_disabled_by_default(self, cs_point):
-        mat = srbm_balanced(cs_point.cs_m, cs_point.cs_n_phi, 2, seed=1)
-        assert encoder_from_design(cs_point, mat).config.i_leak == 0.0
-
-    def test_droop_opt_in(self, cs_point):
-        mat = srbm_balanced(cs_point.cs_m, cs_point.cs_n_phi, 2, seed=1)
-        enc = encoder_from_design(cs_point, mat, include_droop=True)
-        assert enc.config.i_leak == cs_point.technology.i_leak

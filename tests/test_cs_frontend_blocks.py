@@ -46,6 +46,17 @@ class TestCsEncoderBlock:
         mat = srbm_balanced(cs_point.cs_m, cs_point.cs_n_phi, cs_point.cs_sparsity, seed=7)
         return CsEncoderBlock.from_design(cs_point, mat, seed=seed), mat
 
+    def test_from_design_wires_capacitances(self, cs_point):
+        config = self.make_block(cs_point)[0].config
+        tech = cs_point.technology
+        assert config.c_hold == pytest.approx(cs_point.cs_hold_capacitance)
+        assert config.c_sample == pytest.approx(cs_point.cs_sample_capacitance)
+        assert config.mismatch_sigma_hold == tech.cap_mismatch_sigma(config.c_hold)
+        assert config.mismatch_sigma_sample == tech.cap_mismatch_sigma(config.c_sample)
+
+    def test_from_design_droop_disabled(self, cs_point):
+        assert self.make_block(cs_point)[0].config.i_leak == 0.0
+
     def test_output_shape_and_domain(self, cs_point):
         block, mat = self.make_block(cs_point)
         stream = Signal(np.zeros(2 * 384), cs_point.f_sample)

@@ -1,4 +1,4 @@
-"""Tests of the CS diagnostics (coherence, RIP spread, recovery rate)."""
+"""Tests of the CS diagnostics (coherence, weight dynamic range)."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,6 @@ import pytest
 from repro.cs.charge_sharing import ChargeSharingConfig, ChargeSharingEncoder
 from repro.cs.diagnostics import (
     mutual_coherence,
-    recovery_rate,
-    rip_spread,
     weight_dynamic_range,
 )
 from repro.cs.matrices import gaussian, srbm_balanced
@@ -30,47 +28,6 @@ class TestMutualCoherence:
         a = np.zeros((4, 3))
         a[:, 0] = 1.0
         assert mutual_coherence(a) == pytest.approx(0.0)
-
-
-class TestRipSpread:
-    def test_orthonormal_rows_bounded_above(self):
-        # A matrix with orthonormal rows is a projection: ||Ax|| <= ||x||.
-        q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(64, 16)))
-        a = q.T  # 16 x 64, orthonormal rows
-        _, hi = rip_spread(a, 2, n_trials=50, seed=2)
-        assert hi <= 1.0 + 1e-9
-
-    def test_gaussian_spread_brackets_one(self):
-        a = gaussian(48, 128, seed=3).phi
-        lo, hi = rip_spread(a, 4, n_trials=200, seed=4)
-        assert lo < 1.0 < hi
-        assert lo > 0.2
-        assert hi < 2.5
-
-    def test_deterministic_given_seed(self):
-        a = gaussian(32, 64, seed=1).phi
-        assert rip_spread(a, 3, seed=9) == rip_spread(a, 3, seed=9)
-
-    def test_rejects_oversparse(self):
-        a = gaussian(8, 16, seed=1).phi
-        with pytest.raises(ValueError):
-            rip_spread(a, 17)
-
-
-class TestRecoveryRate:
-    def test_high_rate_in_easy_regime(self):
-        a = gaussian(48, 96, seed=5).phi
-        assert recovery_rate(a, sparsity=3, n_trials=30, seed=6) >= 0.9
-
-    def test_low_rate_in_hard_regime(self):
-        a = gaussian(8, 96, seed=5).phi
-        assert recovery_rate(a, sparsity=7, n_trials=30, seed=6) <= 0.5
-
-    def test_noise_degrades_rate(self):
-        a = gaussian(32, 96, seed=5).phi
-        clean = recovery_rate(a, sparsity=4, n_trials=30, seed=7)
-        noisy = recovery_rate(a, sparsity=4, n_trials=30, snr_db=5.0, seed=7)
-        assert noisy <= clean
 
 
 class TestWeightDynamicRange:

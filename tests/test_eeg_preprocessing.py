@@ -1,4 +1,4 @@
-"""Tests of EEG preprocessing (resampling, bandpass, windowing)."""
+"""Tests of EEG preprocessing (resampling)."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,8 @@ import pytest
 from repro.eeg.dataset import EegDataset, EegRecord
 from repro.eeg.preprocessing import (
     SIMULATION_RATE,
-    bandpass_record,
     resample_dataset,
     resample_record,
-    window_record,
 )
 
 
@@ -54,48 +52,3 @@ class TestResample:
         up = resample_record(record, 512.0)
         assert np.std(up.data) == pytest.approx(np.std(record.data), rel=0.05)
 
-
-class TestBandpass:
-    def test_passband_tone_survives(self):
-        record = tone_record(freq=10.0, rate=512.0, duration=4.0)
-        out = bandpass_record(record, 1.0, 40.0)
-        assert np.std(out.data) == pytest.approx(np.std(record.data), rel=0.1)
-
-    def test_stopband_tone_removed(self):
-        record = tone_record(freq=100.0, rate=512.0, duration=8.0)
-        out = bandpass_record(record, 1.0, 40.0)
-        # Compare away from the filtfilt edge transients (the 1 Hz low
-        # edge gives the filter a ~1 s impulse response).
-        core = slice(1024, -1024)
-        assert np.std(out.data[core]) < 0.05 * np.std(record.data[core])
-
-    def test_rejects_bad_band(self):
-        record = tone_record(rate=512.0)
-        with pytest.raises(ValueError):
-            bandpass_record(record, 40.0, 10.0)
-        with pytest.raises(ValueError):
-            bandpass_record(record, 10.0, 400.0)
-
-
-class TestWindowing:
-    def test_disjoint_windows(self):
-        record = EegRecord(np.arange(100, dtype=float), 100.0, 0, "w")
-        windows = window_record(record, 30)
-        assert windows.shape == (3, 30)
-        np.testing.assert_array_equal(windows[1], np.arange(30, 60))
-
-    def test_overlap(self):
-        record = EegRecord(np.arange(100, dtype=float), 100.0, 0, "w")
-        windows = window_record(record, 40, overlap=0.5)
-        assert windows.shape == (4, 40)
-        np.testing.assert_array_equal(windows[1][:5], np.arange(20, 25))
-
-    def test_too_short_rejected(self):
-        record = EegRecord(np.arange(10, dtype=float), 100.0, 0, "w")
-        with pytest.raises(ValueError):
-            window_record(record, 30)
-
-    def test_bad_overlap_rejected(self):
-        record = EegRecord(np.arange(100, dtype=float), 100.0, 0, "w")
-        with pytest.raises(ValueError):
-            window_record(record, 10, overlap=1.0)

@@ -13,7 +13,7 @@ from repro.experiments.fig7 import analyze_fig7, max_quality, quality_at_power, 
 from repro.experiments.fig8 import analyze_fig8
 from repro.experiments.fig9 import analyze_fig9
 from repro.experiments.fig10 import analyze_fig10
-from repro.experiments.runner import SCALES, active_scale, augment_training_set, make_harness
+from repro.experiments.runner import SCALES, active_scale, make_harness
 from repro.experiments.table1 import TABLE1_COLUMNS, render_table1, verify_capability_evidence
 from repro.experiments.table2 import power_model_rows, reference_operating_points, render_table2
 from repro.experiments.table3 import paper_search_space, render_table3, space_summary
@@ -244,14 +244,6 @@ class TestRunner:
         monkeypatch.setenv("REPRO_SCALE", "bogus")
         with pytest.raises(ValueError):
             active_scale()
-
-    def test_augmentation_multiplies_records(self, rng):
-        records = rng.normal(size=(4, 2 * 384))
-        labels = np.array([0, 1, 0, 1])
-        augmented, aug_labels = augment_training_set(records, labels, seed=1)
-        assert augmented.shape[0] == 4 * 4
-        assert aug_labels.shape[0] == 4 * 4
-        np.testing.assert_array_equal(augmented[:4], records)
 
     def test_smoke_harness_builds_and_caches(self):
         h1 = make_harness("smoke")

@@ -6,6 +6,7 @@ import pytest
 from repro.core.explorer import DesignSpaceExplorer, FrontEndEvaluator
 from repro.core.parameters import ParameterSpace
 from repro.core.results import Evaluation
+from repro.detection.spectral import SpectralCombDetector
 from repro.power.technology import DesignPoint
 
 FS = 2.1 * 256.0
@@ -69,12 +70,29 @@ class TestFrontEndEvaluator:
             FrontEndEvaluator(np.zeros(100), None, FS)
 
     def test_unfitted_detector_rejected(self):
-        from repro.detection.classifier import SeizureDetector
-
         with pytest.raises(ValueError, match="fitted"):
             FrontEndEvaluator(
-                small_corpus(), np.zeros(4, dtype=int), FS, detector=SeizureDetector(FS)
+                small_corpus(), np.zeros(4, dtype=int), FS, detector=SpectralCombDetector(FS)
             )
+
+    @staticmethod
+    def fitted_detector(rate):
+        records = np.random.default_rng(0).normal(size=(4, 2048))
+        return SpectralCombDetector(rate).fit(records, np.array([0, 1, 0, 1]))
+
+    def test_detector_rate_mismatch_rejected(self):
+        # A detector calibrated at the raw Bonn rate mis-scores records at
+        # f_sample; the evaluator must refuse it and name both rates.
+        labels = np.zeros(4, dtype=int)
+        with pytest.raises(ValueError, match=r"records are at 537\.6 Hz.* at 173\.61 Hz"):
+            FrontEndEvaluator(small_corpus(), labels, FS, detector=self.fitted_detector(173.61))
+        # The design-point rule: 3 % apart is rejected, 1.5 % accepted.
+        with pytest.raises(ValueError, match="recalibrate"):
+            FrontEndEvaluator(small_corpus(), labels, FS, detector=self.fitted_detector(FS / 0.97))
+        evaluator = FrontEndEvaluator(
+            small_corpus(), labels, FS, detector=self.fitted_detector(FS * 1.015)
+        )
+        assert "accuracy" in evaluator.evaluate(DesignPoint()).metrics
 
 
 class TestDesignSpaceExplorer:

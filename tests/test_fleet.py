@@ -499,6 +499,52 @@ class TestFleetExplorer:
         rebuilt = RunManifest.from_dict(json.loads(json.dumps(manifest.to_dict())))
         assert rebuilt.fleet == manifest.fleet
 
+    def test_no_lease_after_interrupt(self):
+        """After the completion that crosses ``interrupt_after_points``,
+        the next request gets no lease, however fast the worker is."""
+        from repro.fleet import FleetCoordinator
+
+        coordinator = FleetCoordinator("f" * 64, policy=DEFAULT_POLICY)
+        interrupted = threading.Event()
+
+        def run():
+            try:
+                coordinator.run(
+                    points(6), lambda *row: None, chunk_size=1, interrupt_after_points=1
+                )
+            except KeyboardInterrupt:
+                interrupted.set()
+
+        def ask(writer, reader, message, expect):
+            protocol.send_message(writer, message)
+            return protocol.recv_message(reader, expect=expect)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        try:
+            with socket.create_connection(coordinator.endpoint, timeout=10) as sock:
+                reader = sock.makefile("r", encoding="utf-8", newline="\n")
+                writer = sock.makefile("w", encoding="utf-8", newline="\n")
+                hello = {"type": "hello", "protocol": protocol.PROTOCOL_VERSION, "label": "w"}
+                ask(writer, reader, hello, ("welcome",))
+                lease = ask(writer, reader, {"type": "request"}, ("lease", "wait"))
+                while lease["type"] == "wait" and runner.is_alive():  # not started yet
+                    lease = ask(writer, reader, {"type": "request"}, ("lease", "wait"))
+                chunk = protocol.decode_chunk(lease["points"])
+                complete = {
+                    "type": "complete",
+                    "lease": lease["lease"],
+                    "chunk_digest": lease["chunk_digest"],
+                    "rows": protocol.encode_rows(rows_for(chunk)),
+                }
+                assert ask(writer, reader, complete, ("ack",))["fresh"] == 1
+                after = ask(writer, reader, {"type": "request"}, ("lease", "wait", "done"))
+                assert after["type"] == "wait"
+            runner.join(10)
+            assert interrupted.is_set()
+        finally:
+            coordinator.close()
+
     def test_fingerprint_mismatch_refuses_worker(self):
         """A worker on the wrong evaluator must refuse, not poison."""
         from repro.fleet import FleetCoordinator, FleetWorker

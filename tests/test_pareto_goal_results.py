@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.goal import (
     Goal,
-    WeightedGoal,
     accuracy_power_goal,
     area_constrained_goal,
     snr_power_goal,
@@ -166,14 +165,6 @@ class TestGoals:
     def test_goal_requires_objectives(self):
         with pytest.raises(ValueError):
             Goal(name="empty", objectives=())
-
-    def test_weighted_goal_score(self):
-        goal = WeightedGoal({"accuracy": 1.0, "power_uw": -0.1})
-        assert goal.score({"accuracy": 0.9, "power_uw": 2.0}) == pytest.approx(0.7)
-
-    def test_weighted_goal_empty_rejected(self):
-        with pytest.raises(ValueError):
-            WeightedGoal().score({})
 
 
 class TestEvaluation:

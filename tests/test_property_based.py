@@ -280,25 +280,6 @@ def test_noise_budget_total_dominates_contributors(point):
     assert abs(sum(budget.fractions().values()) - 1.0) < 1e-9
 
 
-# --- IHT invariants -----------------------------------------------------------------
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=8),
-    st.integers(0, 2**31 - 1),
-)
-def test_iht_iterates_are_k_sparse(k, seed):
-    from repro.cs.matrices import gaussian
-    from repro.cs.reconstruction import iht
-
-    rng = np.random.default_rng(seed)
-    a = gaussian(32, 64, seed=seed).phi
-    y = rng.normal(size=32)
-    z = iht(a, y, sparsity=k, n_iter=30)
-    assert np.count_nonzero(z) <= k
-
-
 # --- area model invariants ------------------------------------------------------------
 
 

@@ -15,7 +15,6 @@ PACKAGES = {
         "Signal",
         "Simulator",
         "SystemModel",
-        "SystemGraph",
         "ParameterSpace",
         "CompositeSpace",
         "DesignSpaceExplorer",
@@ -35,7 +34,6 @@ PACKAGES = {
         "SampleHold",
         "SarAdc",
         "Transmitter",
-        "Chopper",
         "CsEncoderBlock",
         "DigitalCsEncoderBlock",
         "CsReconstructionBlock",
@@ -76,7 +74,6 @@ PACKAGES = {
         "omp",
         "ista",
         "fista",
-        "iht",
         "mutual_coherence",
     ],
     "repro.eeg": [
@@ -86,13 +83,7 @@ PACKAGES = {
         "resample_dataset",
         "SyntheticEegConfig",
     ],
-    "repro.detection": [
-        "SpectralCombDetector",
-        "SeizureDetector",
-        "FrameMlpDetector",
-        "Mlp",
-        "extract_features",
-    ],
+    "repro.detection": ["SpectralCombDetector"],
     "repro.metrics": ["snr_vs_reference", "analyze_sine", "sndr_sine", "nmse", "prd"],
     "repro.experiments": [
         "make_harness",

@@ -197,52 +197,6 @@ class TestReconstructor:
             Reconstructor(method="lars")
 
 
-class TestIht:
-    def test_exact_recovery(self):
-        # IHT needs a stronger RIP than OMP/FISTA: use a comfortable
-        # measurement count (m = n/2) where projected gradient is reliable.
-        a, x, y, support = sparse_problem(m=64, k=4, seed=2)
-        from repro.cs.reconstruction import iht
-
-        z = iht(a, y, sparsity=4, n_iter=500)
-        nmse = np.sum((x - z) ** 2) / np.sum(x**2)
-        assert nmse < 1e-4
-        assert set(np.flatnonzero(z)) == set(support)
-
-    def test_output_exactly_k_sparse(self):
-        from repro.cs.reconstruction import iht
-
-        a, _, y, _ = sparse_problem(k=6, seed=3)
-        z = iht(a, y, sparsity=6, n_iter=100)
-        assert np.count_nonzero(z) <= 6
-
-    def test_batched_matches_single(self, rng):
-        from repro.cs.reconstruction import iht
-
-        a, _, _, _ = sparse_problem(seed=4)
-        ys = rng.normal(size=(4, a.shape[0]))
-        batched = iht(a, ys, sparsity=5, n_iter=100)
-        for i in range(4):
-            np.testing.assert_allclose(
-                batched[i], iht(a, ys[i], sparsity=5, n_iter=100), atol=1e-12
-            )
-
-    def test_rejects_oversparse(self):
-        from repro.cs.reconstruction import iht
-
-        a, _, y, _ = sparse_problem()
-        with pytest.raises(ValueError):
-            iht(a, y, sparsity=10_000)
-
-    def test_reconstructor_iht_method(self):
-        from repro.cs.reconstruction import Reconstructor
-
-        a, x, y, _ = sparse_problem(m=64, k=3, seed=8)
-        rec = Reconstructor(basis=None, method="iht", sparsity=3, n_iter=300)
-        x_hat = rec.recover(a, y)
-        assert np.sum((x - x_hat) ** 2) / np.sum(x**2) < 1e-3
-
-
 class TestEffectiveDictionaryCache:
     """Recovery depends on the content of Phi_eff, not on object identity:
     equal bytes, a pickled copy and a strided layout all recover alike."""

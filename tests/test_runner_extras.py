@@ -1,37 +1,14 @@
 """Extra coverage of the experiment runner and harness plumbing."""
 
-import numpy as np
 import pytest
 
 from repro.experiments.runner import (
     F_SAMPLE,
     SCALES,
     ExperimentScale,
-    _shrink,
     make_harness,
     run_search_space,
 )
-from repro.cs.dictionaries import dct_basis
-
-
-class TestShrink:
-    def test_keeps_requested_fraction(self, rng):
-        records = rng.normal(size=(2, 2 * 384))
-        psi = dct_basis(384)
-        out = _shrink(records, 0.1, psi)
-        frames = out.reshape(2, -1, 384) @ psi
-        k = int(0.1 * 384)
-        for record in frames.reshape(-1, 384):
-            # Threshold above float64 matmul round-off (~1e-13 absolute).
-            floor = 1e-9 * np.max(np.abs(record))
-            assert np.count_nonzero(np.abs(record) > floor) <= k + 1
-
-    def test_preserves_energy_mostly(self, rng):
-        # Compressible content survives shrinkage nearly intact.
-        t = np.arange(2 * 384) / F_SAMPLE
-        records = np.sin(2 * np.pi * 10 * t)[None, :]
-        out = _shrink(records, 0.1, dct_basis(384))
-        assert np.linalg.norm(out) > 0.95 * np.linalg.norm(records)
 
 
 class TestScalesConsistency:

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.blocks.dsp import Decimator, FirFilter, Normalizer
-from repro.blocks.sources import sine
+from repro.blocks.dsp import Normalizer
 from repro.blocks.transmitter import Transmitter
 from repro.core.block import SimulationContext
 from repro.core.signal import Signal
@@ -56,51 +55,6 @@ class TestTransmitter:
         assert tx.average_power(duration) == pytest.approx(
             transmitter_power(baseline_point), rel=0.01
         )
-
-
-class TestFirFilter:
-    def test_lowpass_attenuates_high_tone(self):
-        filt = FirFilter(cutoff=50.0, n_taps=101)
-        tone = sine(frequency=400.0, amplitude=1.0, sample_rate=1000.0, n_samples=4096)
-        out = filt.process(tone, ctx())
-        assert np.std(out.data[200:-200]) < 0.05
-
-    def test_lowpass_passes_low_tone(self):
-        filt = FirFilter(cutoff=100.0, n_taps=101)
-        tone = sine(frequency=10.0, amplitude=1.0, sample_rate=1000.0, n_samples=4096)
-        out = filt.process(tone, ctx())
-        assert np.std(out.data[200:-200]) == pytest.approx(np.std(tone.data), rel=0.05)
-
-    def test_bandpass(self):
-        filt = FirFilter(cutoff=(40.0, 60.0), n_taps=201)
-        inband = sine(frequency=50.0, amplitude=1.0, sample_rate=1000.0, n_samples=4096)
-        outband = sine(frequency=200.0, amplitude=1.0, sample_rate=1000.0, n_samples=4096)
-        assert np.std(filt.process(inband, ctx()).data[300:-300]) > 0.6
-        assert np.std(filt.process(outband, ctx()).data[300:-300]) < 0.05
-
-    def test_length_preserved(self):
-        filt = FirFilter(cutoff=100.0, n_taps=31)
-        out = filt.process(Signal(np.random.default_rng(0).normal(size=500), 1000.0), ctx())
-        assert out.data.size == 500
-
-
-class TestDecimator:
-    def test_rate_and_length(self):
-        dec = Decimator(factor=4)
-        out = dec.process(Signal(np.zeros(400), 1000.0), ctx())
-        assert out.sample_rate == 250.0
-        assert out.data.size == 100
-
-    def test_factor_one_identity(self):
-        dec = Decimator(factor=1)
-        sig = Signal(np.arange(8, dtype=float), 100.0)
-        assert dec.process(sig, ctx()) is sig
-
-    def test_antialias(self):
-        dec = Decimator(factor=4)
-        tone = sine(frequency=450.0, amplitude=1.0, sample_rate=1000.0, n_samples=4000)
-        out = dec.process(tone, ctx())
-        assert np.std(out.data) < 0.1  # above new Nyquist -> removed
 
 
 class TestNormalizer:
