@@ -1,4 +1,4 @@
-"""Parallel explorer benchmark: serial vs process-pool wall-clock.
+"""Parallel explorer benchmark: serial vs process (local fleet) wall-clock.
 
 Sweeps the Fig. 7 *small*-scale grid (48 design points) with a toy
 evaluator whose per-point cost is a fixed delay, standing in for the

@@ -853,7 +853,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             registry.select(args.kernel_backend)
         except UnknownBackendError as exc:
             parser.error(str(exc))
-        # Pool/fleet workers inherit the selection through the
+        # Worker processes inherit the selection through the
         # environment (works under both fork and spawn start methods).
         os.environ[ENV_VAR] = args.kernel_backend
     # Artifact flags imply profiling: each names a telemetry artifact.

@@ -1,11 +1,14 @@
-"""Sweep execution infrastructure: caching, checkpointing, worker plumbing.
+"""Sweep execution infrastructure: caching, checkpointing, point isolation.
 
 The design-space sweep is the framework's hot path (hundreds of points,
 each a full-corpus simulation), so :meth:`DesignSpaceExplorer.explore`
-layers three orthogonal mechanisms on top of the bare evaluation loop:
+layers these mechanisms on top of the bare evaluation loop:
 
-* **Parallel dispatch** -- design points fan out over a process or thread
-  pool in index-tagged chunks; results reassemble in grid order, so the
+* **Parallel dispatch** -- design points fan out in index-tagged chunks,
+  over a thread pool (:func:`evaluate_chunk_with`) or, for
+  ``executor="process"`` and ``"fleet"``, as leases to worker processes
+  (:mod:`repro.fleet`, whose requeue -> split -> quarantine ladder is
+  the sweep's crash recovery).  Results reassemble in grid order, so the
   returned :class:`~repro.core.results.ExplorationResult` is bit-identical
   to a serial sweep regardless of completion order.  Per-point seeds are
   derived from the master seed and the point description (never from the
@@ -23,9 +26,9 @@ layers three orthogonal mechanisms on top of the bare evaluation loop:
   :class:`Evaluation`, not a stalled sweep) and bounded retry with
   exponential backoff for transient failures.
 
-Worker processes receive the evaluator once (pool initializer), not per
-task, so the corpus array crosses the process boundary a single time per
-worker.
+Worker processes receive the evaluator once, when they start, not per
+chunk, so the corpus array crosses the process boundary a single time
+per worker.
 """
 
 from __future__ import annotations
@@ -44,13 +47,7 @@ from pathlib import Path
 from repro.core import flight
 from repro.core.results import Evaluation
 from repro.core.serialization import evaluation_from_dict, evaluation_to_dict
-from repro.core.telemetry import (
-    Telemetry,
-    TelemetrySnapshot,
-    get_active,
-    set_active,
-)
-from repro.core.tracing import Tracer
+from repro.core.telemetry import Telemetry, get_active
 from repro.power.technology import DesignPoint
 from repro.util.fsio import atomic_write_text
 from repro.util.rng import derive_seed
@@ -76,7 +73,7 @@ class PointEvaluationError(RuntimeError):
     Parallel chunks surface exceptions at chunk granularity; without this
     wrapper a strict sweep's traceback gives no indication of *which*
     design point failed.  The message embeds ``point.describe()`` and the
-    original error text, and the instance pickles across process pools.
+    original error text, and the instance pickles across processes.
     """
 
     def __init__(self, point_description: str, message: str):
@@ -354,86 +351,6 @@ def chunk_pending(
     return [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
 
 
-# --- worker-side entry points (must be module-level for pickling) ------------
-
-_WORKER_STATE: dict = {}
-
-
-@dataclass(frozen=True)
-class WorkerTelemetryConfig:
-    """Picklable description of the telemetry a pool worker should run.
-
-    The driver cannot ship its :class:`Telemetry` to workers (locks and
-    loggers do not pickle, and a copy would diverge immediately);
-    instead it ships this config, each worker builds a *real* local
-    telemetry from it, and chunk results carry
-    :class:`~repro.core.telemetry.TelemetrySnapshot` deltas home for
-    :meth:`Telemetry.merge`.  ``enabled=False`` (the default when the
-    driver itself runs disabled telemetry) keeps workers on the
-    zero-overhead :class:`NullTelemetry` path.
-    """
-
-    enabled: bool = False
-    trace: bool = False
-    max_events: int = 2_000
-
-
-def worker_label() -> str:
-    """The telemetry lane label of the current process."""
-    return f"worker-{os.getpid()}"
-
-
-def _init_worker(
-    evaluator: Callable,
-    strict: bool,
-    policy: ExecutionPolicy = DEFAULT_POLICY,
-    telemetry_config: WorkerTelemetryConfig | None = None,
-) -> None:
-    """Process-pool initializer: receive the evaluator once per worker.
-
-    When the driver profiles, also build this worker's telemetry (with a
-    tracer lane named after the pid) and install it as the worker's
-    ambient sink, so the simulator/solver instrumentation deep inside
-    evaluations reports here instead of going dark.
-    """
-    _WORKER_STATE["evaluator"] = evaluator
-    _WORKER_STATE["strict"] = strict
-    _WORKER_STATE["policy"] = policy
-    _WORKER_STATE.pop("telemetry", None)
-    if telemetry_config is not None and telemetry_config.enabled:
-        tracer = Tracer(label=worker_label()) if telemetry_config.trace else None
-        telemetry = Telemetry(max_events=telemetry_config.max_events, tracer=tracer)
-        _WORKER_STATE["telemetry"] = telemetry
-        set_active(telemetry)
-
-
-def _worker_snapshot() -> TelemetrySnapshot | None:
-    """Drain this worker's telemetry delta (``None`` when not profiling)."""
-    telemetry: Telemetry | None = _WORKER_STATE.get("telemetry")
-    if telemetry is None:
-        return None
-    return telemetry.drain_snapshot(label=worker_label())
-
-
-def _evaluate_chunk(
-    chunk: list[tuple[int, DesignPoint]],
-) -> tuple[list[tuple[int, Evaluation, float, dict]], TelemetrySnapshot | None]:
-    """Evaluate one chunk inside a pool worker (uses initializer state).
-
-    Returns ``(rows, snapshot)``: ``(index, evaluation, elapsed_seconds,
-    stats)`` tuples for the driver's reassembly, plus this worker's
-    drained telemetry delta (``None`` when the driver is not profiling)
-    for :meth:`Telemetry.merge`.
-    """
-    evaluator = _WORKER_STATE["evaluator"]
-    strict = _WORKER_STATE["strict"]
-    policy = _WORKER_STATE.get("policy", DEFAULT_POLICY)
-    rows = evaluate_chunk_with(
-        evaluator, strict, chunk, policy, telemetry=_WORKER_STATE.get("telemetry")
-    )
-    return rows, _worker_snapshot()
-
-
 def evaluate_chunk_with(
     evaluator: Callable,
     strict: bool,
@@ -441,7 +358,7 @@ def evaluate_chunk_with(
     policy: ExecutionPolicy = DEFAULT_POLICY,
     telemetry: Telemetry | None = None,
 ) -> list[tuple[int, Evaluation, float, dict]]:
-    """Evaluate one chunk with an explicit evaluator (thread-pool path).
+    """Evaluate one chunk with an explicit evaluator (the thread executor).
 
     ``telemetry`` (when profiling) wraps the chunk in an
     ``explore.shard`` span and each evaluation in an ``explore.point``

@@ -25,13 +25,7 @@ import os
 import pickle
 import time
 from collections.abc import Callable, Iterable
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from functools import partial
 from pathlib import Path
 
@@ -41,16 +35,13 @@ from repro.core.execution import (
     EXECUTORS,
     EvaluationCache,
     ExecutionPolicy,
+    PointEvaluationError,
     SweepCheckpoint,
-    WorkerTelemetryConfig,
-    _evaluate_chunk,
-    _init_worker,
     chunk_pending,
     evaluate_chunk_with,
     evaluate_one_timed,
     evaluator_fingerprint,
 )
-from repro.core import flight
 from repro.core.resources import ResourceSampler
 from repro.kernels import registry as kernel_registry
 from repro.core.telemetry import Telemetry, activate, get_active
@@ -173,7 +164,7 @@ class FrontEndEvaluator:
         clone.chain_transform = chain_transform
         clone._basis_cache = {}
         # The default factory is a bound method: left bound to the
-        # original, pickling the clone (a process-pool worker's copy)
+        # original, pickling the clone (a spawned worker's copy)
         # would drag the original instance and its basis cache along
         # through ``__self__``.
         factory = clone.__dict__.get("reconstructor_factory")
@@ -340,14 +331,14 @@ class DesignSpaceExplorer:
     ``evaluator`` is any callable mapping a DesignPoint to an
     :class:`Evaluation` -- usually a :class:`FrontEndEvaluator`, but tests
     plug in closed-form evaluators to exercise the exploration logic in
-    isolation.  For ``executor="process"`` the evaluator must be picklable
-    (module-level classes/functions; :class:`FrontEndEvaluator` qualifies).
+    isolation.  Worker processes started by spawn or forkserver need a
+    picklable evaluator (:class:`FrontEndEvaluator` qualifies).
     """
 
     def __init__(self, evaluator: Callable[[DesignPoint], Evaluation]):
         self.evaluator = evaluator
-        #: :class:`~repro.fleet.FleetReport` of the most recent
-        #: ``executor="fleet"`` sweep (``None`` before one runs).
+        #: :class:`~repro.fleet.FleetReport` of the most recent process
+        #: or fleet sweep (``None`` before one runs).
         self.last_fleet_report = None
 
     def explore(
@@ -383,13 +374,15 @@ class DesignSpaceExplorer:
             ``"serial"`` (default), ``"process"``, ``"thread"`` or
             ``"fleet"``.  Seeds derive from the master seed and the point
             description, never from evaluation order, so every executor
-            returns bit-identical results.  ``"fleet"`` distributes
-            chunks to worker *processes or remote hosts* over the
-            lease-based TCP protocol of :mod:`repro.fleet`, surviving
-            killed workers, silent leases and socket partitions (see the
-            ``fleet`` parameter).
+            returns bit-identical results.  ``"process"`` runs a local
+            fleet: chunks are leased to worker processes over the TCP
+            protocol of :mod:`repro.fleet` on a loopback port, surviving
+            killed workers, silent leases and socket partitions.
+            ``"fleet"`` is the same engine with its topology (and remote
+            hosts) set by the ``fleet`` parameter.
         n_workers:
-            Pool size for parallel executors (default ``os.cpu_count()``).
+            Worker count for parallel executors (default ``os.cpu_count()``,
+            at most one per pending point).
         chunk_size:
             Points per dispatch chunk (default targets ~4 chunks/worker).
         cache:
@@ -403,8 +396,10 @@ class DesignSpaceExplorer:
         strict:
             When ``False`` (default) a raising design point is recorded as
             a failed :class:`Evaluation` (``error`` set, empty metrics)
-            instead of killing the sweep; ``True`` re-raises immediately.
-            A raising ``progress`` callback is isolated the same way
+            instead of killing the sweep; ``True`` raises
+            :class:`~repro.core.execution.PointEvaluationError` naming the
+            first failed (or quarantined) point, before the checkpoint or
+            cache sees it.  A raising ``progress`` callback is isolated the same way
             (logged and skipped) so a broken logger cannot kill a sweep
             or poison the parallel completion loop.
         telemetry:
@@ -438,12 +433,13 @@ class DesignSpaceExplorer:
 
         Hardened semantics (non-strict):
 
-        * A worker process killed mid-sweep (OOM, segfault) breaks the
-          process pool; the pool is resurrected and unfinished chunks are
-          re-dispatched.  If it breaks again, dispatch degrades to
-          one-point-at-a-time isolation so the next crash is attributed
-          to exactly the in-flight point, which is recorded as a failed
-          evaluation while every other point completes normally.
+        * A worker process killed mid-sweep (OOM, segfault) loses its
+          lease; the chunk is requeued and the worker replaced.  A chunk
+          that keeps losing workers is split into single points, and a
+          point that still kills its worker is quarantined as a failed
+          evaluation (``error`` starting with ``PoisonChunk``) while
+          every other point completes; :attr:`last_fleet_report` counts
+          both.
         * ``KeyboardInterrupt`` stops dispatch, fills the unevaluated
           slots with failed evaluations (``error`` starting with
           ``"Interrupted"``) *without* checkpointing them -- so a resumed
@@ -451,11 +447,6 @@ class DesignSpaceExplorer:
         """
         if executor not in EXECUTORS:
             raise ValueError(f"unknown executor {executor!r}; choose from {EXECUTORS}")
-        if executor == "fleet" and strict:
-            raise ValueError(
-                "executor='fleet' always isolates point failures on the "
-                "workers; strict=True is unsupported"
-            )
         if fleet is not None and executor != "fleet":
             raise ValueError("fleet options require executor='fleet'")
         if policy is None:
@@ -597,12 +588,12 @@ class DesignSpaceExplorer:
                                     self.evaluator, point, strict, policy
                                 )
                             finalize(index, evaluation, elapsed=elapsed, stats=stats)
-                    elif pending and executor == "fleet":
-                        self._run_fleet(
-                            pending, n_workers, chunk_size, policy, finalize, tel, fleet
+                    elif pending and executor == "thread":
+                        self._run_threads(
+                            pending, n_workers, chunk_size, strict, policy, finalize, tel
                         )
                     elif pending:
-                        self._run_parallel(
+                        self._run_fleet(
                             pending,
                             executor,
                             n_workers,
@@ -611,6 +602,7 @@ class DesignSpaceExplorer:
                             policy,
                             finalize,
                             tel,
+                            fleet,
                         )
                 except KeyboardInterrupt:
                     if strict:
@@ -754,10 +746,9 @@ class DesignSpaceExplorer:
             retry_backoff_s=retry_backoff_s,
         )
 
-    def _run_parallel(
+    def _run_threads(
         self,
         pending: list[tuple[int, DesignPoint]],
-        executor: str,
         n_workers: int | None,
         chunk_size: int | None,
         strict: bool,
@@ -765,13 +756,10 @@ class DesignSpaceExplorer:
         finalize: Callable[..., None],
         tel: Telemetry,
     ) -> None:
-        """Fan ``pending`` out over a pool, finalising in completion order."""
+        """Fan ``pending`` out over a thread pool, finalising in completion order."""
         workers = n_workers or os.cpu_count() or 1
         workers = max(1, min(workers, len(pending)))
         chunks = chunk_pending(pending, workers, chunk_size)
-        if executor == "process":
-            self._run_process_pool(chunks, workers, strict, policy, finalize, tel)
-            return
         # Thread workers share the driver's telemetry directly (it is
         # thread-safe); their spans land in per-thread trace lanes.
         pool = ThreadPoolExecutor(max_workers=workers)
@@ -794,33 +782,43 @@ class DesignSpaceExplorer:
     def _run_fleet(
         self,
         pending: list[tuple[int, DesignPoint]],
+        executor: str,
         n_workers: int | None,
         chunk_size: int | None,
+        strict: bool,
         policy: ExecutionPolicy,
         finalize: Callable[..., None],
         tel: Telemetry,
         options,
     ) -> None:
-        """Distribute ``pending`` over a lease-based worker fleet.
+        """Lease ``pending`` to a worker fleet (``"process"`` and ``"fleet"``).
 
         The coordinator binds an ephemeral (or configured) TCP port,
         optionally forks local worker processes against it, and blocks
         until every point is finalised -- completed by some worker, or
         quarantined by the requeue ladder as a poison point.  Workers
         that die, go silent or partition mid-lease are recovered by the
-        coordinator (see :mod:`repro.fleet.coordinator`); the finalize
-        hook runs on the driver exactly once per point, so checkpoint,
-        cache and progress semantics match every other executor.
+        coordinator (see :mod:`repro.fleet.coordinator`), and a local
+        worker that exits while points remain is replaced under a fresh
+        label.  The finalize hook runs on the driver exactly once per
+        point, so checkpoint, cache and progress semantics match every
+        other executor.  Workers evaluate non-strict; under ``strict``
+        the first failed evaluation raises here instead.
         """
         # Imported lazily: the fleet layer depends on execution/telemetry
         # and nothing in the core import graph may depend on it.
         from repro import fleet as fleet_mod
 
-        if options is None:
+        if executor == "process":
+            workers = max(1, min(n_workers or os.cpu_count() or 1, len(pending)))
+            options = fleet_mod.FleetOptions(spawn_workers=workers)
+        elif options is None:
             options = fleet_mod.FleetOptions()
         hint = options.spawn_workers or n_workers or 4
 
         def fleet_finalize(index, evaluation, elapsed_s, stats):
+            if strict and evaluation.error is not None:
+                raise PointEvaluationError(evaluation.point.describe(), evaluation.error)
             # A worker cache hit reports 0.0s; keep it out of the
             # latency stats like driver-side hits are.
             finalize(
@@ -845,6 +843,39 @@ class DesignSpaceExplorer:
         host, port = coordinator.endpoint
         log.info("fleet coordinator listening on %s:%d", host, port)
         processes: list = []
+        # The requeue -> split -> quarantine ladder absorbs at most
+        # max_requeues + 2 deaths per point; workers that keep exiting
+        # past that (at start-up, say) would be replaced forever.
+        max_respawns = (options.max_requeues + 2) * len(pending)
+        respawns = 0
+
+        def replace_exited_workers() -> None:
+            nonlocal respawns
+            for slot, process in enumerate(processes):
+                if process.is_alive():
+                    continue
+                if respawns >= max_respawns:
+                    raise RuntimeError(
+                        f"local fleet workers kept exiting: {respawns} replaced "
+                        f"for {len(pending)} points, the most the requeue "
+                        "ladder can use; see the workers' log output"
+                    )
+                respawns += 1
+                label_number = options.spawn_workers + respawns - 1
+                log.warning(
+                    "fleet worker %s exited (code %s); starting worker-%d",
+                    process.name,
+                    process.exitcode,
+                    label_number,
+                )
+                processes[slot] = fleet_mod.spawn_local_workers(
+                    1,
+                    coordinator.endpoint,
+                    evaluator=self.evaluator,
+                    cache_dir=options.worker_cache_dir,
+                    first=label_number,
+                )[0]
+
         try:
             if options.spawn_workers:
                 processes = fleet_mod.spawn_local_workers(
@@ -860,6 +891,7 @@ class DesignSpaceExplorer:
                 n_workers=hint,
                 chunk_size=chunk_size,
                 interrupt_after_points=options.interrupt_after_points,
+                supervise=replace_exited_workers,
             )
             for process in processes:
                 process.join(timeout=10.0)
@@ -869,168 +901,3 @@ class DesignSpaceExplorer:
                 if process.is_alive():
                     process.terminate()
                     process.join(timeout=5.0)
-
-    def _run_process_pool(
-        self,
-        chunks: list[list[tuple[int, DesignPoint]]],
-        workers: int,
-        strict: bool,
-        policy: ExecutionPolicy,
-        finalize: Callable[..., None],
-        tel: Telemetry,
-    ) -> None:
-        """Process-pool dispatch with crash recovery.
-
-        A worker killed by the OS (OOM, segfault, ``os._exit``) breaks the
-        whole :class:`ProcessPoolExecutor`: every in-flight and queued
-        future raises :class:`BrokenProcessPool` with no indication of the
-        culprit.  Recovery ladder (non-strict):
-
-        1. First break: resurrect the pool and re-dispatch every
-           unfinished chunk unchanged -- a transient kill (OOM pressure)
-           costs one pool restart and the lost chunks' work.
-        2. Further breaks: degrade to one-point-at-a-time dispatch, so a
-           deterministic crasher is attributed to exactly the in-flight
-           point.  That point is finalised as a failed
-           :class:`Evaluation`; the pool is resurrected and every other
-           point still completes.
-
-        The ladder terminates: isolation mode removes one point (the
-        crasher) per break.  ``strict=True`` re-raises the first break.
-
-        When the driver profiles, each worker runs its own telemetry
-        (see :class:`~repro.core.execution.WorkerTelemetryConfig`) and
-        every completed chunk carries a drained snapshot home, merged
-        here -- so worker-side block/solver instrumentation, counters
-        and trace lanes all survive the process boundary.
-        """
-        worker_config = WorkerTelemetryConfig(
-            enabled=tel.enabled, trace=tel.tracer is not None
-        )
-
-        def make_pool(pool_workers: int) -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=pool_workers,
-                initializer=_init_worker,
-                initargs=(self.evaluator, strict, policy, worker_config),
-            )
-
-        remaining: dict[int, list[tuple[int, DesignPoint]]] = dict(enumerate(chunks))
-        breaks = 0
-        while remaining:
-            pool = make_pool(min(workers, len(remaining)))
-            try:
-                with pool:
-                    futures = {
-                        pool.submit(_evaluate_chunk, chunk): key
-                        for key, chunk in remaining.items()
-                    }
-                    try:
-                        while futures:
-                            done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                            for future in done:
-                                key = futures.pop(future)
-                                rows, worker_snapshot = future.result()
-                                del remaining[key]
-                                if worker_snapshot is not None:
-                                    tel.merge(worker_snapshot)
-                                for index, evaluation, elapsed, stats in rows:
-                                    finalize(
-                                        index, evaluation, elapsed=elapsed, stats=stats
-                                    )
-                    except BrokenProcessPool:
-                        raise
-                    except BaseException:
-                        for future in futures:
-                            future.cancel()
-                        raise
-                return
-            except BrokenProcessPool:
-                if strict:
-                    raise
-                breaks += 1
-                tel.count("explore.pool_restarts")
-                flight.record(
-                    "explore.pool_break",
-                    breaks=breaks,
-                    unfinished_chunks=len(remaining),
-                )
-                log.warning(
-                    "process pool broke (a worker died); restarting and "
-                    "re-dispatching %d unfinished chunk(s) [break #%d]",
-                    len(remaining),
-                    breaks,
-                )
-                if breaks >= 2:
-                    # Two breaks suggest a deterministic crasher somewhere
-                    # in the remaining points: find and excise it.
-                    points = [pair for chunk in remaining.values() for pair in chunk]
-                    self._isolate_crashers(points, strict, policy, finalize, tel)
-                    return
-
-    def _isolate_crashers(
-        self,
-        points: list[tuple[int, DesignPoint]],
-        strict: bool,
-        policy: ExecutionPolicy,
-        finalize: Callable[..., None],
-        tel: Telemetry,
-    ) -> None:
-        """One-point-at-a-time dispatch: attribute crashes exactly.
-
-        Runs each remaining point as its own single-point chunk with only
-        one task in flight, so a :class:`BrokenProcessPool` names the
-        culprit unambiguously.  The crasher is finalised as a failed
-        evaluation; everything else completes.  Slower than chunked
-        dispatch -- but this is the degraded mode after two pool breaks,
-        trading throughput for guaranteed completion.
-        """
-        worker_config = WorkerTelemetryConfig(
-            enabled=tel.enabled, trace=tel.tracer is not None
-        )
-        queue = list(points)
-        while queue:
-            pool = ProcessPoolExecutor(
-                max_workers=1,
-                initializer=_init_worker,
-                initargs=(self.evaluator, strict, policy, worker_config),
-            )
-            try:
-                with pool:
-                    while queue:
-                        index, point = queue[0]
-                        rows, worker_snapshot = pool.submit(
-                            _evaluate_chunk, [(index, point)]
-                        ).result()
-                        queue.pop(0)
-                        if worker_snapshot is not None:
-                            tel.merge(worker_snapshot)
-                        for idx, evaluation, elapsed, stats in rows:
-                            finalize(idx, evaluation, elapsed=elapsed, stats=stats)
-            except BrokenProcessPool:
-                index, point = queue.pop(0)
-                tel.count("explore.pool_restarts")
-                tel.count("explore.worker_crashes")
-                # The culprit is now known exactly: dump the flight ring
-                # so the postmortem carries the events leading up to it.
-                flight.dump(
-                    "pool-crash",
-                    detail="worker process died while evaluating this point",
-                    index=index,
-                    point=point.describe(),
-                )
-                log.warning(
-                    "worker process died evaluating point %d (%s); recorded as "
-                    "a failed evaluation",
-                    index,
-                    point.describe(),
-                )
-                finalize(
-                    index,
-                    Evaluation(
-                        point=point,
-                        metrics={},
-                        error="WorkerCrashed: worker process died (killed or "
-                        "crashed) while evaluating this point",
-                    ),
-                )

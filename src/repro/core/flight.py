@@ -11,9 +11,8 @@ artifact the moment something goes wrong:
 * a design-point evaluation exceeds its wall-clock ceiling
   (:class:`~repro.core.execution.EvaluationTimeout`);
 * the fleet coordinator loses a worker mid-lease or quarantines a
-  poison point (:mod:`repro.fleet.coordinator`);
-* a process-pool crash is isolated to a single point
-  (``DesignSpaceExplorer._isolate_crashers``).
+  poison point (:mod:`repro.fleet.coordinator`; ``executor="process"``
+  sweeps run on a local fleet, so this covers their crashes too).
 
 Recording costs one dict build and a deque append, so it is safe to
 leave on unconditionally -- which is the point: the artifact exists even
@@ -176,6 +175,21 @@ def _sample_resources_safely() -> dict:
 
 _recorder = FlightRecorder()
 _recorder_lock = threading.Lock()
+
+
+def _reset_lock_in_child() -> None:
+    """Give a forked child an unlocked ring.
+
+    A fleet forks replacement workers while its connection threads record
+    and dump on the very disconnects that trigger a replacement; a lock
+    held at the fork stays held in the child (``logging`` resets its own
+    locks the same way).
+    """
+    _recorder._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_lock_in_child)
 
 
 def get_recorder() -> FlightRecorder:

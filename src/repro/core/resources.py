@@ -8,7 +8,7 @@ artifacts as everything else:
 
 * histograms in :class:`~repro.core.telemetry.Telemetry`
   (``resources.rss_mb``, ``resources.cpu_pct``, ``resources.threads``,
-  ``resources.cpu_s``) -- mergeable across processes, so fleet/pool
+  ``resources.cpu_s``) -- mergeable across processes, so fleet
   workers get per-worker attribution in ``telemetry.workers`` and the
   manifest;
 * Chrome counter ("C") events on the attached tracer, rendering as

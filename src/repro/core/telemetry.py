@@ -25,10 +25,11 @@ reports what it is doing:
   argument through every call.  Worker *processes* start with the
   disabled default, so parallel sweeps aggregate per-point timings on the
   driver side instead (the executors return them).
-* **Cross-process aggregation** -- worker processes run a real per-worker
-  :class:`Telemetry`; :meth:`Telemetry.drain_snapshot` packages its state
-  as a picklable :class:`TelemetrySnapshot` delta that ships home with
-  the chunk results, and the driver folds it in with the associative
+* **Cross-process aggregation** -- when a sweep profiles, worker
+  processes run a real per-worker :class:`Telemetry`;
+  :meth:`Telemetry.drain_snapshot` packages its state as a
+  :class:`TelemetrySnapshot` delta that ships home with each completed
+  chunk, and the driver folds it in with the associative
   :meth:`Telemetry.merge` -- so counters, span and observation
   histograms, events and trace lanes from every worker land in one
   driver-side sink.
@@ -87,7 +88,11 @@ log = logging.getLogger("repro.telemetry")
 #: aggregates spans and observations alike.
 #: v9 dropped the two ``sweep`` fields that counted and listed the points
 #: the batched executor demoted to the scalar path, with that executor.
-MANIFEST_SCHEMA_VERSION = 9
+#: v10 dropped the two ``sweep`` fields that counted process-pool
+#: restarts and isolated worker crashes, with the pool: process sweeps
+#: run on a local fleet, whose ``fleet`` section counts ``requeues`` and
+#: ``points_quarantined``.
+MANIFEST_SCHEMA_VERSION = 10
 
 
 class _Span:
@@ -453,8 +458,8 @@ class TelemetrySnapshot:
 
     This is the payload worker processes ship back with their chunk
     results: :class:`~repro.core.metrics.Histogram` dataclasses and
-    plain dicts, so it pickles across a process pool without dragging
-    locks, loggers or file handles along.  ``trace`` is a
+    plain dicts, free of the locks, loggers and file handles of a live
+    :class:`Telemetry`.  ``trace`` is a
     :meth:`~repro.core.tracing.Tracer.snapshot` payload (or ``None``
     when the worker ran without tracing).
     """
@@ -468,14 +473,14 @@ class TelemetrySnapshot:
     max_events: int = 0
 
     def to_wire(self) -> dict:
-        """Lossless JSON-ready form for non-pickle transports.
+        """Lossless JSON-ready form for the fleet wire.
 
-        The process-pool path ships snapshots by pickle; the fleet
-        protocol ships them as JSON lines over a socket.  Histograms
-        travel as :meth:`~repro.core.metrics.Histogram.to_dict`, which
-        carries the raw aggregate (bucket counts, ``m2``) with
-        empty-aggregate min/max as ``None``, so :meth:`from_wire`
-        rebuilds a snapshot that merges exactly like the original.
+        The fleet protocol ships snapshots as JSON lines over a socket.
+        Histograms travel as
+        :meth:`~repro.core.metrics.Histogram.to_dict`, which carries the
+        raw aggregate (bucket counts, ``m2``) with empty-aggregate
+        min/max as ``None``, so :meth:`from_wire` rebuilds a snapshot
+        that merges exactly like the original.
         """
         return {
             "label": self.label,
@@ -534,6 +539,9 @@ class NullTelemetry(Telemetry):
         pass
 
     def event(self, kind: str, **fields) -> None:
+        pass
+
+    def merge(self, snapshot: "TelemetrySnapshot", worker: str | None = None) -> None:
         pass
 
 

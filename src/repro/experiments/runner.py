@@ -490,8 +490,6 @@ def build_run_manifest(
             "cache_corrupt": counters.get("cache.corrupt", 0),
             "timeouts": counters.get("explore.timeouts", 0),
             "retries": counters.get("explore.retries", 0),
-            "pool_restarts": counters.get("explore.pool_restarts", 0),
-            "worker_crashes": counters.get("explore.worker_crashes", 0),
             "interrupted": counters.get("explore.interrupted", 0),
             "point_seconds": point_stats,
             "events_dropped": counters.get("telemetry.events_dropped", 0),

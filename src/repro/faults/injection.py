@@ -137,7 +137,7 @@ class FaultSuite:
     plug straight into
     :meth:`FrontEndEvaluator.with_chain_transform
     <repro.core.explorer.FrontEndEvaluator.with_chain_transform>`; being
-    frozen dataclasses they pickle across process pools and contribute a
+    frozen dataclasses they pickle across processes and contribute a
     stable :meth:`fingerprint` to the evaluator's cache key (so faulty
     and clean evaluations never collide in the on-disk cache).
     """

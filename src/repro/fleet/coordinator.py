@@ -2,18 +2,18 @@
 
 The coordinator owns the sweep's ground truth -- which point indices are
 done -- and rents out everything else.  Work is sharded into chunks
-(:func:`~repro.core.execution.chunk_pending`, same sizing as the process
+(:func:`~repro.core.execution.chunk_pending`, same sizing as the thread
 executor) and granted to workers as **leases**: a chunk, a wall-clock
 deadline, and the evaluator fingerprint.  Heartbeats extend the
 deadline; a lease that goes silent past it is *expired* and its
-unfinished points are requeued.  The failure ladder generalises PR 3's
-crash isolation:
+unfinished points are requeued.  The failure ladder is the sweep's
+only crash recovery (``executor="process"`` runs a local fleet):
 
 1. expiry / worker disconnect / reported failure -> requeue the chunk
    (bounded by ``max_requeues``);
 2. a multi-point chunk over budget -> split into single-point chunks,
-   each with one remaining attempt (isolating the poison point exactly
-   as the BrokenProcessPool path does);
+   each with one remaining attempt, so the next death names the poison
+   point exactly;
 3. a single point over budget -> **quarantine**: it is finalised as a
    failed :class:`~repro.core.results.Evaluation` naming the point, and
    the sweep completes without it.
@@ -25,7 +25,9 @@ so a chaos run merges to the same result set as a single-host sweep.
 Finalisation happens through the caller-supplied callback (the
 explorer's cache/checkpoint/telemetry hook), so checkpoint resume after
 a coordinator kill works unchanged: finished points are on disk,
-unfinished ones re-shard on the next run.
+unfinished ones re-shard on the next run.  A finalize hook that raises
+(a full disk under the checkpoint, a strict sweep's failed point) stops
+the grants, and :meth:`FleetCoordinator.run` re-raises its first error.
 
 Everything is plain threads over blocking sockets: one acceptor, one
 handler thread per worker connection, and lease expiry swept from the
@@ -251,8 +253,7 @@ class LeaseTable:
             return [{"action": "requeue", "n_points": len(remaining), **base}]
         if len(remaining) > 1:
             # Over budget as a group: isolate.  Each single-point chunk
-            # gets exactly one more attempt before quarantine, mirroring
-            # the BrokenProcessPool one-point isolation of PR 3.
+            # gets exactly one more attempt before quarantine.
             events = [{"action": "split", "n_points": len(remaining), **base}]
             self.chunks[chunk_id] = []
             for index, point in remaining:
@@ -326,7 +327,8 @@ class FleetCoordinator:
     quarantined).  ``finalize(index, evaluation, elapsed_s, stats)`` is
     invoked under the coordinator lock in completion order -- the
     explorer's hook appends to the checkpoint, fills the cache and
-    updates progress, exactly as the process-pool path does.
+    updates progress, exactly as the serial path does.  Its first
+    exception stops the grants and is re-raised by ``run``.
     """
 
     def __init__(
@@ -361,6 +363,7 @@ class FleetCoordinator:
         self._finalize: Callable | None = None
         self._interrupt_after: int | None = None
         self._interrupted = False
+        self._finalize_error: BaseException | None = None
         self._closing = False
         self._fair_start_granted: set[str] = set()
         self._fair_start_left = 0
@@ -417,8 +420,14 @@ class FleetCoordinator:
         n_workers: int = 1,
         chunk_size: int | None = None,
         interrupt_after_points: int | None = None,
+        supervise: Callable[[], None] | None = None,
     ) -> FleetReport:
-        """Distribute ``pending`` and block until every index is finalised."""
+        """Distribute ``pending`` and block until every index is finalised.
+
+        ``supervise()`` runs on every poll while points remain (the
+        explorer replaces exited local workers there).  The first
+        exception a ``finalize`` call raised is re-raised here.
+        """
         chunks = chunk_pending(pending, max(1, n_workers), chunk_size)
         tel = self.telemetry
         with self._lock:
@@ -430,6 +439,7 @@ class FleetCoordinator:
             self._finalize = finalize
             self._interrupt_after = interrupt_after_points
             self._interrupted = False
+            self._finalize_error = None
             # The fair-start gate cannot wait for more workers than
             # there are chunks to hand out (a resumed run may have a
             # tiny remainder), or held workers would stall the sweep.
@@ -455,12 +465,17 @@ class FleetCoordinator:
             try:
                 while True:
                     with self._lock:
+                        if self._finalize_error is not None:
+                            raise self._finalize_error
                         if self._interrupted:
                             raise KeyboardInterrupt("fleet chaos interrupt")
                         if table.all_done:
                             break
                         events = table.expire()
+                        self._finalize_quarantined(events)
                     self._emit_lease_events(events)
+                    if supervise is not None:
+                        supervise()
                     self._wake.wait(poll_s)
                     self._wake.clear()
             finally:
@@ -498,22 +513,44 @@ class FleetCoordinator:
                     lease=event.get("lease"),
                     index=event.get("index"),
                 )
-                index = event["index"]
-                with self._lock:
-                    table = self._table
-                    point = table.points[index] if table else None
-                    finalize = self._finalize
-                    if point is not None and finalize is not None:
-                        finalize(
-                            index,
-                            Evaluation(
-                                point=point, metrics={}, error=event["detail"]
-                            ),
-                            0.0,
-                            {"retries": 0, "timeouts": 0},
-                        )
-                log.warning("fleet quarantined point %d: %s", index, event["detail"])
+                log.warning(
+                    "fleet quarantined point %d: %s", event["index"], event["detail"]
+                )
                 self._wake.set()
+
+    def _finalize_quarantined(self, events: list[dict]) -> None:
+        """Finalise the points ``events`` quarantined.
+
+        Called in the lock hold that marked them done, or :meth:`run`
+        could see the sweep done with a point unfinalised.
+        """
+        for event in events:
+            if event["action"] == "quarantine":
+                index = event["index"]
+                self._finalize_row(
+                    index,
+                    Evaluation(
+                        point=self._table.points[index], metrics={}, error=event["detail"]
+                    ),
+                    0.0,
+                    {"retries": 0, "timeouts": 0},
+                )
+
+    def _finalize_row(
+        self, index: int, evaluation: Evaluation, elapsed_s: float, stats: dict
+    ) -> None:
+        """Hand one finished point to ``finalize`` (caller holds the lock).
+
+        On a connection thread an exception would only drop the worker:
+        keep the first for :meth:`run` to re-raise, and finalise no more.
+        """
+        if self._finalize is None or self._finalize_error is not None:
+            return
+        try:
+            self._finalize(index, evaluation, elapsed_s, stats)
+        except BaseException as error:  # noqa: BLE001 - re-raised by run()
+            self._finalize_error = error
+            self._wake.set()
 
     # --- connection handling --------------------------------------------------
 
@@ -523,6 +560,9 @@ class FleetCoordinator:
                 sock, _addr = self._server.accept()
             except OSError:  # listener closed
                 return
+            # Nagle would hold a reply's tail segment until the worker's
+            # delayed ACK: tens of milliseconds per long line.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._lock:
                 self._sessions.add(sock)
             threading.Thread(
@@ -612,6 +652,7 @@ class FleetCoordinator:
                 events = (
                     table.release_worker(session) if table and session else []
                 )
+                self._finalize_quarantined(events)
                 if table and worker in table.report.workers:
                     table.report.workers[worker]["disconnects"] += 1
             self._emit_lease_events(events)
@@ -643,7 +684,7 @@ class FleetCoordinator:
             if table is None:
                 # The sweep has not started (worker connected early).
                 return {"type": "wait", "delay_s": 0.05}
-            if self._interrupted:
+            if self._interrupted or self._finalize_error is not None:
                 # The run loop is about to raise: leases granted now
                 # would let fast workers finish points past the interrupt.
                 return {"type": "wait", "delay_s": 0.05}
@@ -660,8 +701,9 @@ class FleetCoordinator:
                     self._fair_start_left -= 1
         if granted is None:
             # Everything is leased out; poll back shortly in case one
-            # expires or splits.
-            return {"type": "wait", "delay_s": min(0.1, self.lease_timeout_s / 10)}
+            # expires or splits.  Shortly: the join after the sweep's last
+            # point waits for idle workers to hear "done".
+            return {"type": "wait", "delay_s": min(0.01, self.lease_timeout_s / 10)}
         lease, chunk = granted
         tel.count("fleet.leases.granted")
         tel.event(
@@ -725,10 +767,8 @@ class FleetCoordinator:
                     f"completion digest mismatch on lease {lease_id!r}"
                 )
             fresh, duplicates = table.complete(lease_id, rows)
-            finalize = self._finalize
-            for index, evaluation, elapsed_s, stats in fresh:
-                if finalize is not None:
-                    finalize(index, evaluation, elapsed_s, stats)
+            for row in fresh:
+                self._finalize_row(*row)
             digest = table.report.workers.setdefault(
                 worker, {"chunks": 0, "points": 0, "disconnects": 0}
             )
@@ -775,6 +815,7 @@ class FleetCoordinator:
         reason = str(message.get("error", "unspecified"))
         with self._lock:
             events = self._table.fail(lease_id, reason) if self._table else []
+            self._finalize_quarantined(events)
         self.telemetry.count("fleet.worker_failures")
         self._emit_lease_events(events)
         self._wake.set()

@@ -106,13 +106,14 @@ class ProtocolError(RuntimeError):
 def send_message(stream: IO[str], payload: dict) -> None:
     """Write one message as a compact JSON line and flush it.
 
-    ``allow_nan=False`` keeps the wire strict JSON: evaluation metrics
-    may legitimately be NaN/inf, but ``evaluation_to_dict`` already
-    encodes those as strings, and anything else non-finite on the wire
-    is a bug better caught at the sender.
+    Evaluation metrics may legitimately be non-finite (a dead channel's
+    SNR is ``-inf``), and ``evaluation_to_dict`` keeps them as floats, so
+    the line may carry ``NaN``/``Infinity``/``-Infinity`` tokens: the same
+    JSON the checkpoint and the cache write, which :func:`recv_message`'s
+    ``json.loads`` reads back exactly.  The line goes out in one write:
+    a separate newline would be a second segment for Nagle to delay.
     """
-    stream.write(json.dumps(payload, separators=(",", ":"), allow_nan=False))
-    stream.write("\n")
+    stream.write(json.dumps(payload, separators=(",", ":")) + "\n")
     stream.flush()
 
 

@@ -2,9 +2,10 @@
 
 A worker is a loop around four messages: ``request`` a lease, evaluate
 its points under the coordinator's :class:`ExecutionPolicy` (heartbeat
-thread keeping the lease alive), ``complete`` with the result rows plus
-a drained :class:`~repro.core.telemetry.TelemetrySnapshot` delta, and
-repeat until the coordinator answers ``done``.  Evaluations go through
+thread keeping the lease alive), ``complete`` with the result rows (plus
+a drained :class:`~repro.core.telemetry.TelemetrySnapshot` delta when
+the coordinator profiles), and repeat until the coordinator answers
+``done``.  Evaluations go through
 :func:`~repro.core.execution.evaluate_one_timed` -- the same per-point
 isolation, timeout and retry machinery as every other executor -- and
 an optional local :class:`~repro.core.execution.EvaluationCache` keyed
@@ -13,11 +14,12 @@ worker has already evaluated.
 
 Workers obtain their evaluator one of two ways: locally spawned
 processes (:func:`spawn_local_workers`) inherit the evaluator object
-over ``fork``; external workers (``repro worker --connect``) resolve
-the coordinator's advertised ``spec`` via :func:`resolve_spec` and then
-*verify* their evaluator's fingerprint against the coordinator's --
-a worker computing against the wrong corpus or seed refuses to serve
-rather than poisoning the sweep.
+(over ``fork``, or as a pickle under another start method); external
+workers (``repro worker --connect``) resolve the coordinator's
+advertised ``spec`` via :func:`resolve_spec` and then *verify* their
+evaluator's fingerprint against the coordinator's -- a worker computing
+against the wrong corpus or seed refuses to serve rather than poisoning
+the sweep.
 
 Chaos plans (:mod:`repro.fleet.chaos`) hook the exact points where real
 fleets fail: after N evaluated points (SIGKILL), around heartbeats
@@ -45,7 +47,7 @@ from repro.core.execution import (
     evaluator_fingerprint,
 )
 from repro.core.resources import ResourceSampler
-from repro.core.telemetry import Telemetry, activate
+from repro.core.telemetry import NULL, Telemetry, activate
 from repro.core.tracing import DEFAULT_MAX_TRACE_EVENTS, Tracer
 from repro.fleet import protocol
 from repro.fleet.chaos import ChaosPlan
@@ -128,9 +130,9 @@ class FleetWorker:
         #: Estimated coordinator-minus-local clock offset (sync exchange).
         self.clock_offset_s = 0.0
         self.sync_rtt_s = 0.0
-        #: Persistent per-worker sink; rebuilt by run() once the welcome
-        #: says whether the coordinator wants telemetry/tracing shipped.
-        self.telemetry = Telemetry()
+        #: Per-worker sink: the no-op NULL unless the welcome asks for
+        #: telemetry (and tracing) to be shipped home.
+        self.telemetry: Telemetry = NULL
 
     # --- connection plumbing --------------------------------------------------
 
@@ -149,6 +151,8 @@ class FleetWorker:
                 if time.monotonic() >= deadline:
                     raise
                 time.sleep(0.05)
+        # Completions are long lines; see FleetCoordinator._accept_loop.
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._reader = self._sock.makefile("r", encoding="utf-8", newline="\n")
         self._writer = self._sock.makefile("w", encoding="utf-8", newline="\n")
         self._send(
@@ -191,9 +195,8 @@ class FleetWorker:
         t1 = float(ack.get("t1", t0))
         self.clock_offset_s = t1 - (t0 + t2) / 2.0
         self.sync_rtt_s = max(0.0, t2 - t0)
-        tracer = self.telemetry.tracer if self.telemetry is not None else None
-        if tracer is not None:
-            tracer.clock_offset_s = self.clock_offset_s
+        if self.telemetry.tracer is not None:
+            self.telemetry.tracer.clock_offset_s = self.clock_offset_s
 
     def _send(self, payload: dict) -> None:
         with self._write_lock:
@@ -233,22 +236,20 @@ class FleetWorker:
                 f"local={local_fingerprint[:16]}... (different corpus/seed/config?)"
             )
         telemetry_config = welcome.get("telemetry") or {}
-        tracer = None
-        if telemetry_config.get("trace"):
-            tracer = Tracer(
-                label=self.label,
-                max_events=int(
-                    telemetry_config.get("max_trace_events")
-                    or DEFAULT_MAX_TRACE_EVENTS
-                ),
-            )
-            tracer.clock_offset_s = self.clock_offset_s
-        self.telemetry = Telemetry(tracer=tracer)
         sampler = None
         if telemetry_config.get("enabled"):
-            sampler = ResourceSampler(
-                self.telemetry, label=self.label
-            ).start()
+            tracer = None
+            if telemetry_config.get("trace"):
+                tracer = Tracer(
+                    label=self.label,
+                    max_events=int(
+                        telemetry_config.get("max_trace_events")
+                        or DEFAULT_MAX_TRACE_EVENTS
+                    ),
+                )
+                tracer.clock_offset_s = self.clock_offset_s
+            self.telemetry = Telemetry(tracer=tracer)
+            sampler = ResourceSampler(self.telemetry, label=self.label).start()
         try:
             while True:
                 try:
@@ -353,7 +354,7 @@ class FleetWorker:
                     else:
                         self.stats["evaluator_calls"] += 1
                         tel.count("fleet.worker.evaluator_calls")
-                        with tel.span("fleet.worker.point"):
+                        with tel.span("explore.point", index=index):
                             evaluation, elapsed_s, stats = evaluate_one_timed(
                                 evaluator, point, strict=False, policy=policy
                             )
@@ -386,15 +387,15 @@ class FleetWorker:
                 beater.join(timeout=heartbeat_s + 1.0)
         if silenced and self.chaos.complete_delay_s > 0:
             time.sleep(self.chaos.complete_delay_s)
-        self._send(
-            {
-                "type": "complete",
-                "lease": lease_id,
-                "chunk_digest": lease["chunk_digest"],
-                "rows": protocol.encode_rows(rows),
-                "telemetry": tel.drain_snapshot(self.label).to_wire(),
-            }
-        )
+        completion = {
+            "type": "complete",
+            "lease": lease_id,
+            "chunk_digest": lease["chunk_digest"],
+            "rows": protocol.encode_rows(rows),
+        }
+        if tel.enabled:
+            completion["telemetry"] = tel.drain_snapshot(self.label).to_wire()
+        self._send(completion)
         ack = protocol.recv_message(self._reader, expect=("ack",))
         if ack is None:
             # Lost ack: the rows were written out before the connection
@@ -422,7 +423,7 @@ class FleetWorker:
             # Piggyback drained trace deltas so a long chunk streams its
             # spans home while still running (the coordinator absorbs
             # them without replying -- heartbeats are one-way).
-            tracer = self.telemetry.tracer if self.telemetry is not None else None
+            tracer = self.telemetry.tracer
             if tracer is not None and tracer.n_events:
                 payload["trace"] = tracer.snapshot(drain=True)
             try:
@@ -467,35 +468,28 @@ def spawn_local_workers(
     cache_dir: str | None = None,
     plans: tuple[ChaosPlan | None, ...] = (),
     connect_timeout_s: float = 10.0,
+    first: int = 0,
 ) -> list[multiprocessing.Process]:
-    """Fork ``n_workers`` local worker processes against ``endpoint``.
+    """Start ``n_workers`` local worker processes against ``endpoint``.
 
-    The fork start method hands each child the evaluator object without
-    pickling (the corpus array crosses once, as shared pages); on
-    platforms without fork the default context is used and the
-    evaluator must be picklable -- the same contract as the process
-    executor.  ``plans[i]`` (when provided) scripts worker *i*'s chaos.
+    Workers start with the interpreter's start method.  Fork (the Linux
+    default up to Python 3.13) hands each child the evaluator object
+    without pickling, so the corpus array crosses once, as shared pages;
+    spawn and forkserver pickle it, so the evaluator must be picklable.
+    Workers are labelled ``worker-<first + i>``, and ``plans[i]`` (when
+    provided) scripts worker *i*'s chaos.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platform
-        ctx = multiprocessing.get_context()
+    ctx = multiprocessing.get_context()
     processes = []
     for i in range(n_workers):
         plan = plans[i] if i < len(plans) else None
+        label = f"worker-{first + i}"
         process = ctx.Process(
             target=_worker_process_main,
-            args=(
-                endpoint,
-                evaluator,
-                f"worker-{i}",
-                cache_dir,
-                plan,
-                connect_timeout_s,
-            ),
-            name=f"repro-fleet-worker-{i}",
+            args=(endpoint, evaluator, label, cache_dir, plan, connect_timeout_s),
+            name=f"repro-fleet-{label}",
             daemon=True,
         )
         process.start()

@@ -14,8 +14,8 @@ The active backend is process-global and chosen, in priority order, by
 
 1. an explicit :meth:`KernelRegistry.select` call (the CLI's
    ``--kernel-backend`` flag ends up here),
-2. the ``REPRO_KERNEL_BACKEND`` environment variable (inherited by pool
-   workers, which is what keeps driver and workers consistent),
+2. the ``REPRO_KERNEL_BACKEND`` environment variable (inherited by worker
+   processes, which is what keeps driver and workers consistent),
 3. the default: ``numpy``.
 
 A selected backend that is unavailable (numba not installed) or does

@@ -8,8 +8,10 @@ clock, no sockets), and digest-identical clean fleet runs with
 exactly-once evaluator-call accounting.
 """
 
+import errno
 import io
 import json
+import math
 import socket
 import threading
 
@@ -18,6 +20,8 @@ import pytest
 from repro.core.execution import (
     DEFAULT_POLICY,
     ExecutionPolicy,
+    PointEvaluationError,
+    SweepCheckpoint,
     evaluator_fingerprint,
     retry_delay_s,
 )
@@ -25,6 +29,7 @@ from repro.core.explorer import DesignSpaceExplorer
 from repro.core.results import Evaluation
 from repro.core.telemetry import (
     MANIFEST_SCHEMA_VERSION,
+    NULL,
     RunManifest,
     Telemetry,
     TelemetrySnapshot,
@@ -38,6 +43,7 @@ from repro.fleet import (
 )
 from repro.power.technology import DesignPoint
 from tests.test_parallel_explorer import (
+    FailingEvaluator,
     ToyEvaluator,
     assert_sweeps_identical,
     smoke_grid,
@@ -110,6 +116,33 @@ class TestProtocol:
         buffer.seek(0)
         assert protocol.recv_message(buffer) == {"type": "request", "n": 3}
         assert protocol.recv_message(buffer) is None  # EOF
+
+    def test_non_finite_metrics_cross_the_wire(self):
+        (index, point), = points(1)
+        metrics = {"snr_db": -math.inf, "gain": math.inf, "acc": math.nan}
+        rows = [(index, Evaluation(point, metrics=metrics), 0.01, {})]
+        buffer = io.StringIO()
+        protocol.send_message(
+            buffer, {"type": "complete", "rows": protocol.encode_rows(rows)}
+        )
+        buffer.seek(0)
+        (row,) = protocol.decode_rows(protocol.recv_message(buffer)["rows"])
+        assert row[1].metrics["snr_db"] == -math.inf
+        assert row[1].metrics["gain"] == math.inf
+        assert math.isnan(row[1].metrics["acc"])
+
+    def test_a_long_message_goes_out_in_one_write(self):
+        # A separate newline write would be a second TCP segment, which
+        # Nagle's algorithm holds until the peer's delayed ACK.
+        writes = []
+
+        class Recording(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        protocol.send_message(Recording(), {"type": "ack", "pad": "x" * 20_000})
+        assert len(writes) == 1 and writes[0].endswith("\n")
 
     def test_recv_rejects_junk_and_unexpected_types(self):
         with pytest.raises(ProtocolError, match="undecodable"):
@@ -451,10 +484,56 @@ class TestFleetExplorer:
         assert all(w["points"] > 0 for w in report.workers.values())
         assert report.points_completed == space.size
 
-    def test_strict_is_rejected(self):
+    def test_strict_raises_for_the_first_failed_point(self, tmp_path):
+        sweep = [DesignPoint(n_bits=n) for n in (6, 7, 8, 9)]
+        checkpoint = tmp_path / "strict.jsonl"
+        explorer = DesignSpaceExplorer(FailingEvaluator(bad_bits=7))
+        with pytest.raises(PointEvaluationError) as excinfo:
+            explorer.explore(
+                sweep,
+                executor="fleet",
+                strict=True,
+                chunk_size=1,
+                checkpoint=checkpoint,
+                fleet=FleetOptions(spawn_workers=2),
+            )
+        assert excinfo.value.point_description == sweep[1].describe()
+        assert "cannot evaluate 7-bit points" in str(excinfo.value)
+        # The failed point never reached the checkpoint.
+        restored = SweepCheckpoint(checkpoint).load()
+        assert 1 not in restored
+        assert all(evaluation.error is None for evaluation in restored.values())
+
+    def test_finalize_error_is_raised_not_swallowed(self, tmp_path, monkeypatch):
+        # A full disk under the checkpoint fails the sweep, as it does on
+        # the serial path, instead of dropping one checkpoint line.
+        original = SweepCheckpoint.append_many
+        calls = []
+
+        def append_many(self, entries):
+            calls.append(None)
+            if len(calls) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            original(self, entries)
+
+        monkeypatch.setattr(SweepCheckpoint, "append_many", append_many)
+        checkpoint = tmp_path / "full.jsonl"
         explorer = DesignSpaceExplorer(ToyEvaluator())
-        with pytest.raises(ValueError, match="strict=True is unsupported"):
-            explorer.explore(smoke_grid(), executor="fleet", strict=True)
+        with pytest.raises(OSError, match="No space left"):
+            explorer.explore(
+                smoke_grid(),
+                executor="fleet",
+                checkpoint=checkpoint,
+                fleet=FleetOptions(spawn_workers=2),
+            )
+        assert len(checkpoint.read_text().splitlines()) == 2
+
+    def test_unprofiled_fleet_leaves_null_telemetry_empty(self):
+        DesignSpaceExplorer(ToyEvaluator()).explore(
+            smoke_grid(), executor="fleet", fleet=FleetOptions(spawn_workers=2)
+        )
+        assert not (NULL.counters or NULL.spans or NULL.histograms)
+        assert not (NULL.events or NULL.workers)
 
     def test_fleet_options_demand_fleet_executor(self):
         explorer = DesignSpaceExplorer(ToyEvaluator())
@@ -492,7 +571,7 @@ class TestFleetExplorer:
         manifest = build_run_manifest(
             result, tel, "smoke", executor="fleet", n_workers=2
         )
-        assert manifest.schema == MANIFEST_SCHEMA_VERSION == 9
+        assert manifest.schema == MANIFEST_SCHEMA_VERSION == 10
         assert manifest.fleet["points_total"] == space.size
         assert manifest.fleet["points_completed"] == space.size
         assert sorted(manifest.fleet["workers"]) == ["worker-0", "worker-1"]

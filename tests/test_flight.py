@@ -1,6 +1,7 @@
 """Tests of the crash flight recorder and its dump triggers."""
 
 import json
+import os
 
 import pytest
 
@@ -56,6 +57,16 @@ class TestRing:
 
     def test_default_capacity(self):
         assert FlightRecorder().capacity == DEFAULT_FLIGHT_CAPACITY
+
+    def test_forked_child_gets_an_unlocked_ring(self, recorder):
+        # A fleet forks replacement workers while connection threads may
+        # be recording; the child must not inherit a held lock.
+        with recorder._lock:
+            pid = os.fork()
+            if pid == 0:
+                os._exit(0 if recorder._lock.acquire(timeout=2.0) else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestDump:

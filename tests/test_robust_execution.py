@@ -76,8 +76,8 @@ class KamikazeEvaluator:
     """Kills its own process on the marked point.
 
     With ``crash_once`` the first attempt leaves a flag file behind, so the
-    re-dispatched chunk succeeds after the pool is rebuilt.  Without it the
-    point crashes every worker that touches it.
+    requeued chunk succeeds on the next worker.  Without it the point
+    crashes every worker that touches it.
     """
 
     flag_dir: str
@@ -95,6 +95,18 @@ class KamikazeEvaluator:
                     handle.write(str(os.getpid()))
                 os._exit(17)
         return ToyEvaluator()(point)
+
+
+@dataclass(frozen=True)
+class PidFingerprintEvaluator(ToyEvaluator):
+    """Fingerprints differently in every process.
+
+    A forked worker's fingerprint never matches its parent's, so every
+    worker refuses the sweep and exits right after the handshake.
+    """
+
+    def fingerprint(self) -> str:
+        return f"pid:{os.getpid()}"
 
 
 @dataclass(frozen=True)
@@ -243,45 +255,46 @@ class TestStrictParallelErrors:
 
 class TestWorkerCrashes:
     def test_pool_restart_recovers_crash_once(self, tmp_path):
-        tel = Telemetry()
         evaluator = KamikazeEvaluator(flag_dir=str(tmp_path))
         explorer = DesignSpaceExplorer(evaluator)
         result = explorer.explore(
             POINTS, executor="process", n_workers=2, chunk_size=1,
-            telemetry=tel,
         )
         assert not result.failures()
         assert_sweeps_identical(clean_reference(), result)
-        assert tel.counters["explore.pool_restarts"] >= 1
+        assert explorer.last_fleet_report.requeues >= 1
 
     def test_persistent_crasher_is_isolated_and_named(self, tmp_path):
-        tel = Telemetry()
         evaluator = KamikazeEvaluator(flag_dir=str(tmp_path), crash_once=False)
         explorer = DesignSpaceExplorer(evaluator)
         result = explorer.explore(
             POINTS, executor="process", n_workers=2, chunk_size=1,
-            telemetry=tel,
         )
         reference = clean_reference()
         failures = result.failures()
         assert len(failures) == 1
         assert failures[0].point.n_bits == BAD_BITS
-        assert failures[0].error.startswith("WorkerCrashed")
+        assert failures[0].error.startswith("PoisonChunk")
+        assert "worker disconnected" in failures[0].error
         for left, right in zip(reference, result):
             if right.point.n_bits != BAD_BITS:
                 assert left.metrics == right.metrics
-        assert tel.counters["explore.worker_crashes"] == 1
+        assert explorer.last_fleet_report.points_quarantined == 1
 
     def test_strict_mode_reraises_pool_break(self, tmp_path):
-        from concurrent.futures.process import BrokenProcessPool
-
         evaluator = KamikazeEvaluator(flag_dir=str(tmp_path), crash_once=False)
         explorer = DesignSpaceExplorer(evaluator)
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(PointEvaluationError) as excinfo:
             explorer.explore(
                 POINTS, strict=True, executor="process", n_workers=2,
                 chunk_size=1,
             )
+        assert DesignPoint(n_bits=BAD_BITS).describe() in str(excinfo.value)
+
+    def test_workers_dying_at_start_up_raise_instead_of_hanging(self):
+        explorer = DesignSpaceExplorer(PidFingerprintEvaluator())
+        with pytest.raises(RuntimeError, match="kept exiting"):
+            explorer.explore(POINTS[:2], executor="process", n_workers=2)
 
 
 class TestInterrupt:

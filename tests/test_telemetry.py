@@ -26,7 +26,7 @@ from repro.util.rng import derive_seed
 
 from tests.test_parallel_explorer import FailingEvaluator, ToyEvaluator, smoke_grid
 
-EXECUTORS = ["serial", "thread", "process"]
+EXECUTORS = ["serial", "thread", "process", "fleet"]
 
 
 class TestHistogramMoments:

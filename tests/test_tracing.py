@@ -200,7 +200,7 @@ class TestSweepTracing:
         assert len(named["explore.point"]) == space.size
         driver_pid = tel.tracer.pid
         assert all(e["pid"] != driver_pid for e in named["explore.point"])
-        assert named["explore.shard"], "worker chunks should emit shard spans"
+        assert named["fleet.worker.lease"], "worker chunks should emit lease spans"
         # Lane metadata names every worker process.
         metadata = {
             e["pid"]: e["args"]["name"] for e in events if e["ph"] == "M"
@@ -246,7 +246,7 @@ class TestCrossProcessCounters:
         assert tel.spans["explore.point"].count == space.size
 
     def test_crash_isolation_path_keeps_worker_accounting(self):
-        # The single-point isolation pool also ships snapshots home.
+        # Workers ship their snapshots home with failed points too.
         from tests.test_parallel_explorer import FailingEvaluator
 
         tel = Telemetry()
