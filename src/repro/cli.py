@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 import time
 from collections.abc import Sequence
@@ -542,15 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream structured telemetry events to a JSONL file as they "
         "happen (implies --profile)",
     )
-    common.add_argument(
-        "--kernel-backend",
-        metavar="NAME",
-        default=None,
-        help="kernel backend for the hot numerical paths (numpy or numba; "
-        "default: $REPRO_KERNEL_BACKEND or numpy).  Unavailable "
-        "backends auto-fall back to the numpy reference; the manifest "
-        "'kernels' section records what actually ran",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("tables", help="print Tables I-III", parents=[common]).set_defaults(
@@ -846,16 +836,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             level=getattr(logging, args.log_level.upper()),
             format="%(asctime)s %(levelname)-7s %(name)s: %(message)s",
         )
-    if getattr(args, "kernel_backend", None):
-        from repro.kernels import ENV_VAR, UnknownBackendError, registry
-
-        try:
-            registry.select(args.kernel_backend)
-        except UnknownBackendError as exc:
-            parser.error(str(exc))
-        # Worker processes inherit the selection through the
-        # environment (works under both fork and spawn start methods).
-        os.environ[ENV_VAR] = args.kernel_backend
     # Artifact flags imply profiling: each names a telemetry artifact.
     trace_path = getattr(args, "trace", None)
     metrics_path = getattr(args, "metrics_out", None)

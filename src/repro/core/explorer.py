@@ -43,7 +43,6 @@ from repro.core.execution import (
     evaluator_fingerprint,
 )
 from repro.core.resources import ResourceSampler
-from repro.kernels import registry as kernel_registry
 from repro.core.telemetry import Telemetry, activate, get_active
 from repro.core.parameters import CompositeSpace, ParameterSpace
 from repro.core.results import Evaluation, ExplorationResult
@@ -188,14 +187,6 @@ class FrontEndEvaluator:
         factories should expose their own ``fingerprint()``; otherwise
         their qualified name stands in (correct only when the factory is
         stateless).
-
-        Kernel-backend policy: when dispatch is bit-identical to the
-        numpy reference (the reference itself, or an ``exact`` backend)
-        the fingerprint is backend-invariant, so cached evaluations are
-        shared freely across backends.  When a documented-tolerance
-        backend is active the fingerprint carries its
-        :meth:`~repro.kernels.KernelRegistry.cache_tag`, so its results
-        can never be served to (or from) a run on a different backend.
         """
         import repro
 
@@ -227,9 +218,6 @@ class FrontEndEvaluator:
                     transform, "__qualname__", type(transform).__qualname__
                 )
             digest.update(f"chain_transform={transform_tag}".encode())
-        backend_tag = kernel_registry.cache_tag()
-        if backend_tag:
-            digest.update(backend_tag.encode())
         return digest.hexdigest()
 
     # --- single-point evaluation ---------------------------------------------

@@ -92,7 +92,9 @@ log = logging.getLogger("repro.telemetry")
 #: restarts and isolated worker crashes, with the pool: process sweeps
 #: run on a local fleet, whose ``fleet`` section counts ``requeues`` and
 #: ``points_quarantined``.
-MANIFEST_SCHEMA_VERSION = 10
+#: v11 dropped ``kernels``, the record of which implementation ran each
+#: hot kernel: the numpy kernels are the only one, called directly.
+MANIFEST_SCHEMA_VERSION = 11
 
 
 class _Span:
@@ -635,11 +637,6 @@ class RunManifest:
     #: per-worker attribution, lease/requeue/duplicate accounting and
     #: quarantined poison chunks; empty for single-host runs.
     fleet: dict = field(default_factory=dict)
-    #: Kernel-dispatch record (:meth:`repro.kernels.KernelRegistry.
-    #: manifest_section`): requested backend, per-backend availability
-    #: and exactness contract, and the per-kernel ledger of which
-    #: backend actually ran (fallbacks attributed with a reason).
-    kernels: dict = field(default_factory=dict)
     #: Completion-order progress events (done/total/elapsed/ETA).
     eta_history: list = field(default_factory=list)
     environment: dict = field(default_factory=dict)

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cs.matrices import SensingMatrix
+from repro.kernels.numpy_backend import encoder_multiply
 from repro.util.constants import KT_ROOM
 from repro.util.rng import make_rng
 from repro.util.validation import check_non_negative, check_positive
@@ -319,8 +320,8 @@ class ChargeSharingEncoder:
         c_sample = cfg.c_sample * (1.0 + pert.sample_errors)  # (s,)
 
         # Pre-draw the noise so the RNG stream -- and therefore seeded
-        # replay via ``reset_noise`` -- stays bit-identical no matter which
-        # kernel backend runs the accumulation arithmetic below.  One call
+        # replay via ``reset_noise`` -- stays bit-identical however the
+        # kernel below loops over the accumulation arithmetic.  One call
         # draws it in the per-column order (per column: the sample noise,
         # then the share noise) and scales it in place as ``0.0 + sigma *
         # z``, which is what ``normal(0.0, sigma)`` computes per value.
@@ -336,17 +337,8 @@ class ChargeSharingEncoder:
         sample_draws = draws[:, 0] if sample_noise > 0 else None
         share_draws = draws[:, -1] if cfg.kt > 0 else None
 
-        from repro.kernels import registry
-
-        v_hold, last_touch = registry.call(
-            "encoder_multiply",
-            frames,
-            self._routes,
-            c_sample,
-            c_hold,
-            cfg.kt,
-            sample_draws,
-            share_draws,
+        v_hold, last_touch = encoder_multiply(
+            frames, self._routes, c_sample, c_hold, cfg.kt, sample_draws, share_draws
         )
         if cfg.i_leak > 0:
             # Droop from last accumulation until frame readout at index N.

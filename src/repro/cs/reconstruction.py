@@ -17,12 +17,9 @@ sparsifying basis.  Three solvers are implemented from scratch:
 :class:`Reconstructor` packages a basis + solver + parameters into the
 object the simulation chain and the explorer consume.
 
-The numeric solver cores live in :mod:`repro.kernels.numpy_backend`
-and are dispatched through the process-global backend registry
-(:data:`repro.kernels.registry`): the functions here validate, time
-and report telemetry, while ``registry.call("fista"|"ista"|"omp", ...)``
-picks the implementation (numpy reference, or the optional numba
-backend locked to the reference by the conformance suite).
+The numeric solver cores live in :mod:`repro.kernels.numpy_backend`;
+the functions here validate their inputs, call the core, and report
+its convergence to telemetry.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels import registry
+from repro.kernels import numpy_backend
 from repro.kernels.numpy_backend import least_squares_on_support
 from repro.util.validation import check_positive, check_positive_int
 
@@ -108,7 +105,7 @@ def omp(
     if y.shape != (m,):
         raise ValueError(f"y must have shape ({m},), got {y.shape}")
     start = time.perf_counter()
-    coeffs, n_selected = registry.call("omp", a, y, sparsity, tol)
+    coeffs, n_selected = numpy_backend.omp(a, y, sparsity, tol)
     if n_selected:
         _note_solve("omp", n_selected, 1, time.perf_counter() - start)
     return coeffs
@@ -131,8 +128,10 @@ def ista(
     check_positive("lam", lam)
     n_iter = check_positive_int("n_iter", n_iter)
     y2 = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    if y2.shape[1] != a.shape[0]:
+        raise ValueError(f"y frames have length {y2.shape[1]}, expected {a.shape[0]}")
     start = time.perf_counter()
-    z, iterations = registry.call("ista", a, y2, lam, n_iter, tol)
+    z, iterations = numpy_backend.ista(a, y2, lam, n_iter, tol)
     if iterations:
         _note_solve("ista", iterations, y2.shape[0], time.perf_counter() - start)
     return z[0] if np.ndim(y) == 1 else z
@@ -178,7 +177,7 @@ def fista(
     if m != a.shape[0]:
         raise ValueError(f"y frames have length {m}, expected {a.shape[0]}")
     start = time.perf_counter()
-    z, iterations = registry.call("fista", a, y2, lam, n_iter, tol)
+    z, iterations = numpy_backend.fista(a, y2, lam, n_iter, tol)
     if iterations:
         _note_solve("fista", iterations, b, time.perf_counter() - start)
     if debias:

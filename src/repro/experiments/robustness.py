@@ -27,7 +27,6 @@ import time
 
 from repro.core.execution import ExecutionPolicy
 from repro.core.telemetry import RunManifest, Telemetry, get_active
-from repro.kernels import registry as kernel_registry
 from repro.experiments.runner import SCALES, ExperimentScale, active_scale, make_harness
 from repro.experiments.table2 import reference_operating_points
 from repro.faults import (
@@ -153,6 +152,5 @@ def build_robustness_manifest(
                 "timeouts": counters.get("robustness.timeouts", 0),
             },
         },
-        kernels=kernel_registry.manifest_section(),
         environment=RunManifest.describe_environment(),
     )

@@ -39,7 +39,6 @@ from repro.core.resources import resources_section
 from repro.core.telemetry import Telemetry, RunManifest
 from repro.cs.dictionaries import dct_basis
 from repro.cs.reconstruction import Reconstructor
-from repro.kernels import registry as kernel_registry
 from repro.detection.spectral import SpectralCombDetector
 from repro.eeg.preprocessing import resample_dataset
 from repro.eeg.synthetic import make_bonn_like_dataset
@@ -504,7 +503,6 @@ def build_run_manifest(
         fleet=fleet_section,
         workers=snapshot["workers"],
         histograms=snapshot["histograms"],
-        kernels=kernel_registry.manifest_section(),
         eta_history=eta_history,
         environment=RunManifest.describe_environment(),
     )

@@ -1,32 +1,9 @@
-"""Multi-backend kernel dispatch for the hot numerical paths.
+"""The hot numerical kernels of the sweep engine.
 
-``registry`` is the process-global :class:`KernelRegistry` the engine
-dispatches through; see :mod:`repro.kernels.registry` for the selection
-rules (env ``REPRO_KERNEL_BACKEND``, CLI ``--kernel-backend``) and the
-exactness/cache-key contract, and :mod:`repro.testing.conformance` for
-the harness that locks every backend to the numpy reference.
+:mod:`repro.kernels.numpy_backend` holds the one implementation of the
+LASSO/greedy solvers (``fista``/``ista``/``omp``) and of the
+charge-sharing encoder multiply.  :mod:`repro.cs.reconstruction` and
+:mod:`repro.cs.charge_sharing` call them directly; their floating-point
+operations, in order, are the package's numbers (see
+``docs/extending.md`` §12).
 """
-
-from repro.kernels.registry import (
-    ENV_VAR,
-    KERNEL_NAMES,
-    REFERENCE_BACKEND,
-    KernelBackend,
-    KernelRegistry,
-    UnknownBackendError,
-    build_default_registry,
-)
-
-#: The process-global registry used by all dispatch sites.
-registry = build_default_registry()
-
-__all__ = [
-    "ENV_VAR",
-    "KERNEL_NAMES",
-    "REFERENCE_BACKEND",
-    "KernelBackend",
-    "KernelRegistry",
-    "UnknownBackendError",
-    "build_default_registry",
-    "registry",
-]

@@ -1,13 +1,11 @@
-"""Reference (numpy) implementations of the hot kernels.
+"""The numpy implementations of the hot kernels.
 
 These are the *definitional* implementations: the golden suite locks
-their numbers down, and every other backend is accepted only if the
-conformance harness proves agreement with them (bit-identical for
-``exact`` backends, documented tolerance otherwise).  The wrappers in
-:mod:`repro.cs.reconstruction` validate, time and dispatch; the numeric
-cores live here, behind the registry.  Their floating-point operations,
-in order, are the contract an ``exact`` backend reproduces: ``fista``
-spells its sequence out in its docstring, and changing it changes the
+their numbers down, and ``tests/test_kernel_conformance.py`` pins them
+to their own bytes.  The wrappers in :mod:`repro.cs.reconstruction`
+validate, time and call them; the numeric cores live here.  Their
+floating-point operations, in order, are the contract: ``fista`` spells
+its sequence out in its docstring, and changing it changes the
 package's numbers (see ``docs/extending.md`` §12).
 
 Kernel contract
@@ -23,11 +21,11 @@ Kernel contract
     sample_draws(N,B,s)|None, share_draws(N,B,s)|None) ->
     (v_hold(B,m), last_touch(m,))``.  Each column of ``routes`` holds s
     distinct rows.  The caller draws the noise from its RNG in the
-    original order, so replay stays bit-identical no matter which
-    backend runs the arithmetic.  The exactness contract is per element:
-    every ``v_hold[f, r]`` takes its shares in column order with the
-    operations its docstring lists.  The loop order is free; the
-    reference loops over share rank, the numba backend over columns.
+    original order, so seeded replay stays bit-identical however the
+    arithmetic is looped.  The exactness contract is per element: every
+    ``v_hold[f, r]`` takes its shares in column order with the
+    operations its docstring lists.  The loop order is free; this one
+    loops over share rank.
 """
 
 from __future__ import annotations
@@ -75,7 +73,7 @@ def fista(
         momentum = z_next + ((t - 1.0) / t_next) * (z_next - z)
         delta    = max(abs(z_next - z))
 
-    That sequence is the exactness contract of every ``exact`` backend.
+    That sequence is the contract the byte-lock tests hold it to.
     The soft threshold writes +0.0 for every ``v`` inside the threshold.
     The loop runs in one ``(B, M)`` and four ``(B, N)`` buffers allocated
     once per solve: ``out=`` ufuncs overwrite them, ``z_next - z`` is
@@ -152,7 +150,8 @@ def omp(a: np.ndarray, y: np.ndarray, sparsity: int, tol: float) -> tuple[np.nda
     y_norm = np.linalg.norm(y)
     if y_norm == 0:
         return np.zeros(n), 0
-    for _ in range(min(sparsity, m)):
+    # Past n atoms every correlation is -inf and argmax would re-pick atom 0.
+    for _ in range(min(sparsity, m, n)):
         correlations = np.abs(a.T @ residual) / norms
         if support:
             correlations[support] = -np.inf
@@ -223,17 +222,3 @@ def encoder_multiply(
         last_touch[r] = j
     return v_hold, last_touch
 
-
-def make_backend():
-    from repro.kernels.registry import KernelBackend
-
-    return KernelBackend(
-        name="numpy",
-        exact=True,
-        kernels={
-            "fista": fista,
-            "ista": ista,
-            "omp": omp,
-            "encoder_multiply": encoder_multiply,
-        },
-    )

@@ -3,13 +3,16 @@
 A package that happens to be installed beside ``repro`` (for example as a
 dependency of an unrelated tool) must not be imported by it unless
 ``pyproject.toml`` declares it: a clean install would raise
-``ImportError``.  The check runs in a fresh interpreter whose import
-system refuses every third-party top-level name not in
-``[project].dependencies`` and resolves to site-packages.  Optional
-accelerators such as numba are imported lazily, so they stay blocked
-here too.
+``ImportError``.  Two checks enforce that:
+
+* a fresh interpreter, whose import system refuses every third-party
+  top-level name not in ``[project].dependencies`` that resolves to
+  site-packages, imports every module;
+* a static scan reads every ``import`` statement in ``src/repro``,
+  including the function-local ones the first check never executes.
 """
 
+import ast
 import re
 import subprocess
 import sys
@@ -100,3 +103,22 @@ def test_every_module_imports_with_declared_dependencies_only():
     assert child.returncode == 0, (
         f"modules need undeclared packages:\n{child.stdout}{child.stderr}"
     )
+
+
+def test_every_import_statement_names_a_declared_dependency():
+    """Lazy imports inside functions run only when called, so the import
+    check above misses them; this scan reads each one from the source."""
+    allowed = set(sys.stdlib_module_names) | {"repro", *declared_dependencies()}
+    undeclared = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] not in allowed:
+                    undeclared.append(f"{path.relative_to(SRC)}:{node.lineno}: {name}")
+    assert not undeclared, "imports of undeclared packages:\n" + "\n".join(undeclared)

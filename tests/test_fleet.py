@@ -571,7 +571,7 @@ class TestFleetExplorer:
         manifest = build_run_manifest(
             result, tel, "smoke", executor="fleet", n_workers=2
         )
-        assert manifest.schema == MANIFEST_SCHEMA_VERSION == 10
+        assert manifest.schema == MANIFEST_SCHEMA_VERSION == 11
         assert manifest.fleet["points_total"] == space.size
         assert manifest.fleet["points_completed"] == space.size
         assert sorted(manifest.fleet["workers"]) == ["worker-0", "worker-1"]

@@ -1,71 +1,119 @@
-"""Backend-conformance suite: every kernel backend locked to the reference.
+"""The numpy kernels pinned to their own bits and checked against oracles.
 
-Three layers of enforcement:
+:mod:`repro.kernels.numpy_backend` is the only implementation of the hot
+kernels, so no test here compares two implementations of one
+arithmetic.  Instead:
 
-* the deterministic problem suite in :mod:`repro.testing.conformance`
-  (representative + degenerate inputs) runs against every available
-  accelerated backend;
-* Hypothesis extends it with random shapes, dtypes and degenerate
-  values, re-using the same comparison driver;
-* the fig7a golden replays end-to-end under each backend, so agreement
-  is checked through the real evaluation chain, not just per kernel.
-
-An accelerated FISTA must also beat the reference by
-``KERNELS_FISTA_MIN_SPEEDUP``, or it is not worth dispatching to.
-
-On machines without numba the accelerated legs skip (there is
-nothing to conform — dispatch falls back); the numba kernels' source
-still runs uncompiled against the reference, and the harness itself is
-validated against deliberately broken fake backends.
-
-The reference is also pinned to its own bits: ``fista`` to its
-operation sequence written with temporaries, and ``encoder_multiply``
-to the column loop it replaced.
+* every kernel returns float64 arrays of its documented shapes, and the
+  same bytes on a second call, over a deterministic problem suite of
+  representative and degenerate inputs and over Hypothesis-drawn shapes,
+  dtypes and non-finite values;
+* ISTA's LASSO objective never rises as the iteration count grows, and
+  OMP returns the least-squares fit on at most ``min(sparsity, M, N)``
+  atoms;
+* ``encoder_multiply`` is pinned to the column loop it replaced, and
+  ``fista`` to its operation sequence written with temporaries, byte for
+  byte; ``fista`` also tracks the loop from before release 1.1.0 at an
+  explicit tolerance per dtype.
 """
 
-import sys
-import time
-import types
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import (
-    REFERENCE_BACKEND,
-    KernelBackend,
-    KernelRegistry,
-    registry,
-)
 from repro.cs.matrices import srbm, srbm_balanced
-from repro.kernels import numba_backend, numpy_backend
-from repro.testing.conformance import (
-    Problem,
-    check_backend,
-    check_kernel,
-    conformant_backends,
-    default_problems,
-    encoder_problems,
-    golden_replay,
-    solver_problems,
-)
+from repro.kernels import numpy_backend
 
-ACCELERATED = conformant_backends()
+# --- deterministic problem suite ----------------------------------------------
 
 
-def accelerated_or_skip():
-    if not ACCELERATED:
-        pytest.skip("no accelerated kernel backend installed (numba)")
-    return ACCELERATED
+@dataclass(frozen=True)
+class Problem:
+    """One kernel call: a case name, the kernel's name and its arguments."""
+
+    name: str
+    kernel: str
+    args: tuple = ()
 
 
-# --- deterministic suite ----------------------------------------------------
+def solver_problems(seed: int = 0) -> list[Problem]:
+    """Deterministic solver cases (fista/ista/omp), degenerate cases included."""
+    rng = np.random.default_rng(seed)
+    problems: list[Problem] = []
+
+    def lasso(name, a, y2, lam=0.05, n_iter=60, tol=1e-9):
+        for kernel in ("fista", "ista"):
+            problems.append(Problem(f"{kernel}:{name}", kernel, (a, np.atleast_2d(y2), lam, n_iter, tol)))
+
+    a = rng.normal(size=(16, 48))
+    lasso("gaussian_batch", a, rng.normal(size=(5, 16)))
+    lasso("gaussian_single", a, rng.normal(size=(1, 16)))
+    wide = rng.normal(size=(4, 64))
+    lasso("very_underdetermined", wide, rng.normal(size=(3, 4)))
+    lasso("zero_measurements", a, np.zeros((2, 16)))
+    lasso("zero_operator", np.zeros((8, 12)), rng.normal(size=(2, 8)))
+    lasso("single_atom", rng.normal(size=(6, 1)), rng.normal(size=(2, 6)))
+    nonfinite = rng.normal(size=(2, 16))
+    nonfinite[0, 3] = np.nan
+    nonfinite[1, 7] = np.inf
+    lasso("non_finite_measurements", a, nonfinite, n_iter=8)
+    ill = rng.normal(size=(16, 24))
+    ill[:, 1] = ill[:, 0]  # duplicate atom: correlated dictionary
+    lasso("duplicate_atoms", ill, rng.normal(size=(2, 16)))
+
+    def greedy(name, a, y, sparsity=4, tol=0.0):
+        problems.append(Problem(f"omp:{name}", "omp", (a, y, sparsity, tol)))
+
+    greedy("gaussian", a, rng.normal(size=16))
+    greedy("zero_measurements", a, np.zeros(16))
+    greedy("single_atom", rng.normal(size=(6, 1)), rng.normal(size=6), sparsity=1)
+    greedy("early_exit", a, a @ _sparse_vector(48, 3, rng), sparsity=8, tol=1e-6)
+    greedy("sparsity_exceeds_rows", rng.normal(size=(3, 10)), rng.normal(size=3), sparsity=9)
+    return problems
+
+
+def _sparse_vector(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    x = np.zeros(n)
+    x[rng.choice(n, size=k, replace=False)] = rng.normal(size=k)
+    return x
+
+
+def encoder_problems(seed: int = 0) -> list[Problem]:
+    """Deterministic encoder-multiply cases (noise on/off, single frame)."""
+    rng = np.random.default_rng(seed + 1)
+    problems: list[Problem] = []
+
+    def case(name, n=24, m=8, s=2, n_frames=3, noise=True, kt=4.14e-21):
+        routes = np.stack([
+            np.sort(rng.choice(m, size=s, replace=False)) for _ in range(n)
+        ]).astype(np.int64)
+        frames = rng.normal(size=(n_frames, n))
+        c_sample = 1e-14 * (1.0 + rng.normal(0, 0.01, size=s))
+        c_hold = 8e-14 * (1.0 + rng.normal(0, 0.01, size=m))
+        sample_draws = rng.normal(size=(n, n_frames, s)) * 1e-4 if noise else None
+        share_draws = rng.normal(size=(n, n_frames, s)) if noise else None
+        problems.append(
+            Problem(
+                f"encoder_multiply:{name}",
+                "encoder_multiply",
+                (frames, routes, c_sample, c_hold, kt if noise else 0.0,
+                 sample_draws, share_draws),
+            )
+        )
+
+    case("noisy_batch")
+    case("noiseless", noise=False)
+    case("single_frame", n_frames=1)
+    case("dense_routes", m=4, s=3)
+    return problems
 
 
 class TestProblemSuite:
     def test_covers_all_dispatched_solvers(self):
-        kernels = {p.kernel for p in default_problems()}
+        kernels = {p.kernel for p in solver_problems() + encoder_problems()}
         assert kernels == {"fista", "ista", "omp", "encoder_multiply"}
 
     def test_degenerate_cases_present(self):
@@ -90,115 +138,46 @@ class TestProblemSuite:
                 if isinstance(xa, np.ndarray):
                     np.testing.assert_array_equal(xa, xb)
 
-    def test_reference_conforms_to_itself(self):
-        assert check_backend(REFERENCE_BACKEND) == []
+
+# --- the kernel contract: documented shapes, float64, repeatable bytes -------
 
 
-@pytest.mark.parametrize("backend_name", ACCELERATED or ["<none>"])
-class TestAcceleratedBackends:
-    def test_deterministic_suite(self, backend_name):
-        accelerated_or_skip()
-        mismatches = check_backend(backend_name)
-        assert mismatches == [], "\n".join(mismatches)
-
-    def test_golden_replay(self, backend_name):
-        accelerated_or_skip()
-        mismatches = golden_replay(backend_name)
-        assert mismatches == [], "\n".join(mismatches)
+def _documented_shapes(problem: Problem) -> list[tuple]:
+    """The array shapes the module docstring of ``numpy_backend`` promises."""
+    if problem.kernel == "encoder_multiply":
+        frames, _routes, _c_sample, c_hold = problem.args[:4]
+        return [(frames.shape[0], c_hold.size), (c_hold.size,)]
+    a, y = problem.args[:2]
+    if problem.kernel == "omp":
+        return [(a.shape[1],)]
+    return [(y.shape[0], a.shape[1])]
 
 
-def test_golden_replay_reference_backend():
-    """The golden replays bit-identically through the dispatch layer."""
-    assert golden_replay(REFERENCE_BACKEND) == []
+def _assert_kernel_contract(problem: Problem) -> None:
+    kernel = getattr(numpy_backend, problem.kernel)
+    first = kernel(*problem.args)
+    second = kernel(*problem.args)
+    arrays = [x for x in first if isinstance(x, np.ndarray)]
+    assert [x.shape for x in arrays] == _documented_shapes(problem)
+    assert all(x.dtype == np.float64 for x in arrays)
+    for x, y in zip(first, second):
+        if isinstance(x, np.ndarray):
+            # Bytes, not ``==``: equality misses a flipped sign of zero
+            # and a NaN payload.
+            assert x.tobytes() == y.tobytes(), problem.name
+        else:
+            assert type(x) is int and x == y, problem.name
 
 
-def _identity_numba() -> types.ModuleType:
-    """A stand-in ``numba`` whose ``njit`` returns the function unchanged."""
-    module = types.ModuleType("numba")
+@pytest.mark.parametrize(
+    "problem", solver_problems() + encoder_problems(), ids=lambda p: p.name
+)
+def test_kernels_meet_their_contract_on_the_problem_suite(problem):
+    _assert_kernel_contract(problem)
 
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda function: function
-
-    module.njit = njit
-    return module
-
-
-def test_numba_kernel_bodies_conform_as_plain_python(monkeypatch):
-    """The numba kernels' source, run uncompiled, conforms at ``RTOL``.
-
-    Hosts without numba skip the accelerated legs above, so this is the
-    only check of the numba kernels' arithmetic that every host runs.
-    """
-    monkeypatch.setitem(sys.modules, "numba", _identity_numba())
-    monkeypatch.setattr(numba_backend, "_COMPILED", None)
-    reg = KernelRegistry()
-    reg.register(numpy_backend.make_backend())
-    reg.register(
-        KernelBackend(
-            name="numba-uncompiled",
-            kernels={
-                name: getattr(numba_backend, name)
-                for name in ("fista", "ista", "omp", "encoder_multiply")
-            },
-            rtol=numba_backend.RTOL,
-        )
-    )
-    mismatches = check_backend("numba-uncompiled", registry=reg)
-    assert mismatches == [], "\n".join(mismatches)
-
-
-#: Speedup an accelerated FISTA backend must deliver over the numpy
-#: reference on the small batched solve below, where per-call numpy
-#: overhead dominates.
-KERNELS_FISTA_MIN_SPEEDUP = 2.0
-
-
-def _best_fista_seconds(backend_name, a, y2, lam, n_iter):
-    """Best-of-3 wall time of one solve, after a warm-up that pays the JIT."""
-
-    def solve():
-        with registry.use_backend(backend_name):
-            registry.call("fista", a, y2, lam, n_iter, 0.0)
-
-    solve()
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        solve()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def test_accelerated_fista_meets_speedup_gate():
-    """m, n, B = 16, 64, 4 and 400 iterations with no early exit: every
-    accelerated FISTA is at least KERNELS_FISTA_MIN_SPEEDUP x faster than
-    the numpy reference, best of 3 each."""
-    backends = [
-        name for name in accelerated_or_skip() if "fista" in registry.backend(name).kernels
-    ]
-    rng = np.random.default_rng(7)
-    m, n, b = 16, 64, 4
-    a = rng.normal(size=(m, n)) / np.sqrt(m)
-    y2 = rng.normal(size=(b, m))
-    lam = 0.02 * float(np.max(np.abs(y2 @ a)))
-    numpy_best = _best_fista_seconds(REFERENCE_BACKEND, a, y2, lam, 400)
-    for backend_name in backends:
-        speedup = numpy_best / _best_fista_seconds(backend_name, a, y2, lam, 400)
-        assert speedup >= KERNELS_FISTA_MIN_SPEEDUP, f"{backend_name}: {speedup:.2f}x"
-
-
-# --- Hypothesis: random problems against every available backend ------------
 
 #: Modest bounds keep each case fast; Hypothesis explores the corners.
 _seeds = st.integers(min_value=0, max_value=2**32 - 1)
-
-
-def _check_on_all_backends(problem: Problem) -> None:
-    for backend_name in ACCELERATED or [REFERENCE_BACKEND]:
-        mismatches = check_kernel(backend_name, problem)
-        assert mismatches == [], "\n".join(mismatches)
 
 
 @settings(max_examples=25, deadline=None)
@@ -218,8 +197,7 @@ def test_lasso_solvers_conform_on_random_problems(
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(m, n)).astype(dtype)
     y2 = rng.normal(size=(batch, m)).astype(dtype)
-    problem = Problem(f"{kernel}:hypothesis", kernel, (a, y2, lam, n_iter, 1e-9))
-    _check_on_all_backends(problem)
+    _assert_kernel_contract(Problem(f"{kernel}:hypothesis", kernel, (a, y2, lam, n_iter, 1e-9)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -234,36 +212,90 @@ def test_omp_conforms_on_random_problems(seed, m, n, sparsity, zero_y):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(m, n))
     y = np.zeros(m) if zero_y else rng.normal(size=m)
-    _check_on_all_backends(Problem("omp:hypothesis", "omp", (a, y, sparsity, 0.0)))
+    _assert_kernel_contract(Problem("omp:hypothesis", "omp", (a, y, sparsity, 0.0)))
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=10, deadline=None)
+@given(seed=_seeds, m=st.integers(2, 12), n=st.integers(2, 24))
+def test_solvers_conform_with_nonfinite_measurements(seed, m, n):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, n))
+    y2 = rng.normal(size=(2, m))
+    y2[0, 0] = np.nan
+    y2[1, -1] = np.inf
+    for kernel in ("fista", "ista"):
+        _assert_kernel_contract(
+            Problem(f"{kernel}:nonfinite", kernel, (a, y2, 0.05, 8, 1e-9))
+        )
+
+
+# --- oracles that need no second implementation -------------------------------
+
+#: Allowed rise of the ISTA objective from one iteration count to the next,
+#: relative to its value at z = 0: >= 10x the worst rise measured over 4,000
+#: random float64 problems drawn like the test below (6.1e-16).
+ISTA_OBJECTIVE_RISE = 1e-14
+
+
+def _lasso_objective(a, y2, z, lam) -> np.ndarray:
+    residual = y2 - z @ a.T
+    return 0.5 * np.sum(residual * residual, axis=1) + lam * np.sum(np.abs(z), axis=1)
+
+
+@settings(max_examples=25, deadline=None)
 @given(
     seed=_seeds,
-    n=st.integers(2, 32),
-    m=st.integers(2, 12),
-    n_frames=st.integers(1, 4),
-    noisy=st.booleans(),
+    m=st.integers(1, 24),
+    n=st.integers(1, 32),
+    batch=st.integers(1, 4),
+    lam=st.floats(1e-6, 1.0),
+    n_iter=st.integers(1, 40),
 )
-def test_encoder_multiply_conforms_on_random_problems(seed, n, m, n_frames, noisy):
+def test_ista_objective_never_rises_with_the_iteration_count(seed, m, n, batch, lam, n_iter):
+    # A proximal-gradient step of size 1/L never raises the LASSO objective.
+    # ``tol = -1`` disables the early exit, so ``n_iter = k`` returns the
+    # k-th iterate from z = 0.
     rng = np.random.default_rng(seed)
-    s = min(2, m)
-    routes = np.stack(
-        [np.sort(rng.choice(m, size=s, replace=False)) for _ in range(n)]
-    ).astype(np.int64)
-    frames = rng.normal(size=(n_frames, n))
-    c_sample = np.full(s, 1e-14)
-    c_hold = np.full(m, 8e-14)
-    sample_draws = rng.normal(size=(n, n_frames, s)) * 1e-4 if noisy else None
-    share_draws = rng.normal(size=(n, n_frames, s)) if noisy else None
-    kt = 4.14e-21 if noisy else 0.0
-    _check_on_all_backends(
-        Problem(
-            "encoder_multiply:hypothesis",
-            "encoder_multiply",
-            (frames, routes, c_sample, c_hold, kt, sample_draws, share_draws),
+    a = rng.normal(size=(m, n))
+    y2 = rng.normal(size=(batch, m))
+    start = _lasso_objective(a, y2, np.zeros((batch, n)), lam)
+    previous = start
+    for k in range(1, n_iter + 1):
+        z, iterations = numpy_backend.ista(a, y2, lam, k, -1.0)
+        assert iterations == k
+        current = _lasso_objective(a, y2, z, lam)
+        assert np.all(current - previous <= ISTA_OBJECTIVE_RISE * start), k
+        previous = current
+
+
+#: Allowed ``||A_S^T r|| / (||A_S|| ||y||)`` for OMP's answer on its support S:
+#: >= 10x the worst measured over 6,000 random problems drawn like the test
+#: below (2.2e-14).
+OMP_NORMAL_EQUATIONS_GAP = 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=_seeds,
+    m=st.integers(1, 24),
+    n=st.integers(1, 32),
+    sparsity=st.integers(1, 10),
+)
+@example(seed=0, m=6, n=3, sparsity=5)  # sparsity > n: every atom gets selected
+def test_omp_fits_least_squares_on_at_most_min_sparsity_m_n_atoms(seed, m, n, sparsity):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, n))
+    y = rng.normal(size=m)
+    coeffs, n_selected = numpy_backend.omp(a, y, sparsity, 0.0)
+    support = np.flatnonzero(coeffs)
+    assert support.size <= n_selected <= min(sparsity, m, n)
+    if support.size:
+        atoms = a[:, support]
+        residual = y - a @ coeffs
+        gap = np.linalg.norm(atoms.T @ residual) / (
+            np.linalg.norm(atoms, ord=2) * np.linalg.norm(y)
         )
-    )
+        assert gap <= OMP_NORMAL_EQUATIONS_GAP, f"{gap:.3e}"
 
 
 # --- the encoder reference pinned to the column loop --------------------------
@@ -344,25 +376,11 @@ def test_reference_encoder_bits_on_random_routes(
     )
 
 
-@settings(max_examples=10, deadline=None)
-@given(seed=_seeds, m=st.integers(2, 12), n=st.integers(2, 24))
-def test_solvers_conform_with_nonfinite_measurements(seed, m, n):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(m, n))
-    y2 = rng.normal(size=(2, m))
-    y2[0, 0] = np.nan
-    y2[1, -1] = np.inf
-    for kernel in ("fista", "ista"):
-        _check_on_all_backends(
-            Problem(f"{kernel}:nonfinite", kernel, (a, y2, 0.05, 8, 1e-9))
-        )
-
-
 # --- the reference pinned to its own bits -------------------------------------
 #
-# The conformance checks above compare other backends against numpy, and
-# the goldens allow rtol 1e-6, so neither would notice a change to the
-# reference's own floating-point operations.  ``_allocating_fista`` is the
+# The contract checks above hold for any arithmetic, and the goldens allow
+# rtol 1e-6, so neither would notice a change to the reference's own
+# floating-point operations.  ``_allocating_fista`` is the
 # reference's operation sequence (1.1.0: factored gradient, two-pass soft
 # threshold) written with temporaries; the reference must keep returning
 # exactly its bytes and iteration count.  ``_gram_fista`` is the reference
@@ -526,115 +544,3 @@ def test_reference_fista_tracks_the_gram_loop_on_random_problems(
     if non_finite is not None:
         y2[rng.integers(batch), rng.integers(m)] = non_finite
     _assert_fista_tracks_gram_loop(a, y2, lam, n_iter, dtype)
-
-
-# --- the harness itself must catch broken backends --------------------------
-
-
-class TestHarnessCatchesBrokenBackends:
-    def _registry_with(self, backend: KernelBackend) -> KernelRegistry:
-        reg = KernelRegistry()
-        reg.register(numpy_backend.make_backend())
-        reg.register(backend)
-        return reg
-
-    def test_flags_wrong_values_from_exact_backend(self):
-        def off_by_eps(a, y2, lam, n_iter, tol):
-            z, iters = numpy_backend.fista(a, y2, lam, n_iter, tol)
-            return z + 1e-12, iters
-
-        reg = self._registry_with(
-            KernelBackend(name="liar", kernels={"fista": off_by_eps}, exact=True)
-        )
-        problems = [p for p in solver_problems() if p.kernel == "fista"]
-        mismatches = check_backend("liar", problems=problems, registry=reg)
-        assert any("not bit-identical" in m for m in mismatches)
-
-    @pytest.mark.parametrize(
-        "rewrite",
-        [
-            lambda z: np.where(z == 0, -0.0, z),  # == to z, other sign of zero
-            lambda z: z.astype(z.dtype.newbyteorder()),  # == to z, other dtype
-        ],
-        ids=["negative_zeros", "byte_swapped_dtype"],
-    )
-    def test_flags_equal_values_with_other_bits_from_exact_backend(self, rewrite):
-        def same_values(a, y2, lam, n_iter, tol):
-            z, iters = numpy_backend.fista(a, y2, lam, n_iter, tol)
-            return rewrite(z), iters
-
-        reg = self._registry_with(
-            KernelBackend(name="signless", kernels={"fista": same_values}, exact=True)
-        )
-        problems = [p for p in solver_problems() if p.kernel == "fista"]
-        mismatches = check_backend("signless", problems=problems, registry=reg)
-        assert mismatches, "an exact backend must match the reference's bytes, not just =="
-
-    def test_flags_tolerance_violations(self):
-        def way_off(a, y2, lam, n_iter, tol):
-            z, iters = numpy_backend.fista(a, y2, lam, n_iter, tol)
-            return z + 1.0, iters
-
-        reg = self._registry_with(
-            KernelBackend(name="sloppy", kernels={"fista": way_off}, rtol=1e-6)
-        )
-        problems = [p for p in solver_problems() if p.kernel == "fista"]
-        mismatches = check_backend("sloppy", problems=problems, registry=reg)
-        assert any("exceeds rtol" in m for m in mismatches)
-
-    def test_flags_raising_backend_as_failure_not_fallback(self):
-        def explodes(a, y2, lam, n_iter, tol):
-            raise FloatingPointError("jit miscompiled")
-
-        reg = self._registry_with(
-            KernelBackend(name="bomb", kernels={"fista": explodes}, rtol=1e-6)
-        )
-        problems = [p for p in solver_problems() if p.kernel == "fista"]
-        mismatches = check_backend("bomb", problems=problems, registry=reg)
-        assert mismatches and all("FloatingPointError" in m for m in mismatches)
-
-    def test_flags_wrong_shapes(self):
-        def truncated(a, y, sparsity, tol):
-            coeffs, n_sel = numpy_backend.omp(a, y, sparsity, tol)
-            return coeffs[:-1], n_sel
-
-        reg = self._registry_with(
-            KernelBackend(name="short", kernels={"omp": truncated}, exact=True)
-        )
-        problems = [p for p in solver_problems() if p.kernel == "omp"]
-        mismatches = check_backend("short", problems=problems, registry=reg)
-        assert any("shape" in m for m in mismatches)
-
-    def test_unimplemented_kernels_are_not_failures(self):
-        reg = self._registry_with(KernelBackend(name="empty", kernels={}, rtol=1e-6))
-        assert check_backend("empty", registry=reg) == []
-
-    def test_unavailable_backends_are_not_failures(self):
-        reg = self._registry_with(
-            KernelBackend(name="ghost", kernels={}, available=False)
-        )
-        assert check_backend("ghost", registry=reg) == []
-
-
-# --- fallback dispatch stays correct -----------------------------------------
-
-
-def test_dispatch_falls_back_when_backend_missing(monkeypatch):
-    """Requesting an uninstalled backend degrades to reference numbers."""
-    a = np.random.default_rng(0).normal(size=(8, 16))
-    y2 = np.random.default_rng(1).normal(size=(2, 8))
-    reference, _ = registry.call("fista", a, y2, 0.05, 30, 1e-9)
-    ghost = KernelBackend(
-        name="ghost-accel", kernels={}, available=False, unavailable_reason="not installed"
-    )
-    registry.register(ghost)
-    try:
-        with registry.use_backend("ghost-accel"):
-            got, _ = registry.call("fista", a, y2, 0.05, 30, 1e-9)
-            usage = registry.usage()["fista"]
-            assert usage["backend"] == REFERENCE_BACKEND
-            assert usage["requested"] == "ghost-accel"
-            assert "not installed" in usage["fallback_reason"]
-    finally:
-        registry.unregister("ghost-accel")
-    np.testing.assert_array_equal(got, reference)

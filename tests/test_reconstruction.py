@@ -96,6 +96,13 @@ class TestIsta:
         np.testing.assert_allclose(batched[0], single, atol=1e-12)
         np.testing.assert_allclose(batched[1], single, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(1,), (3, 1)], ids=["single", "batch"])
+    def test_rejects_wrong_length(self, shape):
+        # A length-1 measurement would broadcast across all M rows.
+        a, *_ = sparse_problem()
+        with pytest.raises(ValueError):
+            ista(a, np.ones(shape), lam=1e-3)
+
 
 class TestFista:
     def test_exact_recovery_small_lambda(self):
