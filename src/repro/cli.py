@@ -385,7 +385,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
     import logging as _logging
 
     from repro.core.resources import ResourceSampler
@@ -403,20 +402,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = SweepService(store, telemetry=telemetry)
     sampler = ResourceSampler(telemetry, label="serve")
     print(f"serving sweeps from {store.root} on http://{args.host}:{args.port}")
-    try:
-        with sampler:
-            asyncio.run(
-                serve_forever(
-                    service,
-                    host=args.host,
-                    port=args.port,
-                    drain_timeout_s=args.drain_timeout,
-                )
-            )
-    except KeyboardInterrupt:
-        # Platforms where asyncio signal handlers are unavailable fall
-        # back to the raw interrupt; drain what we can before exiting.
-        service.drain(args.drain_timeout)
+    with sampler:
+        serve_forever(
+            service, host=args.host, port=args.port, drain_timeout_s=args.drain_timeout
+        )
     print("\nshut down")
     return 0
 

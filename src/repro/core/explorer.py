@@ -412,8 +412,9 @@ class DesignSpaceExplorer:
         fleet:
             :class:`~repro.fleet.FleetOptions` for ``executor="fleet"``
             (endpoint, spawned local workers, lease timeout, chaos
-            plans).  Defaults to ``FleetOptions()``: an ephemeral
-            localhost port with 3 forked worker processes.  The run's
+            plans).  Without it the fleet is sized like ``"process"``:
+            an ephemeral loopback port with ``n_workers`` forked worker
+            processes (at most one per pending point).  The run's
             :class:`~repro.fleet.FleetReport` lands in
             :attr:`last_fleet_report`, in the ``fleet.report``
             telemetry event, and (via the runner) in the manifest's
@@ -583,7 +584,6 @@ class DesignSpaceExplorer:
                     elif pending:
                         self._run_fleet(
                             pending,
-                            executor,
                             n_workers,
                             chunk_size,
                             strict,
@@ -770,7 +770,6 @@ class DesignSpaceExplorer:
     def _run_fleet(
         self,
         pending: list[tuple[int, DesignPoint]],
-        executor: str,
         n_workers: int | None,
         chunk_size: int | None,
         strict: bool,
@@ -797,11 +796,9 @@ class DesignSpaceExplorer:
         # and nothing in the core import graph may depend on it.
         from repro import fleet as fleet_mod
 
-        if executor == "process":
+        if options is None:
             workers = max(1, min(n_workers or os.cpu_count() or 1, len(pending)))
             options = fleet_mod.FleetOptions(spawn_workers=workers)
-        elif options is None:
-            options = fleet_mod.FleetOptions()
         hint = options.spawn_workers or n_workers or 4
 
         def fleet_finalize(index, evaluation, elapsed_s, stats):

@@ -53,6 +53,7 @@ import platform
 import sys
 import threading
 import time
+from collections import deque
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -169,9 +170,10 @@ class Telemetry:
         DEBUG level, which is the bridge between structured telemetry and
         ordinary ``--log-level debug`` console logging.
     max_events:
-        Bound on the retained event list.  Once full, further events are
-        counted (``events_dropped`` counter) but not stored, so unbounded
-        sweeps cannot grow memory without limit.
+        Bound on the retained events.  Once full, each new event evicts
+        the oldest (``telemetry.events_dropped`` counts them), so
+        unbounded sweeps cannot grow memory without limit and the end of
+        a run -- its last progress event, the fleet report -- survives.
     tracer:
         Optional :class:`~repro.core.tracing.Tracer`; when attached,
         every :meth:`span` also records one hierarchical trace event and
@@ -200,7 +202,7 @@ class Telemetry:
         #: Wall seconds per span name, in the default latency buckets.
         self.spans: dict[str, Histogram] = {}
         self.histograms: dict[str, Histogram] = {}
-        self.events: list[dict] = []
+        self.events: deque[dict] = deque(maxlen=self.max_events)
         #: Per-worker digests accumulated by :meth:`merge`:
         #: label -> {"counters": {...}, "span_seconds": {...}, "merges": n,
         #: "resources": {name: Histogram}}.
@@ -261,12 +263,7 @@ class Telemetry:
         """
         payload = {"kind": kind, "t_unix": time.time(), **fields}
         with self._lock:
-            if len(self.events) < self.max_events:
-                self.events.append(payload)
-            else:
-                self.counters["telemetry.events_dropped"] = (
-                    self.counters.get("telemetry.events_dropped", 0) + 1
-                )
+            self._keep_event(payload)
         flight.get_recorder().note(payload)
         if self.event_sink is not None:
             try:
@@ -275,6 +272,14 @@ class Telemetry:
                 log.warning("telemetry event sink raised", exc_info=True)
         if self._logger is not None:
             self._logger.debug("%s %s", kind, fields)
+
+    def _keep_event(self, payload: dict) -> None:
+        """File one event, evicting the oldest when full (lock held)."""
+        if len(self.events) == self.max_events:
+            self.counters["telemetry.events_dropped"] = (
+                self.counters.get("telemetry.events_dropped", 0) + 1
+            )
+        self.events.append(payload)
 
     # --- snapshots and merging ------------------------------------------------
 
@@ -299,7 +304,7 @@ class Telemetry:
                 self.counters = {}
                 self.spans = {}
                 self.histograms = {}
-                self.events = []
+                self.events.clear()
         if self.tracer is not None:
             snapshot.trace = self.tracer.snapshot(drain=drain)
         return snapshot
@@ -314,7 +319,7 @@ class Telemetry:
         Associative and commutative on the aggregates: counters add,
         span and observation histograms combine via
         :meth:`~repro.core.metrics.Histogram.merge`, events append
-        (bounded, drops counted), and trace events file under their
+        (bounded, oldest evicted), and trace events file under their
         original process lane.  ``worker`` (default: the snapshot's
         label) additionally accumulates the snapshot's counters, span
         totals and ``resources.*`` histograms into :attr:`workers`, the
@@ -328,12 +333,7 @@ class Telemetry:
             _merge_histograms(self.spans, snapshot.spans)
             _merge_histograms(self.histograms, snapshot.histograms)
             for payload in snapshot.events:
-                if len(self.events) < self.max_events:
-                    self.events.append(dict(payload))
-                else:
-                    self.counters["telemetry.events_dropped"] = (
-                        self.counters.get("telemetry.events_dropped", 0) + 1
-                    )
+                self._keep_event(dict(payload))
             if label:
                 digest = self.workers.setdefault(
                     label,
@@ -417,11 +417,10 @@ class Telemetry:
         lines: list[str] = ["== telemetry summary =="]
         dropped = counters.get("telemetry.events_dropped", 0)
         if dropped:
-            # Surfaced first and loudly: silently truncated event trails
-            # have repeatedly masked the interesting end of long sweeps.
+            # Surfaced first and loudly: the retained trail is incomplete.
             lines.append(
                 f"WARNING: {dropped:g} event(s) dropped -- the bounded buffer "
-                f"filled at max_events={max_events}; construct "
+                f"kept the newest max_events={max_events}; construct "
                 f"Telemetry(max_events=<larger>) to keep the full trail"
             )
         if counters:

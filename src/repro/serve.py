@@ -1,8 +1,8 @@
-"""Sweep-as-a-service: an asyncio HTTP/JSON API over the result store.
+"""Sweep-as-a-service: a threaded HTTP/JSON API over the result store.
 
 The pathfinding engine is evaluation-bound; its readers are not.  This
-module puts a thin, stdlib-only HTTP layer between the two so millions
-of read-mostly clients hit the content-addressed store
+module puts a thin, stdlib-only HTTP layer between the two so
+read-mostly clients hit the content-addressed store
 (:mod:`repro.store`) instead of the simulator:
 
 * ``POST /v1/sweeps`` submits a sweep.  The request resolves to an
@@ -27,23 +27,27 @@ of read-mostly clients hit the content-addressed store
   beyond the manifest -- the revalidation path costs nothing and keeps
   repeat readers entirely off the simulator.
 
-The HTTP layer is deliberately minimal (``asyncio.start_server`` plus a
-hand-rolled HTTP/1.1 request parser): no third-party dependency, no
-framework, every byte under test.  It is not a general-purpose web
-server -- it serves JSON to cooperating clients and rejects everything
-else with 4xx.
+The transport is the stdlib's :class:`~http.server.ThreadingHTTPServer`
+with one request-handler class: a daemon thread per connection, each
+serving sequential keep-alive requests, so a slow store read stalls only
+its own client.  The handler narrows the stdlib's parser to what the API
+serves -- a ``METHOD target HTTP/1.x`` request line, a clean header
+block, and a body of at most :data:`MAX_BODY_BYTES` that arrives in full
+-- and answers every rejection with the API's JSON ``{"error": ...}``
+body.  It is not a general-purpose web server: it serves JSON to
+cooperating clients and rejects everything else with 4xx.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import logging
 import signal
 import threading
 import time
-from collections.abc import AsyncIterator, Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, unquote, urlsplit
 
@@ -55,6 +59,7 @@ from repro.core.metrics import (
     render_openmetrics,
 )
 from repro.core.pareto import Objective, pareto_front
+from repro.core.results import ExplorationResult
 from repro.core.telemetry import Telemetry, get_active
 from repro.core.tracing import Tracer, chrome_trace
 from repro.store import ResultStore, SweepManifest, check_sweep_name
@@ -436,7 +441,7 @@ class Response:
     status: int
     payload: dict | list | None = None
     headers: dict[str, str] = field(default_factory=dict)
-    stream: AsyncIterator[str] | None = None
+    stream: Iterator[str] | None = None
     #: Pre-rendered text body (e.g. the OpenMetrics exposition); wins over
     #: ``payload`` and defaults the Content-Type to plain text.
     text: str | None = None
@@ -461,13 +466,6 @@ class HttpError(Exception):
         self.message = message
 
 
-_REASONS = {
-    200: "OK", 202: "Accepted", 304: "Not Modified", 400: "Bad Request",
-    404: "Not Found", 405: "Method Not Allowed", 413: "Payload Too Large",
-    500: "Internal Server Error", 503: "Service Unavailable",
-}
-
-
 def etag_of(digest: str) -> str:
     return f'"{digest}"'
 
@@ -488,7 +486,7 @@ def if_none_match_hits(header: str | None, etag: str) -> bool:
     return False
 
 
-def parse_page(query: dict[str, list[str]], total: int) -> tuple[int, int]:
+def parse_page(query: dict[str, list[str]]) -> tuple[int, int]:
     """Validated ``(offset, limit)`` pagination bounds (400 on nonsense)."""
     def one_int(name: str, default: int) -> int:
         values = query.get(name)
@@ -505,7 +503,6 @@ def parse_page(query: dict[str, list[str]], total: int) -> tuple[int, int]:
         raise HttpError(400, f"offset must be >= 0, got {offset}")
     if not 1 <= limit <= MAX_PAGE_LIMIT:
         raise HttpError(400, f"limit must be in [1, {MAX_PAGE_LIMIT}], got {limit}")
-    del total  # bounds are absolute, not clamped to the collection
     return offset, limit
 
 
@@ -538,7 +535,7 @@ class SweepApi:
                 return f"sweep.{view}"
         return "other"
 
-    async def dispatch(self, request: Request) -> Response:
+    def dispatch(self, request: Request) -> Response:
         """Route one request; observe per-route latency and response size."""
         started = time.perf_counter()
         self.telemetry.count("serve.requests")
@@ -642,11 +639,13 @@ class SweepApi:
 
     def _list_sweeps(self) -> Response:
         index = self.service.store.index()
-        running = [
-            job.view()
-            for job in self.service.jobs.values()
-            if job.status == "running"
-        ]
+        # Other handler threads may be adding jobs: copy under the lock.
+        with self.service._lock:
+            running = [
+                job.view()
+                for job in self.service.jobs.values()
+                if job.status == "running"
+            ]
         return Response(200, {"sweeps": index.get("sweeps", {}), "running": running})
 
     def _submit(self, request: Request) -> Response:
@@ -700,7 +699,7 @@ class SweepApi:
         def build(manifest: SweepManifest) -> dict:
             from repro.core.serialization import evaluation_to_dict
 
-            offset, limit = parse_page(request.query, manifest.n_evaluations)
+            offset, limit = parse_page(request.query)
             result = self.service.store.load_result(name)
             rows = [
                 evaluation_to_dict(evaluation)
@@ -723,8 +722,7 @@ class SweepApi:
             front = pareto_front(
                 [e for e in result if e.ok], objectives
             )
-            offset, limit = parse_page(request.query, len(front))
-            rows = ExplorationRows(front[offset : offset + limit])
+            offset, limit = parse_page(request.query)
             return {
                 "name": name,
                 "objectives": [
@@ -733,7 +731,7 @@ class SweepApi:
                 "total": len(front),
                 "offset": offset,
                 "limit": limit,
-                "front": rows.to_dicts(),
+                "front": ExplorationResult(front[offset : offset + limit]).to_dicts(),
             }
 
         return self._conditional(name, request, build)
@@ -742,7 +740,7 @@ class SweepApi:
         def build(manifest: SweepManifest) -> dict:
             result = self.service.store.load_result(name)
             evaluations = list(result)
-            offset, limit = parse_page(request.query, len(evaluations))
+            offset, limit = parse_page(request.query)
             rows = [
                 {
                     "point": e.point.describe(),
@@ -790,7 +788,7 @@ class SweepApi:
             stream=self._tail_events(name, job),
         )
 
-    async def _tail_events(self, name: str, job: SweepJob | None) -> AsyncIterator[str]:
+    def _tail_events(self, name: str, job: SweepJob | None) -> Iterator[str]:
         """Tail the sweep's JSONL event sink until the job settles.
 
         Replays everything already written, then follows appends while
@@ -821,149 +819,154 @@ class SweepApi:
                         yield line + "\n"
             if not running:
                 break
-            await asyncio.sleep(EVENT_POLL_S)
+            time.sleep(EVENT_POLL_S)
         if buffered.strip():
             yield buffered + "\n"
         status = job.status if job is not None else "done"
         yield json.dumps({"kind": "serve.stream_end", "name": name, "status": status}) + "\n"
 
 
-# --- connection handling ------------------------------------------------------
+# --- transport ----------------------------------------------------------------
 
 
-async def _read_request(reader: asyncio.StreamReader) -> Request | None:
-    """Parse one HTTP/1.1 request; ``None`` on a cleanly closed connection."""
-    try:
-        line = await reader.readline()
-    except (ValueError, ConnectionError):  # oversized request line
-        raise HttpError(400, "malformed request line") from None
-    if not line:
-        return None
-    try:
-        method, target, _version = line.decode("latin-1").split()
-    except ValueError:
-        raise HttpError(400, "malformed request line") from None
-    headers: dict[str, str] = {}
-    while True:
+class _Handler(BaseHTTPRequestHandler):
+    """One client connection: the stdlib parses, :class:`SweepApi` routes.
+
+    Where the API differs from the stdlib's defaults: a garbled request
+    line gets a ``400`` status line (not silence or an HTTP/0.9 reply),
+    every rejection answers with the API's JSON error body (not an HTML
+    page), and every method reaches the router, which answers ``405``
+    (not the stdlib's ``501``).
+    """
+
+    protocol_version = "HTTP/1.1"  # keep-alive
+    default_request_version = "HTTP/1.1"
+    server_version = "repro-serve"
+    # Headers and body are two writes: with Nagle on, a keep-alive
+    # client waits ~40 ms for the body of every response.
+    disable_nagle_algorithm = True
+
+    def version_string(self) -> str:
+        return self.server_version  # no interpreter version on the wire
+
+    def log_message(self, format: str, *args) -> None:
+        log.debug("%s " + format, self.address_string(), *args)
+
+    def __getattr__(self, name: str):
+        # The stdlib looks up ``do_<METHOD>``; route them all.
+        if name.startswith("do_"):
+            return self._dispatch
+        raise AttributeError(name)
+
+    def handle(self) -> None:
         try:
-            raw = await reader.readline()
-        except (ValueError, ConnectionError):
-            raise HttpError(400, "malformed header block") from None
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        name, separator, value = raw.decode("latin-1").partition(":")
-        if not separator:
-            raise HttpError(400, f"malformed header line {raw!r}")
-        headers[name.strip().lower()] = value.strip()
-        if len(headers) > 100:
-            raise HttpError(400, "too many headers")
-    try:
-        length = int(headers.get("content-length", "0"))
-    except ValueError:
-        raise HttpError(400, "malformed Content-Length") from None
-    if length < 0 or length > MAX_BODY_BYTES:
-        raise HttpError(413, f"body larger than {MAX_BODY_BYTES} bytes")
-    body = await reader.readexactly(length) if length else b""
-    split = urlsplit(target)
-    return Request(
-        method=method.upper(),
-        path=split.path,
-        query=parse_qs(split.query),
-        headers=headers,
-        body=body,
-    )
+            super().handle()
+        except ConnectionError:
+            pass  # the peer vanished mid-request or mid-response
 
+    def parse_request(self) -> bool:
+        # Only ``METHOD target HTTP/1.x`` is served.  Checked before the
+        # stdlib's parse, which answers a blank line with silence and the
+        # HTTP/0.9 forms without a status line.
+        self.requestline = str(self.raw_requestline, "latin-1").rstrip("\r\n")
+        self.request_version = self.default_request_version
+        words = self.requestline.split()
+        if len(words) != 3 or not words[2].startswith("HTTP/1."):
+            self.send_error(400, "malformed request line")
+            return False
+        if not super().parse_request():
+            return False
+        # The stdlib ends the header block at a line that is not a header
+        # (no colon, say) and keeps the rest as payload; reject it.
+        rest = self.headers.get_payload()
+        if rest:
+            line = "".join(rest.partition("\n")[:2]).encode("latin-1")
+            self.send_error(400, f"malformed header line {line!r}")
+            return False
+        return True
 
-def _head(status: int, headers: dict[str, str]) -> bytes:
-    reason = _REASONS.get(status, "OK")
-    lines = [f"HTTP/1.1 {status} {reason}"]
-    lines += [f"{k}: {v}" for k, v in headers.items()]
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+    def send_error(
+        self, code: int, message: str | None = None, explain: str | None = None
+    ) -> None:
+        self.close_connection = True
+        self._send(Response(code, {"error": message or self.responses[code][0]}))
 
-
-async def _write_response(
-    writer: asyncio.StreamWriter, response: Response, keep_alive: bool
-) -> bool:
-    """Send ``response``; returns whether the connection stays open."""
-    headers = {"Server": "repro-serve", **response.headers}
-    if response.stream is not None:
-        headers.setdefault("Content-Type", "application/x-ndjson")
-        headers["Transfer-Encoding"] = "chunked"
-        headers["Connection"] = "close"
-        writer.write(_head(response.status, headers))
-        await writer.drain()
-        async for text in response.stream:
-            data = text.encode()
-            writer.write(b"%x\r\n" % len(data) + data + b"\r\n")
-            await writer.drain()
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
-        return False
-    body = response.encode_body()
-    if response.status != 304:
-        content_type = (
-            "text/plain; charset=utf-8" if response.text is not None
-            else "application/json"
+    def _dispatch(self) -> None:
+        headers = {name.lower(): value.strip() for name, value in self.headers.items()}
+        try:
+            length = int(headers.get("content-length", "0"))
+        except ValueError:
+            self.send_error(400, "malformed Content-Length")
+            return
+        if not 0 <= length <= MAX_BODY_BYTES:
+            self.send_error(413, f"body larger than {MAX_BODY_BYTES} bytes")
+            return
+        body = self.rfile.read(length)
+        if len(body) < length:
+            # The client hit EOF inside the body: a torn request is
+            # dropped, never dispatched.
+            self.close_connection = True
+            return
+        try:
+            split = urlsplit(self.path)
+        except ValueError:
+            self.send_error(400, "malformed request target")
+            return
+        request = Request(
+            method=self.command.upper(),
+            path=split.path,
+            query=parse_qs(split.query),
+            headers=headers,
+            body=body,
         )
-        headers.setdefault("Content-Type", content_type)
-    headers["Content-Length"] = str(len(body))
-    headers["Connection"] = "keep-alive" if keep_alive else "close"
-    writer.write(_head(response.status, headers) + body)
-    await writer.drain()
-    return keep_alive
+        self._send(self.server.api.dispatch(request))
 
-
-async def handle_connection(
-    api: SweepApi, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-) -> None:
-    """Serve one client connection (sequential keep-alive requests)."""
-    try:
-        while True:
-            try:
-                request = await _read_request(reader)
-            except HttpError as error:
-                await _write_response(
-                    writer, Response(error.status, {"error": error.message}), False
+    def _send(self, response: Response) -> None:
+        headers = dict(response.headers)
+        if response.stream is not None:
+            headers.setdefault("Content-Type", "application/x-ndjson")
+            headers["Transfer-Encoding"] = "chunked"
+            self.close_connection = True
+        else:
+            body = response.encode_body()
+            if response.status != 304:
+                content_type = (
+                    "text/plain; charset=utf-8" if response.text is not None
+                    else "application/json"
                 )
-                break
-            except asyncio.IncompleteReadError:
-                break
-            if request is None:
-                break
-            keep_alive = request.headers.get("connection", "keep-alive") != "close"
-            response = await api.dispatch(request)
-            if not await _write_response(writer, response, keep_alive):
-                break
-    except (ConnectionError, asyncio.CancelledError):
-        pass
-    finally:
-        try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            pass  # peer vanished or server shutting down mid-close
+                headers.setdefault("Content-Type", content_type)
+            headers["Content-Length"] = str(len(body))
+        headers["Connection"] = "close" if self.close_connection else "keep-alive"
+        self.send_response(response.status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.end_headers()
+        if response.stream is None:
+            self.wfile.write(body)
+            return
+        for text in response.stream:
+            data = text.encode()
+            self.wfile.write(b"%x\r\n%s\r\n" % (len(data), data))
+        self.wfile.write(b"0\r\n\r\n")
 
 
-async def start_server(
+def _make_server(
     service: SweepService, host: str = "127.0.0.1", port: int = 0
-) -> asyncio.AbstractServer:
-    """Bind the API server; returns the listening ``asyncio`` server."""
-    api = SweepApi(service)
-
-    async def _handler(reader, writer):
-        await handle_connection(api, reader, writer)
-
-    return await asyncio.start_server(_handler, host=host, port=port)
+) -> ThreadingHTTPServer:
+    """Bind the API server; ``serve_forever()`` on the result serves it."""
+    server = ThreadingHTTPServer((host, port), _Handler)
+    server.api = SweepApi(service)
+    return server
 
 
-async def serve_forever(
+def serve_forever(
     service: SweepService,
     host: str = "127.0.0.1",
     port: int = 8731,
     *,
     drain_timeout_s: float = 30.0,
 ) -> None:
-    """Run the API server until SIGTERM/SIGINT, then drain and exit.
+    """Run the API server until SIGTERM/SIGINT, then drain and return.
 
     Shutdown sequence (the ``repro serve`` body):
 
@@ -976,120 +979,80 @@ async def serve_forever(
        its JSONL event sink.  A sweep that outlives the timeout is
        abandoned to its daemon thread -- its finished points are in the
        store cache, so resubmitting after restart resumes, not restarts;
-    3. the listener closes and the process exits.
+    3. the listener closes and the function returns.
 
-    Signal handlers need the main thread; anywhere else (tests embed
-    via :class:`ServerThread`) this degrades to plain serve-until-
-    cancelled.
+    The signal handlers are installed with :func:`signal.signal`, so
+    this must run on the main thread; embed with :class:`ServerThread`
+    anywhere else.
     """
-    server = await start_server(service, host=host, port=port)
-    sockets = server.sockets or []
-    for sock in sockets:
-        log.info("serving on http://%s:%s", *sock.getsockname()[:2])
-    loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
+    server = _make_server(service, host=host, port=port)
+    log.info("serving on http://%s:%s", *server.server_address[:2])
+    stop = threading.Event()
+    received: list[str] = []
 
-    def request_stop(signum: int) -> None:
-        log.info("received %s; beginning graceful shutdown", signal.Signals(signum).name)
-        service.begin_drain()
+    def request_stop(signum: int, _frame) -> None:
+        # Only record it: a handler runs between two bytecodes of the
+        # main thread, which may hold any lock at that moment.
+        received.append(signal.Signals(signum).name)
         stop.set()
 
-    registered: list[int] = []
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, request_stop, signum)
-        except (NotImplementedError, RuntimeError, ValueError):
-            break  # non-main thread or platform without signal support
-        registered.append(signum)
+    def drain_then_shutdown() -> None:
+        stop.wait()
+        log.info("received %s; beginning graceful shutdown", received[0])
+        # The server keeps answering while the sweeps drain: submissions
+        # get 503, readers and health checks are served as usual.
+        unfinished = service.drain(drain_timeout_s)
+        if unfinished:
+            log.warning("exiting with %d sweep(s) unfinished: %s",
+                        len(unfinished), ", ".join(sorted(unfinished)))
+        else:
+            log.info("drained cleanly")
+        server.shutdown()
+
+    previous = {
+        signum: signal.signal(signum, request_stop)
+        for signum in (signal.SIGTERM, signal.SIGINT)
+    }
+    threading.Thread(target=drain_then_shutdown, name="repro-serve-drain", daemon=True).start()
     try:
-        async with server:
-            if not registered:
-                await server.serve_forever()
-                return
-            serving = asyncio.ensure_future(server.serve_forever())
-            stopping = asyncio.ensure_future(stop.wait())
-            try:
-                await asyncio.wait(
-                    {serving, stopping}, return_when=asyncio.FIRST_COMPLETED
-                )
-                # Keep answering requests while draining: submissions
-                # are already refused with 503, but readers and health
-                # checks stay up until the last sweep settles.
-                unfinished = await asyncio.to_thread(service.drain, drain_timeout_s)
-            finally:
-                serving.cancel()
-                stopping.cancel()
-            server.close()
-            await server.wait_closed()
-            if unfinished:
-                log.warning("exiting with %d sweep(s) unfinished: %s",
-                            len(unfinished), ", ".join(sorted(unfinished)))
-            else:
-                log.info("drained cleanly")
+        server.serve_forever()
     finally:
-        for signum in registered:
-            loop.remove_signal_handler(signum)
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+        server.server_close()
 
 
 class ServerThread:
     """Run the API server on a daemon thread (tests and embedding).
 
     ``with ServerThread(service) as server: ...`` binds an ephemeral port
-    (``server.port``) on a private event loop and tears it down on exit.
+    (``server.port``), serves on a background thread and shuts the
+    listener down on exit.
     """
 
     def __init__(self, service: SweepService, host: str = "127.0.0.1", port: int = 0):
         self.service = service
         self.host = host
         self.port = port
-        self._started = threading.Event()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._error: BaseException | None = None
+        self._server: ThreadingHTTPServer | None = None
 
     def start(self) -> "ServerThread":
-        self._thread = threading.Thread(
-            target=self._run, name="repro-serve", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout=10):  # pragma: no cover - startup hang
-            raise RuntimeError("server thread failed to start within 10s")
-        if self._error is not None:
-            raise RuntimeError(f"server failed to bind: {self._error}")
+        self._server = _make_server(self.service, host=self.host, port=self.port)
+        self.port = self._server.server_address[1]
+        # stop() waits up to one poll interval for the accept loop.
+        threading.Thread(
+            target=self._server.serve_forever,
+            kwargs={"poll_interval": 0.05},
+            name="repro-serve",
+            daemon=True,
+        ).start()
         return self
 
-    def _run(self) -> None:
-        async def main() -> None:
-            try:
-                server = await start_server(self.service, host=self.host, port=self.port)
-            except OSError as error:
-                self._error = error
-                self._started.set()
-                return
-            self.port = server.sockets[0].getsockname()[1]
-            self._loop = asyncio.get_running_loop()
-            self._started.set()
-            async with server:
-                try:
-                    await server.serve_forever()
-                except asyncio.CancelledError:
-                    pass
-
-        asyncio.run(main())
-
     def stop(self) -> None:
-        loop = self._loop
-        if loop is not None and loop.is_running():
-            for task in [t for t in asyncio.all_tasks(loop)]:
-                try:
-                    loop.call_soon_threadsafe(task.cancel)
-                except RuntimeError:
-                    # Cancelling the serve task ends asyncio.run(),
-                    # which closes the loop while we are still walking
-                    # the task list -- the goal state, not an error.
-                    break
-        if self._thread is not None:
-            self._thread.join(timeout=10)
+        if self._server is not None:
+            self._server.shutdown()
+            self._server.server_close()
+            self._server = None
 
     @property
     def base_url(self) -> str:
@@ -1100,15 +1063,3 @@ class ServerThread:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
-
-
-class ExplorationRows:
-    """Tiny adapter reusing :meth:`ExplorationResult.to_dicts` on a slice."""
-
-    def __init__(self, evaluations):
-        from repro.core.results import ExplorationResult
-
-        self._result = ExplorationResult(list(evaluations), name="view")
-
-    def to_dicts(self) -> list[dict]:
-        return self._result.to_dicts()

@@ -14,6 +14,8 @@ import json
 import math
 import socket
 import threading
+import time
+from dataclasses import dataclass
 
 import pytest
 
@@ -48,6 +50,15 @@ from tests.test_parallel_explorer import (
     assert_sweeps_identical,
     smoke_grid,
 )
+
+
+@dataclass(frozen=True)
+class SlowToyEvaluator(ToyEvaluator):
+    """:class:`ToyEvaluator` taking long enough that every worker leases."""
+
+    def __call__(self, point) -> Evaluation:
+        time.sleep(0.05)
+        return super().__call__(point)
 
 
 def points(n: int, start: int = 0) -> list[tuple[int, DesignPoint]]:
@@ -577,6 +588,29 @@ class TestFleetExplorer:
         assert sorted(manifest.fleet["workers"]) == ["worker-0", "worker-1"]
         rebuilt = RunManifest.from_dict(json.loads(json.dumps(manifest.to_dict())))
         assert rebuilt.fleet == manifest.fleet
+
+    def test_fleet_without_options_spawns_n_workers(self, monkeypatch):
+        # Without FleetOptions the local fleet is sized like "process":
+        # n_workers forked workers, not FleetOptions()'s default three.
+        import repro.fleet
+
+        spawned = []
+        spawn = repro.fleet.spawn_local_workers
+
+        def counting_spawn(count, *args, **kwargs):
+            spawned.append(count)
+            return spawn(count, *args, **kwargs)
+
+        monkeypatch.setattr(repro.fleet, "spawn_local_workers", counting_spawn)
+        explorer = DesignSpaceExplorer(SlowToyEvaluator())
+        explorer.explore(
+            [DesignPoint(n_bits=n) for n in range(6, 14)],
+            executor="fleet",
+            n_workers=2,
+            chunk_size=1,
+        )
+        assert spawned == [2]
+        assert sorted(explorer.last_fleet_report.workers) == ["worker-0", "worker-1"]
 
     def test_no_lease_after_interrupt(self):
         """After the completion that crosses ``interrupt_after_points``,

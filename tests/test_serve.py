@@ -1,8 +1,9 @@
 """Tests of the sweep-as-a-service HTTP API (:mod:`repro.serve`).
 
-The HTTP tests run a real asyncio server on an ephemeral loopback port
-(:class:`~repro.serve.ServerThread`) and drive it with stdlib
-``http.client``/``urllib`` -- the same wire path production clients use.
+The HTTP tests run the real threaded server on an ephemeral loopback
+port (:class:`~repro.serve.ServerThread`) and drive it with stdlib
+``http.client`` or raw sockets -- the same wire path production clients
+use.  A Hypothesis suite throws hostile bytes at the request parser.
 A cheap closed-form evaluator keeps each sweep sub-millisecond while
 counting its invocations, so the served-from-store assertions can prove
 the evaluator was *not* called.
@@ -10,18 +11,26 @@ the evaluator was *not* called.
 
 import http.client
 import json
+import re
+import socket
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.results import Evaluation
 from repro.core.telemetry import Telemetry
 from repro.power.technology import DesignPoint
 from repro.serve import (
     DEFAULT_PAGE_LIMIT,
+    MAX_BODY_BYTES,
+    Request,
     ServerThread,
     SubmissionError,
+    SweepApi,
     SweepService,
     default_resolver,
     if_none_match_hits,
@@ -567,3 +576,278 @@ class TestTraceEndpoint:
         response, data = client.request("GET", "/v1/sweeps/tr2/trace")
         assert response.status == 404
         assert "trace" in data["error"]
+
+
+class TestNoHeadOfLineBlocking:
+    def test_healthz_answers_while_a_store_read_blocks(self, server, service, monkeypatch):
+        """One connection stuck in a slow store read must not stall the
+        others: each connection is served on its own thread."""
+        client = Client(server)
+        client.request("POST", "/v1/sweeps", body={"name": "hol"})
+        wait_done(service, "hol")
+        entered, release = threading.Event(), threading.Event()
+        load_result = service.store.load_result
+
+        def blocking_load_result(name):
+            entered.set()
+            release.wait(timeout=30)
+            return load_result(name)
+
+        monkeypatch.setattr(service.store, "load_result", blocking_load_result)
+        statuses = []
+        slow = threading.Thread(
+            target=lambda: statuses.append(
+                client.request("GET", "/v1/sweeps/hol/evaluations")[0].status
+            )
+        )
+        slow.start()
+        try:
+            assert entered.wait(timeout=10)
+            probe = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+            try:
+                probe.request("GET", "/healthz")
+                response = probe.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["ok"] is True
+            finally:
+                probe.close()
+            assert slow.is_alive()  # the evaluations read is still held
+        finally:
+            release.set()
+            slow.join(timeout=10)
+        assert statuses == [200]
+        client.close()
+
+
+class TestConcurrentRequests:
+    def test_listings_race_submissions_cleanly(self, service, monkeypatch):
+        """Handler threads list the jobs table while others add to it."""
+        # The jobs only wait: this is about the table, not the sweeps.
+        release = threading.Event()
+        monkeypatch.setattr(service, "_run_job", lambda *args: release.wait(timeout=60))
+        api = SweepApi(service)
+        listing = Request("GET", "/v1/sweeps", {}, {}, b"")
+        statuses = []
+        submitted = threading.Event()
+
+        def submit(worker):
+            for n in range(150):
+                service.submit({"name": f"c{worker}-{n}"})
+
+        def list_until_submitted():
+            while not submitted.is_set():
+                statuses.append(api.dispatch(listing).status)
+
+        submitters = [threading.Thread(target=submit, args=(w,)) for w in range(2)]
+        listers = [threading.Thread(target=list_until_submitted) for _ in range(2)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in submitters + listers:
+                thread.start()
+            for thread in submitters:
+                thread.join(timeout=60)
+        finally:
+            submitted.set()
+            for thread in listers:
+                thread.join(timeout=60)
+            sys.setswitchinterval(previous)
+            release.set()
+        assert not any(thread.is_alive() for thread in submitters + listers)
+        assert len(service.jobs) == 300
+        assert statuses and set(statuses) == {200}
+        assert service.drain(timeout_s=30) == []
+
+
+def exchange(port: int, raw: bytes) -> bytes:
+    """Send ``raw`` on a fresh connection, close the write side, and
+    return everything the server sends before it closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(raw)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def first_status(reply: bytes) -> int | None:
+    """Status code of the first response in ``reply`` (None: no reply)."""
+    if not reply:
+        return None
+    match = re.match(rb"HTTP/1\.1 (\d{3}) ", reply)
+    assert match, f"reply does not start with a status line: {reply[:80]!r}"
+    return int(match.group(1))
+
+
+#: Largest line the stdlib parser accepts, +1: exactly one byte over.
+LINE_OVER = 65537
+PRINTABLE = st.characters(min_codepoint=0x21, max_codepoint=0x7E)
+METHODS = st.sampled_from(["GET", "POST", "PUT", "HEAD", "DELETE", "get", "BREW"])
+TARGETS = st.one_of(
+    st.sampled_from([
+        "/healthz", "/metrics", "/v1/sweeps", "/v1/sweeps/x", "/v1/sweeps/x/events",
+        "/v1/sweeps/x/pareto?limit=0", "/v2/../etc", "*", "//v1/sweeps", "http://[::1",
+    ]),
+    st.text(PRINTABLE, min_size=1, max_size=30),
+)
+HEADER_NAMES = st.from_regex(r"[A-Za-z][A-Za-z0-9-]{0,11}", fullmatch=True).filter(
+    lambda name: name.lower() not in ("content-length", "expect")
+)
+HEADER_VALUES = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=24)
+
+
+def parses_as_int(text: str) -> bool:
+    try:
+        int(text.strip())
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def hostile_requests(draw) -> tuple[bytes, int | None, bool]:
+    """``(raw, expected first status, may_dispatch)``.
+
+    The expected status is ``None`` for a request the server must drop
+    unanswered, and ``0`` for a well-formed one, which the router may
+    answer with any of its statuses.  Rejected requests carry no body
+    and oversized lines end exactly one byte over the limit, so the
+    server has read every byte before it closes: an unread byte would
+    turn the close into a reset that can swallow the reply.
+    """
+    method, target = draw(METHODS), draw(TARGETS)
+    line_fault = draw(st.sampled_from([None, None, "words", "version", "junk", "long"]))
+    if line_fault == "long":
+        return b"GET /" + b"a" * (LINE_OVER - 5), 414, False
+    if line_fault == "words":
+        words = draw(st.lists(TARGETS, max_size=5).filter(lambda w: len(w) != 3))
+        return " ".join(words).encode() + b"\r\n\r\n", 400, False
+    if line_fault == "version":
+        version = draw(st.sampled_from(["HTTP/0.9", "HTTP/2.0", "HTTP/1.x", "FOO", "HTTP/"]))
+        return f"{method} {target} {version}\r\n\r\n".encode(), 400, False
+    if line_fault == "junk":
+        junk = draw(st.binary(max_size=40).filter(
+            lambda raw: b"\n" not in raw and len(raw.decode("latin-1").split()) != 3
+        ))
+        return junk + b"\r\n\r\n", 400, False
+    version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.0"]))
+    head = f"{method} {target} {version}\r\n".encode()
+    head += b"".join(
+        f"{name}: {value}\r\n".encode()
+        for name, value in draw(st.lists(st.tuples(HEADER_NAMES, HEADER_VALUES), max_size=5))
+    )
+    header_fault = draw(st.sampled_from([None, None, None, "colon", "many", "long"]))
+    if header_fault == "colon":
+        bare = draw(st.text(PRINTABLE.filter(lambda c: c != ":"), min_size=1, max_size=12))
+        return head + bare.encode() + b"\r\nHost: x\r\n\r\n", 400, False
+    if header_fault == "many":
+        return head + b"X-Fill: 1\r\n" * 101, 431, False
+    if header_fault == "long":
+        return head + b"X-Long: " + b"a" * (LINE_OVER - 8), 431, False
+    body = draw(st.one_of(
+        st.binary(max_size=64),
+        st.sampled_from([b'{"name": "fuzz"}', b'{"scale": "smoke"}', b"[]", b"{"]),
+    ))
+    length = draw(st.sampled_from(["none", "exact", "exact", "short", "text", "negative", "huge"]))
+    if length == "none":
+        return head + b"\r\n" + body, 0, True
+    if length == "exact":
+        return head + f"Content-Length: {len(body)}\r\n\r\n".encode() + body, 0, True
+    if length == "short":
+        announced = len(body) + draw(st.integers(1, 1000))
+        return head + f"Content-Length: {announced}\r\n\r\n".encode() + body, None, False
+    if length == "text":
+        text = draw(st.text(PRINTABLE, max_size=10).filter(lambda t: not parses_as_int(t)))
+        return head + f"Content-Length: {text}\r\n\r\n".encode(), 400, False
+    announced = (
+        -draw(st.integers(1, 10**6)) if length == "negative"
+        else MAX_BODY_BYTES + draw(st.integers(1, 10**9))
+    )
+    return head + f"Content-Length: {announced}\r\n\r\n".encode(), 413, False
+
+
+class TestHostileInput:
+    """Raw bytes at the request parser: every case ends in a status line
+    or a closed connection, malformed input gets a 4xx, and a request
+    whose body ends early never reaches a handler."""
+
+    @pytest.fixture
+    def refusing(self, tmp_path):
+        def resolver(payload):
+            raise SubmissionError("this service accepts no sweeps")
+
+        return SweepService(
+            ResultStore(tmp_path / "store"), resolver=resolver, telemetry=Telemetry()
+        )
+
+    def test_fuzzed_requests_fail_cleanly(self, refusing):
+        with ServerThread(refusing) as server:
+            baseline = threading.active_count()
+
+            @settings(max_examples=150, deadline=None, database=None)
+            @given(case=hostile_requests())
+            @example(case=(
+                b'POST /v1/sweeps HTTP/1.1\r\nContent-Length: 100\r\n\r\n{"name": "short"}',
+                None,
+                False,
+            ))
+            def check(case):
+                raw, expected, may_dispatch = case
+                before = refusing.telemetry.counters.get("serve.requests", 0)
+                status = first_status(exchange(server.port, raw))
+                if expected is None:
+                    assert status is None
+                elif expected:
+                    assert status == expected
+                else:
+                    assert status in (200, 400, 404, 405)
+                if not may_dispatch:
+                    assert refusing.telemetry.counters.get("serve.requests", 0) == before
+
+            check()
+
+            assert refusing.jobs == {}
+            assert refusing.store.index().get("sweeps", {}) == {}
+            client = Client(server)
+            response, data = client.request("GET", "/healthz")
+            client.close()
+            assert response.status == 200 and data["ok"] is True
+            deadline = time.time() + 5
+            while threading.active_count() > baseline and time.time() < deadline:
+                time.sleep(0.01)
+            assert threading.active_count() <= baseline
+
+    def test_short_body_starts_no_sweep(self, server, service):
+        """A body shorter than its Content-Length (the client hit EOF)
+        is dropped unanswered; it must not start a sweep from the part
+        that arrived."""
+        body = b'{"name": "short"}'
+        reply = exchange(
+            server.port,
+            b"POST /v1/sweeps HTTP/1.1\r\nContent-Length: 100\r\n\r\n" + body,
+        )
+        assert reply == b""
+        assert service.jobs == {}
+        assert "serve.requests" not in service.telemetry.counters
+
+    @pytest.mark.parametrize(
+        "raw, status",
+        [
+            (b"GARBAGE\r\n\r\n", 400),
+            (b"\r\n\r\n", 400),
+            (b"GET /healthz\r\n\r\n", 400),
+            (b"POST /v1/sweeps HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400),
+            (b"POST /v1/sweeps HTTP/1.1\r\nContent-Length: 1048577\r\n\r\n", 413),
+            (b"HEAD /healthz HTTP/1.1\r\n\r\n", 405),
+            (b"PUT /v1/sweeps HTTP/1.1\r\n\r\n", 405),
+            (b"DELETE /v1/sweeps/x HTTP/1.1\r\n\r\n", 405),
+            (b"BREW /healthz HTTP/1.1\r\n\r\n", 405),
+        ],
+    )
+    def test_rejections_answer_json(self, server, raw, status):
+        reply = exchange(server.port, raw)
+        assert first_status(reply) == status
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert b"Content-Type: application/json" in head
+        assert "error" in json.loads(body)

@@ -349,6 +349,25 @@ class TestRunManifest:
         assert len(done) == len(set(done))
         assert done[-1] == 201
 
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_full_event_buffer_keeps_the_end_of_the_run(self, executor):
+        # Six points through a four-event buffer: the manifest must still
+        # see how the run ended -- the last progress event of a serial
+        # sweep, the closing fleet report of a process sweep.
+        from repro.experiments.runner import build_run_manifest
+
+        space = [DesignPoint(n_bits=n) for n in range(6, 12)]
+        tel = Telemetry(max_events=4)
+        sweep = DesignSpaceExplorer(ToyEvaluator()).explore(
+            space, executor=executor, n_workers=2, telemetry=tel
+        )
+        manifest = build_run_manifest(sweep, tel, "smoke", executor=executor, n_workers=2)
+        assert manifest.sweep["events_dropped"] > 0
+        if executor == "serial":
+            assert manifest.eta_history[-1]["done"] == manifest.eta_history[-1]["total"] == 6
+        else:
+            assert manifest.fleet["points_completed"] == 6
+
 
 @dataclass(frozen=True)
 class DeadChannelEvaluator:
