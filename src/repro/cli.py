@@ -135,10 +135,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         run_search_space,
         search_space_for,
     )
+    from repro.experiments.runner import default_workers
     from repro.util.textplot import pareto_chart
 
     telemetry = get_active()
-    ledger = None
+    # Resolved once, so the manifest records what the run used.
+    workers = args.workers if args.workers is not None else default_workers()
+    executor = args.executor or ("process" if (workers or 1) > 1 else "serial")
+    ledger = fleet_options = None
     if args.adaptive and args.fleet:
         print(
             "error: --fleet is not supported with --adaptive (the adaptive "
@@ -153,8 +157,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             args.scale,
             rungs=args.rungs,
             keep_frac=args.keep_frac,
-            executor=args.executor,
-            n_workers=args.workers,
+            executor=executor,
+            n_workers=workers,
             checkpoint=args.checkpoint,
             cache_dir=None if args.no_cache else args.cache_dir,
             telemetry=telemetry if telemetry.enabled else None,
@@ -166,7 +170,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(ledger.summary())
         print()
     else:
-        fleet_options = None
         if args.fleet:
             from repro.fleet import FleetOptions
 
@@ -186,13 +189,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 host=args.fleet_host,
                 port=args.fleet_port,
                 spawn_workers=(
-                    args.fleet_spawn
-                    if args.fleet_spawn is not None
-                    else (args.workers or 3)
+                    args.fleet_spawn if args.fleet_spawn is not None else (workers or 3)
                 ),
                 worker_cache_dir=None if args.no_cache else args.cache_dir,
                 **fleet_kwargs,
             )
+            executor = "fleet"
         progress = (
             None
             if args.no_progress
@@ -200,8 +202,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         sweep = run_search_space(
             args.scale,
-            executor="fleet" if fleet_options is not None else args.executor,
-            n_workers=args.workers,
+            executor=executor,
+            n_workers=workers,
             checkpoint=args.checkpoint,
             cache_dir=None if args.no_cache else args.cache_dir,
             progress=progress,
@@ -251,17 +253,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             manifest_path = Path(args.save).with_suffix(".manifest.json")
         else:
             manifest_path = Path("repro-manifest.json")
-        workers = args.workers
-        if args.fleet:
-            executor = "fleet"
-        else:
-            executor = args.executor or ("process" if (workers or 1) > 1 else "serial")
         manifest = build_run_manifest(
             full_sweep,
             telemetry,
             args.scale,
             executor=executor,
-            n_workers=workers,
+            # A fleet records the workers it spawned.
+            n_workers=fleet_options.spawn_workers if fleet_options else workers,
             command="sweep --adaptive" if args.adaptive else "sweep",
             adaptive=ledger.to_dict() if ledger is not None else None,
         )

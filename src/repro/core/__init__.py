@@ -60,10 +60,8 @@ from repro.core.telemetry import (
     NullTelemetry,
     RunManifest,
     Telemetry,
-    TelemetrySnapshot,
     activate,
     get_active,
-    set_active,
 )
 from repro.core.tracing import Tracer, merge_chrome_traces, write_chrome_trace
 
@@ -93,7 +91,6 @@ __all__ = [
     "Objective",
     "RunManifest",
     "Telemetry",
-    "TelemetrySnapshot",
     "Tracer",
     "ParameterSpace",
     "PassthroughBlock",
@@ -111,7 +108,6 @@ __all__ = [
     "accuracy_power_goal",
     "activate",
     "get_active",
-    "set_active",
     "area_constrained_goal",
     "best_feasible",
     "design_point_from_dict",

@@ -470,7 +470,6 @@ def run_adaptive(
                 wave = rung_explorer.explore(
                     rung_points,
                     name=f"{name}-{rung.name}",
-                    telemetry=tel,
                     checkpoint=_rung_checkpoint(checkpoint, level),
                     **explore_kwargs,
                 )

@@ -33,6 +33,7 @@ per worker.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import logging
@@ -47,7 +48,7 @@ from pathlib import Path
 from repro.core import flight
 from repro.core.results import Evaluation
 from repro.core.serialization import evaluation_from_dict, evaluation_to_dict
-from repro.core.telemetry import Telemetry, get_active
+from repro.core.telemetry import get_active
 from repro.power.technology import DesignPoint
 from repro.util.fsio import atomic_write_text
 from repro.util.rng import derive_seed
@@ -111,27 +112,15 @@ class ExecutionPolicy:
         Base of the exponential backoff between attempts: attempt ``k``
         sleeps up to ``retry_backoff_s * 2**(k-1)`` seconds.  0 disables
         the sleep (used by tests).
-    retry_timeouts:
-        Whether a timed-out evaluation is retried.  Off by default: each
-        abandoned attempt leaks a watchdog thread, and a deterministic
-        hang would leak ``retries + 1`` of them.
-    retry_jitter:
-        Apply seeded *full jitter* to the backoff: attempt ``k`` sleeps
-        ``uniform(0, retry_backoff_s * 2**(k-1))`` seconds, with the
-        uniform draw seeded from the point description and attempt
-        number (:func:`repro.util.rng.derive_seed`), so a fleet of
-        workers retrying after a shared transient fault spreads its
-        retries instead of stampeding in lockstep -- while any single
-        point's backoff schedule stays reproducible.  On by default;
-        irrelevant when ``retry_backoff_s`` is 0, so the deterministic
-        0-backoff test path is unchanged.
+
+    Timed-out evaluations are never retried (each abandoned attempt
+    leaks a watchdog thread), and retry delays carry seeded full jitter
+    (:func:`retry_delay_s`).
     """
 
     timeout_s: float | None = None
     retries: int = 0
     retry_backoff_s: float = 0.5
-    retry_timeouts: bool = False
-    retry_jitter: bool = True
 
     def __post_init__(self) -> None:
         if self.timeout_s is not None and self.timeout_s <= 0:
@@ -153,16 +142,14 @@ def retry_delay_s(
 ) -> float:
     """Backoff before retry ``attempt`` (1-based) of ``point``.
 
-    Exponential in the attempt number; with ``policy.retry_jitter`` the
-    delay is a full-jitter uniform draw over ``[0, ceiling]`` seeded from
-    the point description and attempt, so concurrent workers retrying
-    the same transient fault decorrelate deterministically.
+    A full-jitter uniform draw over ``[0, ceiling]``, the ceiling
+    exponential in the attempt number, seeded from the point description
+    and attempt: concurrent workers retrying the same transient fault
+    decorrelate, and each point's schedule stays reproducible.
     """
     ceiling = policy.retry_backoff_s * 2 ** (attempt - 1)
     if ceiling <= 0:
         return 0.0
-    if not policy.retry_jitter:
-        return ceiling
     rng = random.Random(derive_seed(attempt, f"retry:{point.describe()}"))
     return rng.uniform(0.0, ceiling)
 
@@ -174,9 +161,11 @@ def _call_with_timeout(
 ) -> Evaluation:
     """Run one evaluation under a wall-clock watchdog.
 
-    The evaluation runs on a daemon thread; if it does not finish within
-    ``timeout_s`` an :class:`EvaluationTimeout` is raised and the thread
-    is abandoned (daemon threads never block process exit).
+    The evaluation runs on a daemon thread, in a copy of the caller's
+    context so it reports to the caller's ambient telemetry; if it does
+    not finish within ``timeout_s`` an :class:`EvaluationTimeout` is
+    raised and the thread is abandoned (daemon threads never block
+    process exit).
     """
     outcome: list = []
 
@@ -186,7 +175,9 @@ def _call_with_timeout(
         except BaseException as error:  # noqa: BLE001 - relayed to the caller
             outcome.append((False, error))
 
-    watchdog = threading.Thread(target=run, name="repro-eval-watchdog", daemon=True)
+    watchdog = threading.Thread(
+        target=contextvars.copy_context().run, args=(run,), name="repro-eval-watchdog", daemon=True
+    )
     watchdog.start()
     watchdog.join(timeout_s)
     if not outcome:
@@ -233,16 +224,14 @@ def _evaluate_with_policy(
                 attempt=attempt,
             )
             failure: Exception = error
-            retryable = policy.retry_timeouts
         except Exception as error:  # noqa: BLE001 - the isolation boundary
             failure = error
-            retryable = True
-        if retryable and attempt < policy.retries:
-            attempt += 1
-            stats["retries"] += 1
-            if policy.retry_backoff_s > 0:
-                time.sleep(retry_delay_s(policy, point, attempt))
-            continue
+            if attempt < policy.retries:
+                attempt += 1
+                stats["retries"] += 1
+                if policy.retry_backoff_s > 0:
+                    time.sleep(retry_delay_s(policy, point, attempt))
+                continue
         if strict:
             raise PointEvaluationError(
                 point.describe(), f"{type(failure).__name__}: {failure}"
@@ -356,16 +345,15 @@ def evaluate_chunk_with(
     strict: bool,
     chunk: list[tuple[int, DesignPoint]],
     policy: ExecutionPolicy = DEFAULT_POLICY,
-    telemetry: Telemetry | None = None,
 ) -> list[tuple[int, Evaluation, float, dict]]:
     """Evaluate one chunk with an explicit evaluator (the thread executor).
 
-    ``telemetry`` (when profiling) wraps the chunk in an
+    The ambient telemetry (when profiling) wraps the chunk in an
     ``explore.shard`` span and each evaluation in an ``explore.point``
     span, the skeleton of the hierarchical trace; disabled telemetry
     reduces both to shared no-op context managers.
     """
-    tel = telemetry if telemetry is not None else get_active()
+    tel = get_active()
     rows: list[tuple[int, Evaluation, float, dict]] = []
     with tel.span("explore.shard", points=len(chunk)):
         for index, point in chunk:
@@ -452,13 +440,15 @@ class EvaluationCache:
 class SweepCheckpoint:
     """Append-only JSONL record of completed evaluations.
 
-    Each line is ``{"index": i, "point": describe, "evaluation": {...}}``.
-    Appends are single ``write`` calls followed by flush+fsync, so an
-    interrupted sweep loses at most the in-flight line -- which
-    :meth:`load` tolerates by skipping unparseable trailing data.
-    Resume matches entries against the grid by *both* index and point
-    description: a checkpoint from a different grid is ignored rather
-    than trusted.
+    Each line is ``{"index": i, "point": describe, "fingerprint": fp,
+    "evaluation": {...}}``.  Appends are single ``write`` calls followed
+    by flush+fsync, so an interrupted sweep loses at most the in-flight
+    line -- which :meth:`load` tolerates by skipping unparseable trailing
+    data.  Resume matches entries by index, point description *and*
+    evaluator fingerprint (:func:`evaluator_fingerprint`, which the
+    explorer passes): a checkpoint from a different grid or evaluator is
+    ignored rather than trusted.  Opened without a fingerprint, a
+    checkpoint reads every line.
 
     A sidecar lock file (``<path>.lock``) guards the writer: two
     concurrent sweeps pointed at the same checkpoint raise
@@ -468,8 +458,9 @@ class SweepCheckpoint:
     it falls back to an exclusive-create file with a stale-pid check.
     """
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, fingerprint: str | None = None):
         self.path = Path(path)
+        self.fingerprint = fingerprint
         self._handle = None
         self._lock_handle = None
 
@@ -561,7 +552,8 @@ class SweepCheckpoint:
         """Completed evaluations by grid index (last write wins).
 
         ``expected`` maps grid index -> point description; entries that
-        do not match (stale checkpoint, changed grid) are dropped.
+        do not match (stale checkpoint, changed grid) are dropped, as are
+        lines of another fingerprint (or none).
         """
         restored: dict[int, Evaluation] = {}
         if not self.path.exists():
@@ -580,6 +572,8 @@ class SweepCheckpoint:
                     continue  # torn/corrupt line (e.g. a killed writer)
                 if expected is not None and expected.get(index) != description:
                     continue
+                if self.fingerprint is not None and payload.get("fingerprint") != self.fingerprint:
+                    continue
                 restored[index] = evaluation
         return restored
 
@@ -596,11 +590,13 @@ class SweepCheckpoint:
         write.  Crash durability is unchanged for the per-point path
         (``append`` is a one-entry batch).
         """
+        identity = {} if self.fingerprint is None else {"fingerprint": self.fingerprint}
         lines = [
             json.dumps(
                 {
                     "index": index,
                     "point": evaluation.point.describe(),
+                    **identity,
                     "evaluation": evaluation_to_dict(evaluation),
                 }
             )

@@ -18,6 +18,7 @@ Two layers:
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import logging
 import math
@@ -380,7 +381,8 @@ class DesignSpaceExplorer:
         checkpoint:
             JSONL path.  Every completed evaluation is appended; re-running
             with the same path resumes the sweep after an interruption
-            without re-evaluating completed points.
+            without re-evaluating completed points.  Lines of another
+            grid or evaluator fingerprint are not restored.
         strict:
             When ``False`` (default) a raising design point is recorded as
             a failed :class:`Evaluation` (``error`` set, empty metrics)
@@ -394,7 +396,8 @@ class DesignSpaceExplorer:
             :class:`~repro.core.telemetry.Telemetry` sink for sweep
             statistics (per-point latency, cache hits/misses, checkpoint
             restores, failures) and live ``explore.progress`` events with
-            ETA.  Defaults to the ambient sink
+            ETA, activated as the ambient sink for the call.  Defaults
+            to the ambient sink
             (:func:`repro.core.telemetry.get_active`), which is a no-op
             unless one was activated.  Progress events follow *completion*
             order under parallel executors; aggregation (the returned
@@ -456,11 +459,14 @@ class DesignSpaceExplorer:
             cache_store = cache
         else:
             cache_store = EvaluationCache(cache)
+        # Cache and checkpoint both key evaluations by evaluator identity.
         fingerprint = (
-            evaluator_fingerprint(self.evaluator) if cache_store is not None else ""
+            evaluator_fingerprint(self.evaluator)
+            if cache_store is not None or checkpoint is not None
+            else ""
         )
 
-        ckpt = SweepCheckpoint(checkpoint) if checkpoint is not None else None
+        ckpt = SweepCheckpoint(checkpoint, fingerprint) if checkpoint is not None else None
         restored: dict[int, Evaluation] = {}
         if ckpt is not None:
             # Take the writer lock before loading: a doomed concurrent
@@ -579,18 +585,11 @@ class DesignSpaceExplorer:
                             finalize(index, evaluation, elapsed=elapsed, stats=stats)
                     elif pending and executor == "thread":
                         self._run_threads(
-                            pending, n_workers, chunk_size, strict, policy, finalize, tel
+                            pending, n_workers, chunk_size, strict, policy, finalize
                         )
                     elif pending:
                         self._run_fleet(
-                            pending,
-                            n_workers,
-                            chunk_size,
-                            strict,
-                            policy,
-                            finalize,
-                            tel,
-                            fleet,
+                            pending, n_workers, chunk_size, strict, policy, finalize, fleet
                         )
                 except KeyboardInterrupt:
                     if strict:
@@ -742,20 +741,18 @@ class DesignSpaceExplorer:
         strict: bool,
         policy: ExecutionPolicy,
         finalize: Callable[..., None],
-        tel: Telemetry,
     ) -> None:
         """Fan ``pending`` out over a thread pool, finalising in completion order."""
         workers = n_workers or os.cpu_count() or 1
         workers = max(1, min(workers, len(pending)))
         chunks = chunk_pending(pending, workers, chunk_size)
-        # Thread workers share the driver's telemetry directly (it is
+        # Each chunk runs in a copy of the sweep's context, so the pool
+        # threads report to the sweep's ambient telemetry (it is
         # thread-safe); their spans land in per-thread trace lanes.
         pool = ThreadPoolExecutor(max_workers=workers)
-        task = partial(
-            evaluate_chunk_with, self.evaluator, strict, policy=policy, telemetry=tel
-        )
+        task = partial(evaluate_chunk_with, self.evaluator, strict, policy=policy)
         with pool:
-            futures = {pool.submit(task, chunk) for chunk in chunks}
+            futures = {pool.submit(contextvars.copy_context().run, task, c) for c in chunks}
             try:
                 while futures:
                     done, futures = wait(futures, return_when=FIRST_COMPLETED)
@@ -775,7 +772,6 @@ class DesignSpaceExplorer:
         strict: bool,
         policy: ExecutionPolicy,
         finalize: Callable[..., None],
-        tel: Telemetry,
         options,
     ) -> None:
         """Lease ``pending`` to a worker fleet (``"process"`` and ``"fleet"``).
@@ -823,7 +819,6 @@ class DesignSpaceExplorer:
             max_requeues=options.max_requeues,
             wait_for_workers=options.wait_for_workers,
             policy=policy,
-            telemetry=tel,
         )
         host, port = coordinator.endpoint
         log.info("fleet coordinator listening on %s:%d", host, port)

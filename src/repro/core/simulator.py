@@ -94,9 +94,7 @@ class Simulator:
         start = time.perf_counter()
         self.system.reset()
         ctx = SimulationContext(seed=self.seed, design_point=self.design_point)
-        output = self.system.run(
-            signal, ctx, record_taps=record_taps, telemetry=telemetry
-        )
+        output = self.system.run(signal, ctx, record_taps=record_taps)
         power = self.collect_power()
         if telemetry.enabled:
             elapsed = time.perf_counter() - start

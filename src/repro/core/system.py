@@ -10,7 +10,7 @@ from collections.abc import Iterable, Sequence
 
 from repro.core.block import Block, SimulationContext
 from repro.core.signal import Signal
-from repro.core.telemetry import Telemetry, get_active
+from repro.core.telemetry import get_active
 
 
 class SystemModel:
@@ -105,21 +105,19 @@ class SystemModel:
         signal: Signal,
         ctx: SimulationContext,
         record_taps: bool = True,
-        telemetry: "Telemetry | None" = None,
     ) -> Signal:
         """Execute the chain on ``signal`` under ``ctx``.
 
         Each block's output is recorded as a tap named after the block when
         ``record_taps`` is enabled (the Fig. 4-style per-block inspection
-        relies on this).  ``telemetry`` (default: the ambient sink) gets
-        one ``block.<name>`` wall-time span per block, the data behind the
-        manifest's per-block time breakdown; with telemetry disabled the
-        spans are shared no-ops.
+        relies on this).  The ambient telemetry gets one ``block.<name>``
+        wall-time span per block, the data behind the manifest's per-block
+        time breakdown; with telemetry disabled the spans are shared
+        no-ops.
         """
         if not self._blocks:
             raise ValueError(f"system {self.name!r} has no blocks")
-        if telemetry is None:
-            telemetry = get_active()
+        telemetry = get_active()
         current = signal
         if record_taps:
             ctx.record("input", current)

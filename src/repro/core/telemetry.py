@@ -18,28 +18,27 @@ reports what it is doing:
   Every hook is an empty method (and :meth:`NullTelemetry.span` returns a
   shared no-op context manager), so instrumented code pays nothing
   measurable when telemetry is off.  This is the ambient default.
-* **Ambient plumbing** -- :func:`get_active`, :func:`set_active` and the
-  :func:`activate` context manager install one telemetry object for a
-  region of code.  Deep layers (:class:`~repro.core.simulator.Simulator`,
-  the FISTA solvers) report to the ambient sink without threading an
-  argument through every call.  Worker *processes* start with the
-  disabled default, so parallel sweeps aggregate per-point timings on the
-  driver side instead (the executors return them).
-* **Cross-process aggregation** -- when a sweep profiles, worker
-  processes run a real per-worker :class:`Telemetry`;
-  :meth:`Telemetry.drain_snapshot` packages its state as a
-  :class:`TelemetrySnapshot` delta that ships home with each completed
-  chunk, and the driver folds it in with the associative
-  :meth:`Telemetry.merge` -- so counters, span and observation
-  histograms, events and trace lanes from every worker land in one
-  driver-side sink.
+* **Ambient plumbing** -- :func:`get_active` and the :func:`activate`
+  context manager install one telemetry object for a region of code.
+  Deep layers (:class:`~repro.core.simulator.Simulator`, the FISTA
+  solvers) report to the ambient sink without threading an argument
+  through every call.  The slot is a context variable, so each thread
+  sees only the sink its own call stack activated; the thread executor
+  and the timeout watchdog run their work in a copy of the sweep's
+  context.
+* **Cross-process aggregation** -- when a sweep profiles, fleet workers
+  run a real per-worker :class:`Telemetry`; ``snapshot(drain=True)``
+  ships its state as a JSON-ready delta with each completed chunk, and
+  the driver folds it in with the associative :meth:`Telemetry.merge`
+  -- so counters, span and observation histograms and events from
+  every worker land in one driver-side sink.
 * :class:`RunManifest` -- the JSON artifact a profiled run writes next to
   its outputs: seed, scale preset, grid size, per-phase timings, per-block
   power *and* time breakdowns, sweep statistics, latency histograms,
   per-worker counters, the trace digest and the ETA history.
 
-Everything here is stdlib-only (``time``, ``threading``, ``json``,
-``logging``; the :mod:`repro.core.metrics` and :mod:`repro.core.tracing`
+Everything here is stdlib-only (``time``, ``threading``,
+``contextvars``, ``json``, ``logging``; the :mod:`repro.core.metrics` and :mod:`repro.core.tracing`
 helpers it builds on are stdlib-only too) by design: telemetry must
 never add a dependency, and this module must stay importable from
 anywhere in the package without cycles.
@@ -47,8 +46,10 @@ anywhere in the package without cycles.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import logging
+import math
 import platform
 import sys
 import threading
@@ -153,6 +154,32 @@ def _merge_histograms(into: dict[str, Histogram], source: dict[str, Histogram]) 
             into[name] = histogram.copy()
         else:
             mine.merge(histogram)
+
+
+def _parse_payload(payload: dict) -> tuple[dict, dict, dict, list]:
+    """Check a :meth:`Telemetry.snapshot` dict and rebuild its histograms.
+
+    Counters must be finite numbers, histograms must parse through
+    :meth:`~repro.core.metrics.Histogram.from_dict` and events must be
+    dicts; anything else raises :class:`ValueError`.
+    """
+    try:
+        counters = dict(payload.get("counters", {}))
+        spans = {n: Histogram.from_dict(h) for n, h in payload.get("spans", {}).items()}
+        histograms = {
+            n: Histogram.from_dict(h) for n, h in payload.get("histograms", {}).items()
+        }
+        events = list(payload.get("events", []))
+    except (AttributeError, KeyError, TypeError) as error:
+        raise ValueError(f"malformed telemetry payload: {error!r}") from None
+    for name, amount in counters.items():
+        if not isinstance(amount, (int, float)) or isinstance(amount, bool):
+            raise ValueError(f"counter {name!r} must be a number, got {amount!r}")
+        if not math.isfinite(amount):
+            raise ValueError(f"counter {name!r} must be finite, got {amount!r}")
+    if not all(isinstance(event, dict) for event in events):
+        raise ValueError("telemetry events must be dicts")
+    return counters, spans, histograms, events
 
 
 class Telemetry:
@@ -283,86 +310,17 @@ class Telemetry:
 
     # --- snapshots and merging ------------------------------------------------
 
-    def to_snapshot(self, label: str = "", drain: bool = False) -> "TelemetrySnapshot":
-        """Picklable copy of the full state (see :class:`TelemetrySnapshot`).
+    def snapshot(self, drain: bool = False) -> dict:
+        """JSON-ready copy of the whole state, the one snapshot format.
 
-        ``drain=True`` atomically resets the state after copying -- the
-        worker-side discipline: each chunk ships a *delta* home, so the
-        driver's :meth:`merge` sums to exactly the union of all worker
-        activity, however many chunks each worker ran.
+        Manifests, OpenMetrics and the fleet wire read it, and
+        :meth:`merge` folds it back in.  ``drain=True`` resets the state
+        in the same lock hold: each fleet chunk ships a *delta* home, so
+        the driver's :meth:`merge` sums to exactly the union of all
+        worker activity.
         """
         with self._lock:
-            snapshot = TelemetrySnapshot(
-                label=label,
-                counters=dict(self.counters),
-                spans={name: h.copy() for name, h in self.spans.items()},
-                histograms={name: h.copy() for name, h in self.histograms.items()},
-                events=[dict(e) for e in self.events],
-                max_events=self.max_events,
-            )
-            if drain:
-                self.counters = {}
-                self.spans = {}
-                self.histograms = {}
-                self.events.clear()
-        if self.tracer is not None:
-            snapshot.trace = self.tracer.snapshot(drain=drain)
-        return snapshot
-
-    def drain_snapshot(self, label: str = "") -> "TelemetrySnapshot":
-        """:meth:`to_snapshot` with ``drain=True`` (the worker-side call)."""
-        return self.to_snapshot(label=label, drain=True)
-
-    def merge(self, snapshot: "TelemetrySnapshot", worker: str | None = None) -> None:
-        """Fold a :class:`TelemetrySnapshot` into this telemetry.
-
-        Associative and commutative on the aggregates: counters add,
-        span and observation histograms combine via
-        :meth:`~repro.core.metrics.Histogram.merge`, events append
-        (bounded, oldest evicted), and trace events file under their
-        original process lane.  ``worker`` (default: the snapshot's
-        label) additionally accumulates the snapshot's counters, span
-        totals and ``resources.*`` histograms into :attr:`workers`, the
-        per-worker attribution the run manifest reports -- so a fleet
-        manifest can name the worker whose RSS grew.
-        """
-        label = worker if worker is not None else snapshot.label
-        with self._lock:
-            for name, amount in snapshot.counters.items():
-                self.counters[name] = self.counters.get(name, 0) + amount
-            _merge_histograms(self.spans, snapshot.spans)
-            _merge_histograms(self.histograms, snapshot.histograms)
-            for payload in snapshot.events:
-                self._keep_event(dict(payload))
-            if label:
-                digest = self.workers.setdefault(
-                    label,
-                    {"counters": {}, "span_seconds": {}, "merges": 0, "resources": {}},
-                )
-                digest["merges"] += 1
-                for name, amount in snapshot.counters.items():
-                    digest["counters"][name] = digest["counters"].get(name, 0) + amount
-                for name, histogram in snapshot.spans.items():
-                    digest["span_seconds"][name] = (
-                        digest["span_seconds"].get(name, 0.0) + histogram.total
-                    )
-                _merge_histograms(
-                    digest["resources"],
-                    {
-                        name: histogram
-                        for name, histogram in snapshot.histograms.items()
-                        if name.startswith("resources.")
-                    },
-                )
-        if self.tracer is not None and snapshot.trace is not None:
-            self.tracer.absorb(snapshot.trace)
-
-    # --- reporting ------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-ready copy of the whole telemetry state."""
-        with self._lock:
-            return {
+            payload = {
                 "counters": dict(self.counters),
                 "spans": {name: h.to_dict() for name, h in self.spans.items()},
                 "histograms": {
@@ -381,6 +339,61 @@ class Telemetry:
                     for label, digest in self.workers.items()
                 },
             }
+            if drain:
+                self.counters = {}
+                self.spans = {}
+                self.histograms = {}
+                self.events.clear()
+                self.workers = {}
+        return payload
+
+    def merge(self, payload: dict, worker: str | None = None) -> None:
+        """Fold a :meth:`snapshot` dict into this telemetry.
+
+        Associative and commutative on the aggregates: counters add,
+        span and observation histograms combine via
+        :meth:`~repro.core.metrics.Histogram.merge`, and events append
+        (bounded, oldest evicted).  ``worker`` additionally accumulates
+        the payload's counters, span totals and ``resources.*``
+        histograms into :attr:`workers`, the per-worker attribution the
+        run manifest reports -- so a fleet manifest can name the worker
+        whose RSS grew.  A malformed payload (see :func:`_parse_payload`,
+        or histogram bounds other than the sink's) raises
+        :class:`ValueError` before any state changes.
+        """
+        counters, spans, histograms, events = _parse_payload(payload)
+        with self._lock:
+            for held, parsed in ((self.spans, spans), (self.histograms, histograms)):
+                if any(n in held and held[n].bounds != h.bounds for n, h in parsed.items()):
+                    raise ValueError("payload histogram bounds differ from the sink's")
+            for name, amount in counters.items():
+                self.counters[name] = self.counters.get(name, 0) + amount
+            _merge_histograms(self.spans, spans)
+            _merge_histograms(self.histograms, histograms)
+            for event in events:
+                self._keep_event(dict(event))
+            if worker:
+                digest = self.workers.setdefault(
+                    worker,
+                    {"counters": {}, "span_seconds": {}, "merges": 0, "resources": {}},
+                )
+                digest["merges"] += 1
+                for name, amount in counters.items():
+                    digest["counters"][name] = digest["counters"].get(name, 0) + amount
+                for name, histogram in spans.items():
+                    digest["span_seconds"][name] = (
+                        digest["span_seconds"].get(name, 0.0) + histogram.total
+                    )
+                _merge_histograms(
+                    digest["resources"],
+                    {
+                        name: histogram
+                        for name, histogram in histograms.items()
+                        if name.startswith("resources.")
+                    },
+                )
+
+    # --- reporting ------------------------------------------------------------
 
     def timers(self, prefix: str = "") -> dict[str, float]:
         """Total wall seconds per span whose name starts with ``prefix``.
@@ -453,69 +466,6 @@ class Telemetry:
         return "\n".join(lines)
 
 
-@dataclass
-class TelemetrySnapshot:
-    """Picklable state delta of one :class:`Telemetry`.
-
-    This is the payload worker processes ship back with their chunk
-    results: :class:`~repro.core.metrics.Histogram` dataclasses and
-    plain dicts, free of the locks, loggers and file handles of a live
-    :class:`Telemetry`.  ``trace`` is a
-    :meth:`~repro.core.tracing.Tracer.snapshot` payload (or ``None``
-    when the worker ran without tracing).
-    """
-
-    label: str = ""
-    counters: dict = field(default_factory=dict)
-    spans: dict = field(default_factory=dict)
-    histograms: dict = field(default_factory=dict)
-    events: list = field(default_factory=list)
-    trace: dict | None = None
-    max_events: int = 0
-
-    def to_wire(self) -> dict:
-        """Lossless JSON-ready form for the fleet wire.
-
-        The fleet protocol ships snapshots as JSON lines over a socket.
-        Histograms travel as
-        :meth:`~repro.core.metrics.Histogram.to_dict`, which carries the
-        raw aggregate (bucket counts, ``m2``) with empty-aggregate
-        min/max as ``None``, so :meth:`from_wire` rebuilds a snapshot
-        that merges exactly like the original.
-        """
-        return {
-            "label": self.label,
-            "counters": dict(self.counters),
-            "spans": {name: h.to_dict() for name, h in self.spans.items()},
-            "histograms": {name: h.to_dict() for name, h in self.histograms.items()},
-            "events": [dict(e) for e in self.events],
-            "trace": self.trace,
-            "max_events": self.max_events,
-        }
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "TelemetrySnapshot":
-        """Rebuild a snapshot from :meth:`to_wire` output.
-
-        Malformed histograms (non-ascending bounds, a count list of the
-        wrong length, missing fields) raise.
-        """
-        return cls(
-            label=str(payload.get("label", "")),
-            counters=dict(payload.get("counters", {})),
-            spans={
-                n: Histogram.from_dict(h) for n, h in payload.get("spans", {}).items()
-            },
-            histograms={
-                n: Histogram.from_dict(h)
-                for n, h in payload.get("histograms", {}).items()
-            },
-            events=[dict(e) for e in payload.get("events", [])],
-            trace=payload.get("trace"),
-            max_events=int(payload.get("max_events", 0)),
-        )
-
-
 class NullTelemetry(Telemetry):
     """Disabled telemetry: every hook is a no-op.
 
@@ -542,44 +492,41 @@ class NullTelemetry(Telemetry):
     def event(self, kind: str, **fields) -> None:
         pass
 
-    def merge(self, snapshot: "TelemetrySnapshot", worker: str | None = None) -> None:
+    def merge(self, payload: dict, worker: str | None = None) -> None:
         pass
 
 
 #: The shared disabled instance; also the ambient default.
 NULL = NullTelemetry()
 
-_active: Telemetry = NULL
-_active_lock = threading.Lock()
+#: The ambient sink.  Context-local: each thread (and each copied
+#: context) sees only what its own call stack activated, so overlapping
+#: sweeps on different threads never report into each other's sink.
+_active: contextvars.ContextVar[Telemetry] = contextvars.ContextVar(
+    "repro_telemetry", default=NULL
+)
 
 
 def get_active() -> Telemetry:
-    """The ambient telemetry (module-global; :data:`NULL` by default)."""
-    return _active
-
-
-def set_active(telemetry: Telemetry | None) -> Telemetry:
-    """Install ``telemetry`` (``None`` -> disabled); returns the previous one."""
-    global _active
-    with _active_lock:
-        previous = _active
-        _active = telemetry if telemetry is not None else NULL
-    return previous
+    """The ambient telemetry of this context (:data:`NULL` by default)."""
+    return _active.get()
 
 
 @contextmanager
 def activate(telemetry: Telemetry | None) -> Iterator[Telemetry]:
     """Scope the ambient telemetry: ``with activate(tel): ...``.
 
-    The ambient slot is process-global (thread-pool workers deliberately
-    share it, so their solver/simulator hooks aggregate into one sink);
-    nesting restores the previous sink on exit.
+    ``None`` installs the disabled :data:`NULL`.  The slot is a context
+    variable: a new thread starts with :data:`NULL`, so code that runs
+    an evaluator on a pool or watchdog thread runs it in a copy of the
+    caller's context (:func:`contextvars.copy_context`).  Nesting
+    restores the previous sink on exit.
     """
-    previous = set_active(telemetry)
+    token = _active.set(telemetry if telemetry is not None else NULL)
     try:
-        yield get_active()
+        yield _active.get()
     finally:
-        set_active(previous)
+        _active.reset(token)
 
 
 # --- run manifest -------------------------------------------------------------

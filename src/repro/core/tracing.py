@@ -17,10 +17,11 @@ them as Chrome trace-event JSON, loadable in Perfetto
   occurrences (cache hits, checkpoint restores) as "i" events so they
   are visible on the timeline without faking spans.
 * **Cross-process lanes** -- each tracer stamps its events with its
-  ``os.getpid()`` and a human label ("driver", "worker-1234").  Worker
-  tracers ship their events home inside a telemetry snapshot; the
-  driver's :meth:`Tracer.absorb` files them under the worker's lane, so
-  the exported trace shows one swimlane per process.
+  ``os.getpid()`` and a human label ("driver", "worker-1234").  Fleet
+  workers ship drained snapshots home on their ``heartbeat`` and
+  ``complete`` messages; the driver's :meth:`Tracer.absorb` files them
+  under the worker's lane, so the exported trace shows one swimlane per
+  process.
 
 Timestamps: events are recorded with ``time.perf_counter()`` (monotonic,
 sub-microsecond) and exported on an epoch-aligned axis by anchoring each
@@ -53,7 +54,7 @@ log = logging.getLogger("repro.tracing")
 #: point (point + blocks + solver) this covers sweeps of ~30k points.
 DEFAULT_MAX_TRACE_EVENTS = 200_000
 
-#: Trace snapshot schema (the picklable payload workers ship home).
+#: Trace snapshot schema (the JSON payload fleet workers ship home).
 TRACE_SNAPSHOT_VERSION = 1
 
 
@@ -270,21 +271,28 @@ class Tracer:
         ``clock_offset_s`` (explicit argument, else the offset the remote
         tracer stamped into the snapshot); the applied offset and the
         remote side's dropped-event count are remembered per lane for
-        :meth:`summary`.
+        :meth:`summary`.  A malformed snapshot -- one :func:`chrome_trace`
+        could not export, or with a non-numeric offset or dropped count
+        -- raises :class:`ValueError` before anything is filed.
         """
-        if snapshot.get("version") != TRACE_SNAPSHOT_VERSION:
+        version = snapshot.get("version") if isinstance(snapshot, dict) else None
+        if version != TRACE_SNAPSHOT_VERSION:
             raise ValueError(
-                f"trace snapshot version {snapshot.get('version')!r} != "
-                f"supported {TRACE_SNAPSHOT_VERSION}"
+                f"trace snapshot version {version!r} != supported {TRACE_SNAPSHOT_VERSION}"
             )
-        offset = clock_offset_s
-        if offset is None:
-            offset = float(snapshot.get("clock_offset_s", 0.0) or 0.0)
+        try:
+            # A dry-run export reads every field the trace file needs.
+            chrome_trace(snapshot)
+            offset = clock_offset_s
+            if offset is None:
+                offset = float(snapshot.get("clock_offset_s") or 0.0)
+            remote_dropped = int(snapshot.get("dropped", 0))
+        except (AttributeError, KeyError, TypeError) as error:
+            raise ValueError(f"malformed trace snapshot: {error!r}") from None
         events = snapshot["events"]
         if offset:
             events = [{**event, "t": event["t"] + offset} for event in events]
         label = str(snapshot.get("label", "")) or None
-        remote_dropped = int(snapshot.get("dropped", 0))
         with self._lock:
             # Lane keys arrive as ints from pickled snapshots but as
             # strings after a JSON round-trip (the fleet wire); normalise.

@@ -43,6 +43,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.core import flight
@@ -52,7 +53,7 @@ from repro.core.execution import (
     chunk_pending,
 )
 from repro.core.results import Evaluation
-from repro.core.telemetry import Telemetry, TelemetrySnapshot, get_active
+from repro.core.telemetry import Telemetry, get_active
 from repro.fleet import protocol
 from repro.power.technology import DesignPoint
 
@@ -78,7 +79,12 @@ class Lease:
     worker: str
     deadline: float  # time.monotonic() horizon, extended by heartbeats
     chunk_digest: str
-    n_points: int
+    #: index -> point description of every granted point.
+    points: dict[int, str]
+
+    @property
+    def n_points(self) -> int:
+        return len(self.points)
 
 
 @dataclass
@@ -133,9 +139,9 @@ class LeaseTable:
         }
         self.queue: deque[int] = deque(self.chunks)
         self.leases: dict[str, Lease] = {}
-        #: lease_id -> (chunk_id, digest); kept after expiry so a late
-        #: completion can still be validated and deduplicated.
-        self.lease_history: dict[str, tuple[int, str]] = {}
+        #: Every lease granted, kept after expiry so a late completion
+        #: can still be validated and deduplicated.
+        self.lease_history: dict[str, Lease] = {}
         self.requeues: dict[int, int] = dict.fromkeys(self.chunks, 0)
         self.done: set[int] = set()
         self.points: dict[int, DesignPoint] = {
@@ -168,10 +174,9 @@ class LeaseTable:
                 worker=worker,
                 deadline=self.clock() + self.lease_timeout_s,
                 chunk_digest=protocol.chunk_digest(remaining),
-                n_points=len(remaining),
+                points={index: point.describe() for index, point in remaining},
             )
-            self.leases[lease.lease_id] = lease
-            self.lease_history[lease.lease_id] = (chunk_id, lease.chunk_digest)
+            self.leases[lease.lease_id] = self.lease_history[lease.lease_id] = lease
             return lease, remaining
         return None
 
@@ -190,15 +195,27 @@ class LeaseTable:
 
         Accepts completions from expired leases (the worker was slow,
         not wrong); index-level dedup guarantees exactly-once merging
-        whichever copy arrives first.  Unknown leases are rejected.
+        whichever copy arrives first.  Unknown leases are rejected, and
+        so is a completion with any row the lease did not grant (an
+        index outside the lease, or an evaluation of another point),
+        before any row is merged.
         """
-        if lease_id not in self.lease_history:
+        granted = self.lease_history.get(lease_id)
+        if granted is None:
             raise protocol.ProtocolError(f"completion for unknown lease {lease_id!r}")
+        for index, evaluation, _elapsed_s, _stats in rows:
+            if granted.points.get(index) != evaluation.point.describe():
+                raise protocol.ProtocolError(
+                    f"completion row {index} ({evaluation.point.describe()}) "
+                    f"was not granted by lease {lease_id!r}"
+                )
         self.leases.pop(lease_id, None)
-        fresh = [row for row in rows if row[0] not in self.done]
+        fresh = []
+        for row in rows:
+            if row[0] not in self.done:
+                self.done.add(row[0])
+                fresh.append(row)
         duplicates = len(rows) - len(fresh)
-        for row in fresh:
-            self.done.add(row[0])
         self.report.points_completed += len(fresh)
         self.report.duplicates_dropped += duplicates
         return fresh, duplicates
@@ -658,10 +675,12 @@ class FleetCoordinator:
             self._emit_lease_events(events)
             tel.event("fleet.worker", action="disconnect", worker=worker)
             self._wake.set()
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
+            # The socket closes only once its file objects are closed too.
+            for stream in (reader, writer, sock):
+                try:
+                    stream.close()
+                except OSError:  # pragma: no cover - already closed
+                    pass
 
     def _dispatch(self, worker: str, session: str, message: dict) -> dict | None:
         kind = message["type"]
@@ -737,12 +756,7 @@ class FleetCoordinator:
         with self._lock:
             ok = self._table.heartbeat(lease_id) if self._table else False
         self.telemetry.count("fleet.heartbeats")
-        trace_delta = message.get("trace")
-        if trace_delta and self.telemetry.tracer is not None:
-            try:
-                self.telemetry.tracer.absorb(trace_delta)
-            except ValueError as error:
-                log.warning("dropping bad heartbeat trace from %s: %s", worker, error)
+        self._absorb_diagnostics(worker, message)
         if not ok:
             self.telemetry.event(
                 "fleet.lease", action="stale-heartbeat", lease=lease_id, worker=worker
@@ -762,7 +776,7 @@ class FleetCoordinator:
                 raise protocol.ProtocolError(
                     f"completion for unknown lease {lease_id!r}"
                 )
-            if message.get("chunk_digest") != history[1]:
+            if message.get("chunk_digest") != history.chunk_digest:
                 raise protocol.ProtocolError(
                     f"completion digest mismatch on lease {lease_id!r}"
                 )
@@ -798,9 +812,7 @@ class FleetCoordinator:
             fresh=len(fresh),
             duplicates=duplicates,
         )
-        snapshot = message.get("telemetry")
-        if snapshot:
-            tel.merge(TelemetrySnapshot.from_wire(snapshot), worker=worker)
+        self._absorb_diagnostics(worker, message)
         self._wake.set()
         return {
             "type": "ack",
@@ -809,6 +821,25 @@ class FleetCoordinator:
             "fresh": len(fresh),
             "duplicates": duplicates,
         }
+
+    def _absorb_diagnostics(self, worker: str, message: dict) -> None:
+        """Fold the ``telemetry`` and ``trace`` deltas of a message.
+
+        Completions carry both, heartbeats a trace.  A malformed part is
+        logged and dropped: diagnostics never cost the connection or the
+        rows a completion delivers.
+        """
+        tel = self.telemetry
+        for part, fold in (
+            ("telemetry", partial(tel.merge, worker=worker)),
+            ("trace", tel.tracer.absorb if tel.tracer is not None else None),
+        ):
+            payload = message.get(part)
+            if payload and fold is not None:
+                try:
+                    fold(payload)
+                except ValueError as error:
+                    log.warning("dropping bad %s from %s: %s", part, worker, error)
 
     def _handle_fail(self, worker: str, message: dict) -> dict:
         lease_id = str(message.get("lease"))

@@ -8,8 +8,8 @@ evaluations, a telemetry delta) and the protocol must stay debuggable
 with ``nc`` and readable in captured logs.  Everything on the wire is
 built from the canonical serialisers in :mod:`repro.core.serialization`
 (``design_point_to_dict`` / ``evaluation_to_dict`` round-trip exactly)
-plus :meth:`~repro.core.telemetry.TelemetrySnapshot.to_wire`, so a
-fleet sweep produces byte-identical evaluations to a single-host run.
+and the telemetry and trace ``snapshot()`` dicts, so a fleet sweep
+produces byte-identical evaluations to a single-host run.
 
 Message flow (worker-initiated; the coordinator only ever replies)::
 
@@ -34,7 +34,8 @@ Message flow (worker-initiated; the coordinator only ever replies)::
                                     interleave into the lease stream)
     complete {lease, chunk_digest,
               rows: [{index, evaluation, elapsed_s, stats}],
-              telemetry?}      ->
+              telemetry?, trace?}
+                               ->
                                <-  ack {lease, ok, fresh, duplicates}
     fail {lease, error}        ->
                                <-  ack {lease, ok}
@@ -43,9 +44,12 @@ Message flow (worker-initiated; the coordinator only ever replies)::
 A lease is the unit of fault tolerance: the coordinator grants a chunk
 with a deadline; heartbeats extend the deadline; a worker that goes
 silent past it loses the lease and the chunk is requeued.  Completions
-are validated against the lease's ``chunk_digest`` and deduplicated at
-*point index* granularity on the coordinator, so late completions from
-expired leases merge exactly-once.
+are validated against the lease's ``chunk_digest`` and granted points
+(a row the lease never granted drops the connection, merging none) and
+deduplicated at *point index* granularity on the coordinator, so late
+completions from expired leases merge exactly-once.  A malformed
+``telemetry`` or ``trace`` part is logged and dropped, and the rows
+still merge.
 
 Distributed tracing rides this protocol instead of adding a second
 channel.  The ``sync`` exchange is an NTP-style clock probe: the worker
@@ -57,9 +61,9 @@ stamps it into every trace snapshot it ships, so the coordinator's
 aligned timeline.  Each ``lease`` carries the coordinator's trace
 context (a trace id plus the parent span id of the coordinator's
 ``fleet.run`` span); the worker parents its ``fleet.worker.lease`` span
-under it.  Drained trace deltas piggyback on ``heartbeat`` messages and
-inside the ``complete`` telemetry snapshot -- a long chunk streams its
-spans home while still running.
+under it.  Drained trace deltas ride ``heartbeat`` and ``complete`` in
+their own ``trace`` field -- a long chunk streams its spans home while
+still running.
 """
 
 from __future__ import annotations
@@ -82,7 +86,10 @@ from repro.power.technology import DesignPoint
 #: v2 added the ``sync``/``sync_ack`` clock probe, the ``telemetry``
 #: advertisement in ``welcome``, lease trace context and trace deltas on
 #: heartbeats -- an incompatible handshake, hence the bump.
-PROTOCOL_VERSION = 2
+#: v3 moved ``complete``'s trace delta into its own ``trace`` field, sent
+#: telemetry as a ``Telemetry.snapshot`` dict and cut the ``welcome``
+#: policy to ``timeout_s``/``retries``/``retry_backoff_s``.
+PROTOCOL_VERSION = 3
 
 #: Longest accepted message line in characters, newline included (the
 #: wire is ASCII JSON, so characters are bytes).  The largest message the

@@ -3,8 +3,8 @@
 A worker is a loop around four messages: ``request`` a lease, evaluate
 its points under the coordinator's :class:`ExecutionPolicy` (heartbeat
 thread keeping the lease alive), ``complete`` with the result rows (plus
-a drained :class:`~repro.core.telemetry.TelemetrySnapshot` delta when
-the coordinator profiles), and repeat until the coordinator answers
+a drained ``Telemetry.snapshot`` delta and trace delta when the
+coordinator profiles), and repeat until the coordinator answers
 ``done``.  Evaluations go through
 :func:`~repro.core.execution.evaluate_one_timed` -- the same per-point
 isolation, timeout and retry machinery as every other executor -- and
@@ -394,7 +394,9 @@ class FleetWorker:
             "rows": protocol.encode_rows(rows),
         }
         if tel.enabled:
-            completion["telemetry"] = tel.drain_snapshot(self.label).to_wire()
+            completion["telemetry"] = tel.snapshot(drain=True)
+        if tel.tracer is not None:
+            completion["trace"] = tel.tracer.snapshot(drain=True)
         self._send(completion)
         ack = protocol.recv_message(self._reader, expect=("ack",))
         if ack is None:

@@ -60,7 +60,7 @@ from repro.core.metrics import (
 )
 from repro.core.pareto import Objective, pareto_front
 from repro.core.results import ExplorationResult
-from repro.core.telemetry import Telemetry, get_active
+from repro.core.telemetry import Telemetry, activate, get_active
 from repro.core.tracing import Tracer, chrome_trace
 from repro.store import ResultStore, SweepManifest, check_sweep_name
 from repro.power.technology import DesignPoint
@@ -305,19 +305,25 @@ class SweepService:
             logger=log, event_sink=sink, tracer=Tracer(label=f"sweep-{job.name}")
         )
         try:
-            result = DesignSpaceExplorer(evaluator).explore(
-                points,
-                name=job.name,
-                cache=self.store.cache,
-                telemetry=tel,
-                **explore_kwargs,
-            )
-            manifest = self.store.put_sweep(
-                job.name,
-                fingerprint,
-                result,
-                meta={"submitted_unix": job.submitted_unix, **explore_kwargs_meta(explore_kwargs)},
-            )
+            # The job thread starts with no ambient sink: activate the
+            # service's, so the store's counters reach ``/metrics``.
+            with activate(self.telemetry):
+                result = DesignSpaceExplorer(evaluator).explore(
+                    points,
+                    name=job.name,
+                    cache=self.store.cache,
+                    telemetry=tel,
+                    **explore_kwargs,
+                )
+                manifest = self.store.put_sweep(
+                    job.name,
+                    fingerprint,
+                    result,
+                    meta={
+                        "submitted_unix": job.submitted_unix,
+                        **explore_kwargs_meta(explore_kwargs),
+                    },
+                )
             job.digest = manifest.digest
             job.status = "done"
             tel.event("serve.sweep_done", name=job.name, status="done",
@@ -343,7 +349,9 @@ class SweepService:
             # counters, point latencies) into the service sink so the
             # service's counters tell the whole story.
             if self.telemetry.enabled:
-                self.telemetry.merge(tel.drain_snapshot(label=f"sweep-{job.name}"))
+                self.telemetry.merge(tel.snapshot(drain=True), worker=f"sweep-{job.name}")
+                if self.telemetry.tracer is not None:
+                    self.telemetry.tracer.absorb(tel.tracer.snapshot(drain=True))
             sink.close()
 
     # --- queries --------------------------------------------------------------

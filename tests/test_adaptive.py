@@ -10,6 +10,7 @@ and (b) no non-finite point ever survives onto a front.
 
 import math
 import pickle
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -470,6 +471,49 @@ class TestCheckpointResume:
             points, objectives=OBJ, rungs=2, keep_frac=0.25, executor="serial"
         )
         assert front_values(list(result)) == front_values(list(reference))
+
+
+@dataclass(frozen=True)
+class FidelityEvaluator:
+    """Closed-form evaluator stamping its fidelity into every evaluation."""
+
+    fidelity: float = 1.0
+
+    def fingerprint(self) -> str:
+        return f"fidelity:{self.fidelity}"
+
+    def __call__(self, point):
+        power = point.lna_noise_rms * 1e6
+        return Evaluation(
+            point=point,
+            metrics={"power": power, "quality": 1.0 / power, "fidelity": self.fidelity},
+        )
+
+
+class TestCheckpointFidelity:
+    def test_resume_never_restores_another_rungs_evaluations(self, tmp_path):
+        """A 2-rung run resumed on a 3-rung run's checkpoint path: its
+        rung 1 (full fidelity) must not restore the 3-rung run's rung 1
+        (a quarter of the corpus), whose grid matches point for point."""
+        points = make_points(6)
+        checkpoint = tmp_path / "adaptive.jsonl"
+
+        def run(rungs):
+            schedule = FidelitySchedule.geometric(
+                rungs, derive=lambda evaluator, rung: FidelityEvaluator(rung.corpus_fraction)
+            )
+            return DesignSpaceExplorer(FidelityEvaluator()).explore_adaptive(
+                points,
+                objectives=OBJ,
+                schedule=schedule,
+                keep_frac=1.0,
+                executor="serial",
+                checkpoint=checkpoint,
+            )
+
+        assert [e.metrics["fidelity"] for e in run(3)] == [1.0] * 6
+        resumed = run(2)
+        assert [e.metrics["fidelity"] for e in resumed] == [1.0] * 6
 
 
 class TestParetoNonFiniteFuzz:

@@ -121,6 +121,28 @@ class TestProfiledSweep:
         assert not get_active().enabled
 
 
+    @pytest.mark.parametrize(
+        ("env_workers", "flags", "executor"),
+        [("2", [], "process"), (None, ["--fleet", "--fleet-spawn", "2"], "fleet")],
+        ids=["REPRO_WORKERS", "fleet"],
+    )
+    def test_manifest_records_how_the_sweep_ran(
+        self, tmp_path, monkeypatch, env_workers, flags, executor
+    ):
+        from repro.core.telemetry import RunManifest
+
+        if env_workers is None:
+            monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_WORKERS", env_workers)
+        manifest_path = tmp_path / "run.manifest.json"
+        argv = ["sweep", "--scale", "smoke", "--profile", "--no-progress", "--no-cache"]
+        assert main([*argv, *flags, "--manifest", str(manifest_path)]) == 0
+        manifest = RunManifest.load(manifest_path)
+        assert (manifest.executor, manifest.n_workers) == (executor, 2)
+        assert sorted(manifest.fleet["workers"]) == ["worker-0", "worker-1"]
+
+
 class TestAdaptiveSweep:
     def test_adaptive_flags_parse(self):
         args = build_parser().parse_args(

@@ -34,7 +34,6 @@ from repro.core.telemetry import (
     NULL,
     RunManifest,
     Telemetry,
-    TelemetrySnapshot,
 )
 from repro.fleet import (
     FleetOptions,
@@ -219,37 +218,39 @@ class TestTelemetryWire:
             with tel.span("s"):
                 pass
         tel.event("e", detail="x")
-        snapshot = tel.drain_snapshot("w")
-        wire = json.loads(json.dumps(snapshot.to_wire()))
-        rebuilt = TelemetrySnapshot.from_wire(wire)
-        assert rebuilt.to_wire() == snapshot.to_wire()
-        assert rebuilt.counters == snapshot.counters
+        spans = {name: histogram.copy() for name, histogram in tel.spans.items()}
+        snapshot = tel.snapshot(drain=True)
+        wire = json.loads(json.dumps(snapshot))
+        rebuilt = Telemetry()
+        rebuilt.merge(wire, worker="w")
+        again = rebuilt.snapshot()
+        for key in ("counters", "spans", "histograms", "events"):
+            assert again[key] == snapshot[key]
         assert rebuilt.histograms["v"].total == pytest.approx(4.0)
         # Spans keep buckets, count/total/min/max and the Welford m2
         # bit-for-bit, so a rebuilt span merges exactly like the original.
-        assert rebuilt.spans == snapshot.spans
+        assert rebuilt.spans == spans
         assert rebuilt.spans["s"].count == 3
 
     def test_malformed_histograms_rejected(self):
         tel = Telemetry()
         with tel.span("s"):
             pass
-        wire = tel.drain_snapshot("w").to_wire()
+        wire = tel.snapshot(drain=True)
         for corrupt in ({"bounds": [1.0, 0.5]}, {"counts": [0]}, {"m2": None}):
             bad = json.loads(json.dumps(wire))
             bad["spans"]["s"].update(corrupt)
-            with pytest.raises((TypeError, ValueError)):
-                TelemetrySnapshot.from_wire(bad)
+            with pytest.raises(ValueError):
+                Telemetry().merge(bad)
 
     def test_empty_stats_infinities_survive(self):
         """An empty histogram has min=+inf / max=-inf; JSON has no inf."""
         tel = Telemetry()
         tel.count("only.counter")
-        snapshot = tel.drain_snapshot("w")
-        wire = json.loads(
-            json.dumps(snapshot.to_wire(), allow_nan=False)
-        )
-        rebuilt = TelemetrySnapshot.from_wire(wire)
+        snapshot = tel.snapshot(drain=True)
+        wire = json.loads(json.dumps(snapshot, allow_nan=False))
+        rebuilt = Telemetry()
+        rebuilt.merge(wire)
         assert rebuilt.counters == {"only.counter": 1}
 
 
@@ -401,12 +402,6 @@ class TestRetryJitter:
         point = DesignPoint(n_bits=8, lna_noise_rms=2e-6)
         assert retry_delay_s(policy, point, 1) == 0.0
         assert retry_delay_s(policy, point, 5) == 0.0
-
-    def test_jitter_off_gives_full_ceiling(self):
-        policy = ExecutionPolicy(retries=2, retry_backoff_s=0.25, retry_jitter=False)
-        point = DesignPoint(n_bits=8, lna_noise_rms=2e-6)
-        assert retry_delay_s(policy, point, 1) == 0.25
-        assert retry_delay_s(policy, point, 3) == 1.0
 
 
 # --- evaluator spec resolution ------------------------------------------------
@@ -674,3 +669,139 @@ class TestFleetExplorer:
                 worker.run()
         finally:
             coordinator.close()
+
+
+# --- what a completion may carry ----------------------------------------------
+
+
+class RawWorker:
+    """A hand-driven worker connection: one JSON line at a time."""
+
+    def __init__(self, endpoint, label="raw"):
+        self.sock = socket.create_connection(endpoint, timeout=10)
+        self.reader = self.sock.makefile("r", encoding="utf-8", newline="\n")
+        self.writer = self.sock.makefile("w", encoding="utf-8", newline="\n")
+        hello = {"type": "hello", "protocol": protocol.PROTOCOL_VERSION, "label": label}
+        assert self.ask(hello, ("welcome",))["type"] == "welcome"
+
+    def send(self, message):
+        protocol.send_message(self.writer, message)
+
+    def ask(self, message, expect):
+        self.send(message)
+        return protocol.recv_message(self.reader, expect=expect)
+
+    def lease(self):
+        reply = self.ask({"type": "request"}, ("lease", "wait"))
+        while reply["type"] == "wait":  # the run has not started yet
+            time.sleep(0.01)
+            reply = self.ask({"type": "request"}, ("lease", "wait"))
+        return reply
+
+    def close(self):
+        self.sock.close()
+
+
+def complete_message(lease, rows, **extra):
+    return {
+        "type": "complete",
+        "lease": lease["lease"],
+        "chunk_digest": lease["chunk_digest"],
+        "rows": protocol.encode_rows(rows),
+        **extra,
+    }
+
+
+class TestCompletionValidation:
+    def _start(self, tel, n_points=4):
+        """A coordinator running ``points(n_points)`` in chunks of two."""
+        from repro.fleet import FleetCoordinator
+
+        coordinator = FleetCoordinator(
+            evaluator_fingerprint(ToyEvaluator()), policy=DEFAULT_POLICY, telemetry=tel
+        )
+        finalized = []
+        outcome = {}
+
+        def run():
+            outcome["report"] = coordinator.run(
+                points(n_points),
+                lambda index, evaluation, *_: finalized.append(
+                    (index, evaluation.point.describe())
+                ),
+                chunk_size=2,
+            )
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        return coordinator, runner, finalized, outcome
+
+    def test_lease_table_rejects_rows_it_never_granted(self):
+        chunk = points(2)
+        table, _clock = make_table([chunk, points(2, start=2)])
+        lease, _ = table.grant("w#1")
+        foreign = rows_for(points(1, start=3))
+        wrong_point = rows_for([(1, DesignPoint(n_bits=12, lna_noise_rms=9e-6))])
+        for rows in (foreign, rows_for(chunk[:1]) + wrong_point):
+            with pytest.raises(ProtocolError, match="not granted"):
+                table.complete(lease.lease_id, rows)
+        assert not table.done and lease.lease_id in table.leases
+        fresh, duplicates = table.complete(lease.lease_id, rows_for(chunk + chunk[:1]))
+        assert [row[0] for row in fresh] == [0, 1] and duplicates == 1
+
+    def test_forged_completion_drops_connection_and_requeues(self):
+        tel = Telemetry()
+        coordinator, runner, finalized, outcome = self._start(tel)
+        try:
+            forger = RawWorker(coordinator.endpoint, label="forger")
+            lease = forger.lease()
+            assert [row["index"] for row in lease["points"]] == [0, 1]
+            forged = (3, Evaluation(DesignPoint(n_bits=12, lna_noise_rms=9e-6), {"m": 1.0}))
+            forger.send(complete_message(lease, [(*forged, 0.01, {})]))
+            assert protocol.recv_message(forger.reader) is None  # dropped
+            forger.close()
+            from repro.fleet import FleetWorker
+
+            FleetWorker(coordinator.endpoint, ToyEvaluator(), label="honest").run()
+            runner.join(10)
+            assert not runner.is_alive()
+        finally:
+            coordinator.close()
+        expected = [(index, point.describe()) for index, point in points(4)]
+        assert sorted(finalized) == expected
+        report = outcome["report"]
+        assert report.requeues == 1
+        assert report.workers["honest"]["points"] == 4
+
+    def test_malformed_diagnostics_cost_no_rows(self, monkeypatch):
+        from repro.core.tracing import Tracer
+
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        tel = Telemetry(tracer=Tracer(label="driver"))
+        coordinator, runner, finalized, _ = self._start(tel, n_points=2)
+        try:
+            worker = RawWorker(coordinator.endpoint, label="sloppy")
+            lease = worker.lease()
+            worker.send({"type": "heartbeat", "lease": lease["lease"], "trace": {"version": 1}})
+            chunk = protocol.decode_chunk(lease["points"])
+            ack = worker.ask(
+                complete_message(
+                    lease,
+                    rows_for(chunk),
+                    telemetry={"counters": {"x": "boom"}},
+                    trace={"version": 1, "events": [{"ph": "X"}]},
+                ),
+                ("ack",),
+            )
+            assert ack["fresh"] == 2
+            worker.send({"type": "bye"})
+            worker.close()
+            runner.join(10)
+            assert not runner.is_alive()
+        finally:
+            coordinator.close()
+        assert escaped == []
+        assert sorted(finalized) == [(i, p.describe()) for i, p in points(2)]
+        assert "x" not in tel.counters and not tel.workers
+        assert tel.tracer.lanes() == {tel.tracer.pid: "driver"}

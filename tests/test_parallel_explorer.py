@@ -20,6 +20,7 @@ from repro.core.execution import (
 from repro.core.explorer import DesignSpaceExplorer, FrontEndEvaluator
 from repro.core.parameters import ParameterSpace
 from repro.core.results import Evaluation
+from repro.core.telemetry import Telemetry
 from repro.experiments.runner import SCALES
 from repro.experiments.table3 import paper_search_space
 from repro.power.technology import DesignPoint
@@ -70,6 +71,16 @@ class CountingEvaluator:
     def __call__(self, point) -> Evaluation:
         self.calls.append(point.describe())
         return ToyEvaluator()(point)
+
+
+@dataclass
+class VersionedEvaluator(CountingEvaluator):
+    """:class:`CountingEvaluator` whose identity carries a version."""
+
+    version: str = "v1"
+
+    def fingerprint(self) -> str:
+        return f"toy-{self.version}"
 
 
 def smoke_grid():
@@ -261,6 +272,28 @@ class TestCheckpoint:
         resumed = DesignSpaceExplorer(second).explore(space, checkpoint=path)
         assert len(second.calls) == 0
         assert_sweeps_identical(full, resumed)
+
+    def test_checkpoint_of_another_evaluator_is_not_restored(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        space = ParameterSpace({"n_bits": [6, 7, 8]})
+        DesignSpaceExplorer(VersionedEvaluator(version="v1")).explore(
+            space, checkpoint=path
+        )
+        v2 = VersionedEvaluator(version="v2")
+        tel = Telemetry()
+        DesignSpaceExplorer(v2).explore(space, checkpoint=path, telemetry=tel)
+        assert len(v2.calls) == 3  # every point re-evaluated
+        assert "explore.checkpoint_restored" not in tel.counters
+
+    def test_checkpoint_lines_without_a_fingerprint_are_not_restored(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        space = ParameterSpace({"n_bits": [6, 7]})
+        with SweepCheckpoint(path) as old_format:
+            for index, point in enumerate(space.grid()):
+                old_format.append(index, ToyEvaluator()(point))
+        fresh = CountingEvaluator()
+        DesignSpaceExplorer(fresh).explore(space, checkpoint=path)
+        assert len(fresh.calls) == 2
 
     def test_stale_checkpoint_from_other_grid_ignored(self, tmp_path):
         path = tmp_path / "sweep.jsonl"

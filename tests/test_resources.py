@@ -124,7 +124,7 @@ class TestResourcesSection:
         sampler.tick()
         sampler.tick()  # cpu_pct needs a delta between two samples
         driver = Telemetry()
-        driver.merge(worker_tel.drain_snapshot(label="worker-1"))
+        driver.merge(worker_tel.snapshot(drain=True), worker="worker-1")
         section = resources_section(driver.snapshot())
         assert "worker-1" in section["workers"]
         digest = section["workers"]["worker-1"]

@@ -1,15 +1,20 @@
 """Tests of the telemetry subsystem and its sweep/simulator integration."""
 
 import json
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from repro.core.block import PassthroughBlock
 from repro.core.explorer import DesignSpaceExplorer
 from repro.core.metrics import Histogram
 from repro.core.parameters import ParameterSpace
 from repro.core.results import Evaluation
+from repro.core.signal import Signal
+from repro.core.simulator import Simulator
+from repro.core.system import SystemModel
 from repro.core.telemetry import (
     MANIFEST_SCHEMA_VERSION,
     NULL,
@@ -18,7 +23,6 @@ from repro.core.telemetry import (
     Telemetry,
     activate,
     get_active,
-    set_active,
 )
 from repro.metrics.snr import snr_vs_reference
 from repro.power.technology import DesignPoint
@@ -151,12 +155,102 @@ class TestAmbient:
             assert get_active() is tel
         assert get_active() is NULL
 
-    def test_set_active_none_means_null(self):
-        previous = set_active(None)
-        try:
+    def test_activate_none_means_null(self):
+        with activate(Telemetry()), activate(None) as active:
+            assert active is NULL
             assert get_active() is NULL
-        finally:
-            set_active(previous)
+
+
+@dataclass
+class GatedEvaluator:
+    """Counts every call into the ambient sink; the first call blocks.
+
+    The first evaluation sets ``entered`` and then waits for ``release``
+    (when given), which lets a test hold one sweep inside its ``explore``
+    while another sweep starts or finishes on another thread.
+    """
+
+    entered: threading.Event
+    release: threading.Event | None = None
+
+    def fingerprint(self) -> str:
+        return "gated"
+
+    def __call__(self, point) -> Evaluation:
+        get_active().count("gated.evals")
+        if not self.entered.is_set():
+            self.entered.set()
+            if self.release is not None:
+                assert self.release.wait(10), "the other sweep never arrived"
+        return ToyEvaluator()(point)
+
+
+@dataclass(frozen=True)
+class ChainEvaluator:
+    """Counts into the ambient sink and simulates a one-block chain."""
+
+    def fingerprint(self) -> str:
+        return "chain"
+
+    def __call__(self, point) -> Evaluation:
+        get_active().count("chain.evals")
+        chain = SystemModel([PassthroughBlock("stage")])
+        signal = Signal(np.zeros(16), sample_rate=point.f_sample)
+        Simulator(chain, point).run(signal, record_taps=False)
+        return ToyEvaluator()(point)
+
+
+class TestContextLocalSink:
+    """The ambient sink belongs to the call stack that activated it."""
+
+    @pytest.mark.parametrize("first_to_finish", ["a", "b"])
+    def test_overlapping_sweeps_keep_their_own_counts(self, first_to_finish):
+        points = [DesignPoint(n_bits=bits) for bits in range(6, 11)]
+        a_entered, b_entered = threading.Event(), threading.Event()
+        a_done, b_done = threading.Event(), threading.Event()
+        if first_to_finish == "a":
+            # A starts, B starts, A finishes while B is still running.
+            a_eval = GatedEvaluator(a_entered, release=b_entered)
+            b_eval = GatedEvaluator(b_entered, release=a_done)
+        else:
+            # A starts, B starts and finishes, then A finishes.
+            a_eval = GatedEvaluator(a_entered, release=b_done)
+            b_eval = GatedEvaluator(b_entered)
+        sinks = {"a": Telemetry(), "b": Telemetry()}
+        after: dict[str, object] = {}
+
+        def sweep(name, evaluator, done):
+            try:
+                DesignSpaceExplorer(evaluator).explore(points, telemetry=sinks[name])
+                after[name] = get_active()
+            finally:
+                done.set()
+
+        thread_a = threading.Thread(target=sweep, args=("a", a_eval, a_done))
+        thread_b = threading.Thread(target=sweep, args=("b", b_eval, b_done))
+        thread_a.start()
+        assert a_entered.wait(10)
+        thread_b.start()
+        for thread in (thread_a, thread_b):
+            thread.join(20)
+            assert not thread.is_alive()
+        assert sinks["a"].counters["gated.evals"] == len(points)
+        assert sinks["b"].counters["gated.evals"] == len(points)
+        assert after == {"a": NULL, "b": NULL}
+        assert get_active() is NULL
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"executor": "thread", "n_workers": 2}, {"timeout_s": 30.0}],
+        ids=["thread-pool", "watchdog"],
+    )
+    def test_evaluator_threads_report_to_the_sweep_sink(self, kwargs):
+        points = [DesignPoint(n_bits=bits) for bits in range(6, 10)]
+        tel = Telemetry()
+        DesignSpaceExplorer(ChainEvaluator()).explore(points, telemetry=tel, **kwargs)
+        assert tel.counters["chain.evals"] == len(points)
+        assert tel.spans["block.stage"].count == len(points)
+        assert get_active() is NULL
 
 
 class TestExplorerTelemetry:

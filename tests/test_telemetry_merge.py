@@ -17,7 +17,7 @@ finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinit
 
 @st.composite
 def snapshots(draw):
-    """A random TelemetrySnapshot built through the real recording hooks."""
+    """A random telemetry snapshot built through the real recording hooks."""
     tel = Telemetry()
     for name in draw(st.lists(st.sampled_from("abc"), max_size=5)):
         tel.count(name, draw(st.integers(-5, 5)))
@@ -30,7 +30,7 @@ def snapshots(draw):
         tel.observe("h", value)
     for i in range(draw(st.integers(0, 3))):
         tel.event("e", i=i)
-    return tel.to_snapshot()
+    return tel.snapshot()
 
 
 def merged(snaps) -> Telemetry:
@@ -63,20 +63,20 @@ class TestMergeLaws:
     @given(first=snapshots(), second=snapshots(), third=snapshots())
     def test_merge_associative(self, first, second, third):
         left = Telemetry()
-        left.merge(merged([first, second]).to_snapshot())
+        left.merge(merged([first, second]).snapshot())
         left.merge(third)
         right = Telemetry()
         right.merge(first)
-        right.merge(merged([second, third]).to_snapshot())
+        right.merge(merged([second, third]).snapshot())
         assert_same_aggregates(left, right)
 
     @settings(**SETTINGS)
     @given(snapshot=snapshots())
     def test_merge_into_empty_is_identity(self, snapshot):
         tel = merged([snapshot])
-        assert tel.counters == snapshot.counters
-        for name, histogram in snapshot.histograms.items():
-            assert tel.histograms[name] == histogram
+        assert tel.counters == snapshot["counters"]
+        for name, histogram in snapshot["histograms"].items():
+            assert tel.histograms[name] == Histogram.from_dict(histogram)
 
 
 class TestDrainDiscipline:
@@ -88,7 +88,7 @@ class TestDrainDiscipline:
             for value in chunk:
                 worker.count("n")
                 worker.observe("v", value)
-            driver.merge(worker.drain_snapshot(label="worker-1"))
+            driver.merge(worker.snapshot(drain=True), worker="worker-1")
         assert driver.counters["n"] == 30
         assert driver.histograms["v"].count == 30
         assert driver.histograms["v"].total == pytest.approx(values.sum())
@@ -104,11 +104,57 @@ class TestDrainDiscipline:
         for i in range(10):
             worker.event("tick", i=i)
         driver = Telemetry(max_events=4)
-        driver.merge(worker.to_snapshot())
+        driver.merge(worker.snapshot())
         assert len(driver.events) == 4
         assert driver.counters["telemetry.events_dropped"] == 6
         assert "WARNING" in driver.summary()
         assert "max_events=4" in driver.summary()
+
+
+def _good_payload() -> dict:
+    tel = Telemetry()
+    tel.count("n", 2)
+    tel.observe("v", 1.0)
+    with tel.span("s"):
+        pass
+    tel.event("e")
+    return tel.snapshot()
+
+
+def _corrupt(**parts) -> dict:
+    payload = _good_payload()
+    payload.update(parts)
+    return payload
+
+
+class TestMalformedPayloads:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            ["not", "a", "dict"],
+            _corrupt(counters=[1, 2]),
+            _corrupt(counters={"x": "boom"}),
+            _corrupt(counters={"x": True}),
+            _corrupt(counters={"x": float("nan")}),
+            _corrupt(counters={"x": float("inf")}),
+            _corrupt(counters={"x": None}),
+            _corrupt(spans={"s": {"bounds": [1.0, 0.5]}}),
+            _corrupt(spans={"s": "boom"}),
+            _corrupt(histograms={"v": {**Histogram().to_dict(), "counts": [0]}}),
+            _corrupt(histograms=[]),
+            _corrupt(histograms={"v": Histogram(bounds=(1.0, 2.0)).to_dict()}),
+            _corrupt(events={"kind": "e"}),
+            _corrupt(events=[{"kind": "e"}, "boom"]),
+        ],
+        ids=lambda payload: repr(payload)[:40],
+    )
+    def test_rejected_whole_and_sink_unchanged(self, payload):
+        driver = Telemetry()
+        driver.merge(_good_payload(), worker="w")
+        before = driver.snapshot()
+        with pytest.raises(ValueError):
+            driver.merge(payload, worker="w")
+        assert driver.snapshot() == before
 
 
 class TestConcurrentMerging:
@@ -116,7 +162,7 @@ class TestConcurrentMerging:
         source = Telemetry()
         source.count("n", 1)
         source.observe("v", 2.0)
-        snapshot = source.to_snapshot()
+        snapshot = source.snapshot()
         driver = Telemetry()
 
         def hammer():
@@ -136,7 +182,7 @@ class TestConcurrentMerging:
         driver = Telemetry()
         source = Telemetry()
         source.count("merged.n")
-        snapshot = source.to_snapshot()
+        snapshot = source.snapshot()
 
         def record():
             for _ in range(200):

@@ -126,6 +126,39 @@ class TestTracer:
         with pytest.raises(ValueError, match="version"):
             tracer.absorb({"version": TRACE_SNAPSHOT_VERSION + 1, "events": []})
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda snap: "not a snapshot",
+            lambda snap: {"version": TRACE_SNAPSHOT_VERSION},
+            lambda snap: {**snap, "events": {"ph": "X"}},
+            lambda snap: {**snap, "events": ["boom"]},
+            lambda snap: {**snap, "events": [{**snap["events"][0], "t": None}]},
+            lambda snap: {
+                **snap,
+                "events": [{k: v for k, v in snap["events"][0].items() if k != "dur"}],
+            },
+            lambda snap: {
+                **snap,
+                "events": [{k: v for k, v in snap["events"][0].items() if k != "cat"}],
+            },
+            lambda snap: {**snap, "events": [{**snap["events"][0], "args": [1]}]},
+            lambda snap: {**snap, "lanes": ["worker"]},
+            lambda snap: {**snap, "lanes": {"pid": "worker"}},
+            lambda snap: {**snap, "clock_offset_s": "soon"},
+            lambda snap: {**snap, "dropped": "many"},
+        ],
+    )
+    def test_absorb_rejects_malformed_snapshots_whole(self, corrupt):
+        worker = Tracer(label="worker-999")
+        span = worker.start("s")
+        worker.finish(span)
+        driver = Tracer(label="driver")
+        before = (driver.snapshot(), driver.summary())
+        with pytest.raises(ValueError):
+            driver.absorb(corrupt(json.loads(json.dumps(worker.snapshot()))))
+        assert (driver.snapshot(), driver.summary()) == before
+
     def test_absorb_respects_bound(self):
         driver = Tracer(max_events=1)
         other = Tracer()
