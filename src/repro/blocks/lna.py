@@ -98,10 +98,12 @@ class LNA(Block):
             data = sp_signal.lfilter(b, a, data)
         # 4. third-order non-linearity: v - a3 v^3 (compressive), with a3
         #    chosen so the HD3 of a clip-level sine equals hd3_at_fs.
-        #    For v = A sin(wt): HD3 amplitude ratio = a3 A^2 / 4.
+        #    For v = A sin(wt): HD3 amplitude ratio = a3 A^2 / 4.  The cube
+        #    is two multiplies: ``data**3`` goes through libm's ``pow``,
+        #    which is far slower.
         if self.hd3_at_fs > 0 and self.clip_level is not None:
             a3 = 4.0 * self.hd3_at_fs / self.clip_level**2
-            data = data - a3 * data**3
+            data = data - a3 * (data * data * data)
         # 5. clipping
         if self.clip_level is not None:
             data = np.clip(data, -self.clip_level, self.clip_level)

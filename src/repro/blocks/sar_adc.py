@@ -132,23 +132,45 @@ class SarAdc(Block):
         """Run the SAR algorithm on an array of voltages.
 
         Returns the digital estimate re-expressed in volts (nominal
-        weights, mid-tread centre).  Shape is preserved.
+        weights, mid-tread centre) as float64.  Shape is preserved.
+
+        Each bit costs one comparator draw of ``v.size`` normals plus a
+        few passes over preallocated buffers.  The per-element operations
+        and the RNG stream are those of the allocating loop this replaced
+        (``tests/test_front_end_bytes.py`` keeps it as a byte oracle):
+        ``standard_normal`` scaled as ``0.0 + sigma * z`` is what
+        ``normal(0.0, sigma)`` computes per value, and a kept bit adds
+        ``1.0 * w_true`` to ``acc_true`` -- the add that formed the
+        threshold -- while a rejected one adds ``0.0``.
         """
         shape = data.shape
-        flat = np.clip(data.ravel(), -self.v_fs / 2.0, self.v_fs / 2.0)
-        v = flat + self.v_fs / 2.0  # unipolar for the search
-        acc_true = np.zeros_like(v)
-        acc_nominal = np.zeros_like(v)
+        v = np.clip(data.ravel(), -self.v_fs / 2.0, self.v_fs / 2.0)
+        v += self.v_fs / 2.0  # unipolar for the search, in the input's dtype
+        # The weights are float64, so the search runs in float64 whatever
+        # the input dtype (widening a float32 ``v`` is exact).
+        v = v.astype(np.float64, copy=False)
+        acc_true = np.zeros(v.size)
+        acc_nominal = np.zeros(v.size)
+        threshold = np.empty(v.size)
+        step = np.empty(v.size)
+        keep = np.empty(v.size, dtype=bool)
+        sigma = self.comparator_noise_rms
+        observed = np.empty(v.size) if sigma > 0 else v
         for w_nom, w_true in zip(self._weights_nominal, self._weights_true):
-            threshold = acc_true + w_true
-            observed = v
-            if self.comparator_noise_rms > 0:
-                observed = v + rng.normal(0.0, self.comparator_noise_rms, size=v.shape)
-            keep = observed >= threshold
-            acc_true = np.where(keep, threshold, acc_true)
-            acc_nominal = acc_nominal + keep * w_nom
-        result = acc_nominal + self.lsb / 2.0 - self.v_fs / 2.0
-        return result.reshape(shape)
+            np.add(acc_true, w_true, out=threshold)
+            if sigma > 0:
+                rng.standard_normal(out=observed)
+                np.multiply(observed, sigma, out=observed)
+                np.add(observed, 0.0, out=observed)
+                np.add(v, observed, out=observed)
+            np.greater_equal(observed, threshold, out=keep)
+            np.multiply(keep, w_true, out=step)
+            np.add(acc_true, step, out=acc_true)
+            np.multiply(keep, w_nom, out=step)
+            np.add(acc_nominal, step, out=acc_nominal)
+        np.add(acc_nominal, self.lsb / 2.0, out=acc_nominal)
+        np.subtract(acc_nominal, self.v_fs / 2.0, out=acc_nominal)
+        return acc_nominal.reshape(shape)
 
     def codes(self, data: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
         """Integer output codes (0 .. 2^N - 1) for ``data``."""

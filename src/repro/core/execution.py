@@ -453,9 +453,10 @@ class SweepCheckpoint:
     A sidecar lock file (``<path>.lock``) guards the writer: two
     concurrent sweeps pointed at the same checkpoint raise
     :class:`CheckpointLockedError` instead of interleaving appends into
-    corrupt JSONL.  On POSIX the guard is ``flock`` (released by the
-    kernel even if the holder is SIGKILLed, so no stale locks); elsewhere
-    it falls back to an exclusive-create file with a stale-pid check.
+    corrupt JSONL.  On POSIX the guard is ``flock`` on an empty lock file
+    (released by the kernel even if the holder is SIGKILLed, so no stale
+    locks); elsewhere it falls back to an exclusive-create file holding
+    the writer's pid, with a stale-pid check.
     """
 
     def __init__(self, path: str | Path, fingerprint: str | None = None):
@@ -497,12 +498,11 @@ class SweepCheckpoint:
                     f"checkpoint {self.path} is locked by another sweep "
                     f"(lock file: {self.lock_path})"
                 ) from None
+            # Nothing is written: the kernel lock is the guard, and a
+            # truncated-and-rewritten lock file made release() stall for
+            # tens of ms on an ext4 host.
             try:
                 if os.fstat(handle.fileno()).st_ino == os.stat(self.lock_path).st_ino:
-                    handle.seek(0)
-                    handle.truncate()
-                    handle.write(f"{os.getpid()}\n")
-                    handle.flush()
                     self._lock_handle = handle
                     return
             except OSError:

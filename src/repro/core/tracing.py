@@ -296,9 +296,11 @@ class Tracer:
         with self._lock:
             # Lane keys arrive as ints from pickled snapshots but as
             # strings after a JSON round-trip (the fleet wire); normalise.
-            self._lanes.update(
-                {int(pid): str(name) for pid, name in snapshot.get("lanes", {}).items()}
-            )
+            # A tracer in this process (a served sweep's) shares our pid:
+            # our own lane keeps our label.
+            lanes = {int(pid): str(name) for pid, name in snapshot.get("lanes", {}).items()}
+            lanes.pop(self.pid, None)
+            self._lanes.update(lanes)
             room = self.max_events - len(self._events)
             self._events.extend(events[:room])
             overflow = max(0, len(events) - room)

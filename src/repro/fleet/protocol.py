@@ -201,16 +201,32 @@ def encode_rows(
 
 
 def decode_rows(payload: Sequence[dict]) -> list[tuple[int, Evaluation, float, dict]]:
-    """Inverse of :func:`encode_rows`."""
+    """Inverse of :func:`encode_rows`.
+
+    A row's ``stats`` (retry and timeout counts the explorer adds to its
+    telemetry counters) must map names to non-negative ints.
+    """
     try:
         return [
             (
                 int(entry["index"]),
                 evaluation_from_dict(entry["evaluation"]),
                 float(entry["elapsed_s"]),
-                dict(entry.get("stats", {})),
+                _decode_stats(entry.get("stats", {})),
             )
             for entry in payload
         ]
     except (KeyError, TypeError, ValueError) as error:
         raise ProtocolError(f"malformed result rows: {error}") from error
+
+
+def _decode_stats(stats) -> dict[str, int]:
+    if not isinstance(stats, dict) or not all(
+        isinstance(name, str)
+        and isinstance(count, int)
+        and not isinstance(count, bool)
+        and count >= 0
+        for name, count in stats.items()
+    ):
+        raise ValueError(f"row stats must map names to non-negative ints: {stats!r}")
+    return dict(stats)

@@ -149,6 +149,18 @@ class TestCheckpointContention:
         second.acquire()  # released lock is immediately acquirable
         second.release()
 
+    def test_flock_writes_nothing_into_the_lock_file(self, tmp_path):
+        # The kernel lock is the guard; a written (truncated, rewritten)
+        # lock file stalled release() on ext4.
+        checkpoint = SweepCheckpoint(tmp_path / "sweep.jsonl")
+        checkpoint.acquire()
+        try:
+            assert checkpoint.lock_path.exists()
+            assert checkpoint.lock_path.stat().st_size == 0
+        finally:
+            checkpoint.close()
+        assert not checkpoint.lock_path.exists()
+
     def test_concurrent_processes_one_winner(self, tmp_path):
         """N processes race one checkpoint: exactly one writer, N-1 refused."""
         path = tmp_path / "sweep.jsonl"

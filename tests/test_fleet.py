@@ -805,3 +805,62 @@ class TestCompletionValidation:
         assert sorted(finalized) == [(i, p.describe()) for i, p in points(2)]
         assert "x" not in tel.counters and not tel.workers
         assert tel.tracer.lanes() == {tel.tracer.pid: "driver"}
+
+    @pytest.mark.parametrize(
+        "stats", [{"retries": "x"}, {"retries": -1}, {"timeouts": True}, {"retries": 1.5}, []]
+    )
+    def test_mistyped_row_stats_drop_the_connection_not_the_sweep(
+        self, monkeypatch, stats
+    ):
+        # The explorer's finalize hook adds a row's stats to telemetry
+        # counters; a mistyped count must not reach it.
+        from repro.fleet import FleetWorker
+
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            endpoint = probe.getsockname()
+        grid = [point for _, point in points(4)]
+        explorer = DesignSpaceExplorer(ToyEvaluator())
+        tel = Telemetry()
+        outcome = {}
+
+        def sweep():
+            outcome["result"] = explorer.explore(
+                grid,
+                executor="fleet",
+                chunk_size=2,
+                telemetry=tel,
+                fleet=FleetOptions(spawn_workers=0, port=endpoint[1]),
+            )
+
+        runner = threading.Thread(target=sweep, daemon=True)
+        runner.start()
+        deadline = time.monotonic() + 10
+        while True:
+            try:
+                sloppy = RawWorker(endpoint, label="sloppy")
+                break
+            except ConnectionRefusedError:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        try:
+            lease = sloppy.lease()
+            chunk = protocol.decode_chunk(lease["points"])
+            message = complete_message(lease, rows_for(chunk))
+            for row in message["rows"]:
+                row["stats"] = stats
+            sloppy.send(message)
+            assert protocol.recv_message(sloppy.reader) is None  # dropped
+        finally:
+            sloppy.close()
+            FleetWorker(endpoint, ToyEvaluator(), label="honest").run()
+            runner.join(10)
+        assert not runner.is_alive()
+        assert escaped == []
+        assert_sweeps_identical(explorer.explore(grid), outcome["result"])
+        report = explorer.last_fleet_report
+        assert report.requeues == 1
+        assert report.workers["honest"]["points"] == 4
+        assert "explore.retries" not in tel.counters

@@ -121,6 +121,21 @@ class TestTracer:
         assert driver.lanes() == {driver.pid: "driver", 999: "worker-999"}
         assert driver.n_events == 1
 
+    def test_absorb_keeps_own_lane_label(self):
+        # A served sweep's tracer shares the service's pid; absorbing its
+        # snapshot must not rename the service's lane.  Other lanes keep
+        # last-wins.
+        service = Tracer(label="serve")
+        sweep = Tracer(label="sweep-one")
+        sweep._lanes[999] = "worker-old"
+        sweep.instant("s")
+        service.absorb(sweep.snapshot())
+        relabel = Tracer(label="sweep-two")
+        relabel._lanes[999] = "worker-new"
+        service.absorb(relabel.snapshot())
+        assert service.lanes() == {service.pid: "serve", 999: "worker-new"}
+        assert service.n_events == 1
+
     def test_absorb_rejects_unknown_version(self):
         tracer = Tracer()
         with pytest.raises(ValueError, match="version"):
