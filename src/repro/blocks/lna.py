@@ -15,7 +15,8 @@ Functional pipeline, in signal order:
 4. **Non-linearity** -- odd third-order term ``v + a3 v^3`` expressed via
    ``hd3_at_fs``: the third-harmonic distortion ratio when driven at
    full-scale output amplitude (a designer-facing spec rather than a raw
-   polynomial coefficient).
+   polynomial coefficient).  Inputs past the cubic's turning point are
+   held there, so the transfer never folds back.
 5. **Clipping** -- hard saturation at the output swing limit (supply rail
    by default).
 
@@ -24,6 +25,8 @@ The power model is the three-bound maximum of Table II (see
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import signal as sp_signal
@@ -100,9 +103,13 @@ class LNA(Block):
         #    chosen so the HD3 of a clip-level sine equals hd3_at_fs.
         #    For v = A sin(wt): HD3 amplitude ratio = a3 A^2 / 4.  The cube
         #    is two multiplies: ``data**3`` goes through libm's ``pow``,
-        #    which is far slower.
+        #    which is far slower.  The cubic peaks at v_turn = 1/sqrt(3 a3)
+        #    and falls beyond it, so larger inputs are held at v_turn: an
+        #    overdriven amplifier saturates, it does not fold back.
         if self.hd3_at_fs > 0 and self.clip_level is not None:
             a3 = 4.0 * self.hd3_at_fs / self.clip_level**2
+            v_turn = 1.0 / math.sqrt(3.0 * a3)
+            np.clip(data, -v_turn, v_turn, out=data)
             data = data - a3 * (data * data * data)
         # 5. clipping
         if self.clip_level is not None:

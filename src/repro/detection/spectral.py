@@ -27,14 +27,27 @@ noise of a small neural network.
 The logistic calibration (2 weights + bias, deterministic Newton solve)
 is fitted once on clean training records; accuracy and the soft accuracy
 estimator then evaluate any processed records.
+
+Every design point is scored here, so the spectral set-up that depends
+only on the detector's configuration and the record length -- the Welch
+segmentation, the scaled window, the frequency grid and the bins of each
+band -- is built once per (configuration, length) and cached at module
+level (:func:`_spectral_plan`).  The PSD it drives has the bytes of
+scipy 1.17's ``scipy.signal.welch`` (one-sided density, periodic Hann
+window, half overlap, per-segment mean removed); releases whose
+``welch`` scales after the FFT differ by a few ulps.  The plan is kept
+off the detector, because the evaluator fingerprint hashes the pickled
+detector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy import signal as sp_signal
+from scipy import fft as sp_fft
+from scipy.signal import get_window
 
 from repro.util.validation import check_positive
 
@@ -83,6 +96,100 @@ def mean_correct_probability(probabilities: np.ndarray, labels: np.ndarray) -> f
     labels = np.asarray(labels, dtype=int)
     correct = np.where(labels == 1, probabilities, 1.0 - probabilities)
     return float(np.mean(correct))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True)
+class _SpectralPlan:
+    """Everything ``features()`` needs that depends only on the record length.
+
+    The arrays are read-only: one plan is shared by every caller of a
+    configuration, threads included.
+    """
+
+    hop: int
+    window: np.ndarray
+    freqs: np.ndarray
+    in_band: tuple[np.ndarray, np.ndarray]
+    gamma: tuple[np.ndarray, np.ndarray]
+    reference: tuple[np.ndarray, np.ndarray]
+    combs: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def psd(self, records: np.ndarray) -> np.ndarray:
+        """One-sided Welch PSD of each row, with the bytes of ``scipy.signal.welch``.
+
+        The operations and their order are scipy's: per segment, subtract
+        its mean, multiply by the scaled window, ``rfft`` all records at
+        once (as scipy does; a larger batch changes the sign of a NaN)
+        and take re^2 + im^2; then double every bin but DC (and Nyquist,
+        for an even segment) and average the segments -- over a
+        contiguous last axis in the (records, freqs, segments) layout,
+        since a reduction over a strided axis sums in another order.  A
+        single segment is reshaped, not averaged.
+        """
+        nperseg = self.window.size
+        starts = range(0, records.shape[1] - nperseg + 1, self.hop)
+        power = np.empty((records.shape[0], nperseg // 2 + 1, len(starts)))
+        for index, start in enumerate(starts):
+            segment = records[:, start : start + nperseg]
+            windowed = segment - segment.mean(axis=-1, keepdims=True)
+            windowed *= self.window
+            spectrum = sp_fft.rfft(windowed, axis=-1)
+            np.add(spectrum.real**2, spectrum.imag**2, out=power[:, :, index])
+        power[:, 1 : -1 if nperseg % 2 == 0 else None] *= 2
+        if power.shape[-1] > 1:
+            return power.mean(axis=-1)
+        return power.reshape(power.shape[:-1])
+
+
+def _bins(freqs: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    bins = np.flatnonzero(mask)
+    return _read_only(bins), _read_only(freqs[bins])
+
+
+@lru_cache(maxsize=32)
+def _spectral_plan(
+    sample_rate: float,
+    f0_grid: tuple[float, ...],
+    n_harmonics: int,
+    comb_halfwidth: float,
+    band: tuple[float, float],
+    gamma_band: tuple[float, float],
+    reference_band: tuple[float, float],
+    n_samples: int,
+) -> _SpectralPlan:
+    """The cached plan of one detector configuration at one record length."""
+    nperseg = min(n_samples, int(sample_rate * 4))
+    # scipy's ShortTimeFFT scales the window to unit PSD area with the
+    # builtin ``sum``, which adds sequentially: keep that, not np.sum.
+    window = get_window("hann", nperseg)
+    window = window * (1 / np.sqrt(sum(window**2) / (1 / sample_rate)))
+    freqs = sp_fft.rfftfreq(nperseg, 1 / sample_rate)
+
+    low, high = band
+    in_band = (freqs >= low) & (freqs <= high)
+    combs = []
+    for f0 in f0_grid:
+        mask = np.zeros_like(freqs, dtype=bool)
+        for k in range(1, n_harmonics + 1):
+            center = k * f0
+            mask |= (freqs >= center - comb_halfwidth) & (freqs <= center + comb_halfwidth)
+        combs.append(_bins(freqs, mask & in_band))
+    g_lo, g_hi = gamma_band
+    r_lo, r_hi = reference_band
+    return _SpectralPlan(
+        hop=nperseg - nperseg // 2,
+        window=_read_only(window),
+        freqs=_read_only(freqs),
+        in_band=_bins(freqs, in_band),
+        gamma=_bins(freqs, (freqs >= g_lo) & (freqs <= g_hi)),
+        reference=_bins(freqs, (freqs >= r_lo) & (freqs <= r_hi)),
+        combs=tuple(combs),
+    )
 
 
 @dataclass
@@ -136,43 +243,43 @@ class SpectralCombDetector:
 
     # --- score -----------------------------------------------------------------
 
-    def _psd(self, records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nperseg = min(records.shape[1], int(self.sample_rate * 4))
-        freqs, psd = sp_signal.welch(records, fs=self.sample_rate, nperseg=nperseg, axis=1)
-        return freqs, psd
+    def _plan(self, n_samples: int) -> _SpectralPlan:
+        # Keyed on hashable copies: f0_grid and the bands may be lists.
+        return _spectral_plan(
+            self.sample_rate,
+            tuple(self.f0_grid),
+            self.n_harmonics,
+            self.comb_halfwidth,
+            tuple(self.band),
+            tuple(self.gamma_band),
+            tuple(self.reference_band),
+            n_samples,
+        )
 
     def features(self, records: np.ndarray) -> np.ndarray:
         """(n_records, 3) features: [log comb ratio, log gamma power, log power]."""
         records = np.asarray(records, dtype=np.float64)
-        if records.ndim != 2:
+        if records.ndim != 2 or records.shape[1] == 0:
             raise ValueError(f"records must be (n_records, n_samples), got {records.shape}")
-        freqs, psd = self._psd(records)
-        low, high = self.band
-        in_band = (freqs >= low) & (freqs <= high)
-        total = np.trapezoid(psd[:, in_band], freqs[in_band], axis=1)
+        plan = self._plan(records.shape[1])
+        psd = plan.psd(records)
+        bins, freqs = plan.in_band
+        total = np.trapezoid(psd[:, bins], freqs, axis=1)
         total = np.where(total > 0, total, 1e-30)
 
         best = np.zeros(records.shape[0])
-        for f0 in self.f0_grid:
-            mask = np.zeros_like(freqs, dtype=bool)
-            for k in range(1, self.n_harmonics + 1):
-                center = k * f0
-                mask |= (freqs >= center - self.comb_halfwidth) & (
-                    freqs <= center + self.comb_halfwidth
-                )
-            mask &= in_band
-            comb = np.trapezoid(psd[:, mask], freqs[mask], axis=1)
+        for bins, freqs in plan.combs:
+            comb = np.trapezoid(psd[:, bins], freqs, axis=1)
             best = np.maximum(best, comb / total)
 
-        g_lo, g_hi = self.gamma_band
-        gamma_mask = (freqs >= g_lo) & (freqs <= g_hi)
-        gamma = np.trapezoid(psd[:, gamma_mask], freqs[gamma_mask], axis=1)
-
-        r_lo, r_hi = self.reference_band
-        ref_mask = (freqs >= r_lo) & (freqs <= r_hi)
-        reference = np.trapezoid(psd[:, ref_mask], freqs[ref_mask], axis=1)
+        bins, freqs = plan.gamma
+        gamma = np.trapezoid(psd[:, bins], freqs, axis=1)
+        bins, freqs = plan.reference
+        reference = np.trapezoid(psd[:, bins], freqs, axis=1)
         # Floor-compensated gamma contrast: marker power over the local
         # broadband floor (scaled to the gamma bandwidth).
+        g_lo, g_hi = self.gamma_band
+        r_lo, r_hi = self.reference_band
         bandwidth_ratio = (g_hi - g_lo) / (r_hi - r_lo)
         contrast = (gamma + 1e-30) / (reference * bandwidth_ratio + 1e-30)
         return np.column_stack(

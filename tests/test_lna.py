@@ -1,7 +1,11 @@
 """Tests of the LNA behavioural model (paper Fig. 3)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blocks.lna import LNA
 from repro.blocks.sources import sine
@@ -95,6 +99,36 @@ class TestNonlinearityAndClipping:
         lna = LNA(gain=10.0, clip_level=None)
         out = run_block(lna, Signal(np.array([1.0]), 1000.0))
         assert out.data[0] == pytest.approx(10.0)
+
+
+class TestOverdrive:
+    """Past the cubic's turning point the LNA saturates; it never folds back."""
+
+    @pytest.mark.parametrize("drive", [49.0, 50.0, 50.1, 60.0])
+    def test_overdriven_input_reads_the_rail(self, drive):
+        # v - a3 v^3 turns at 28.9 x clip here and crossed zero at 50 x.
+        lna = LNA(gain=1000.0, hd3_at_fs=1e-4, clip_level=1.0)
+        out = run_block(lna, Signal(np.array([drive, -drive]) / 1000.0, 1000.0))
+        assert out.data.tolist() == [1.0, -1.0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        gain=st.floats(1.0, 2000.0),
+        hd3=st.floats(1e-6, 1e-2),
+        clip=st.floats(1e-3, 10.0),
+        n=st.integers(2, 4001),
+    )
+    def test_transfer_is_monotone_and_unchanged_below_the_turn(self, gain, hd3, clip, n):
+        sweep = np.linspace(-100.0, 100.0, n) * clip / gain
+        lna = LNA(gain=gain, hd3_at_fs=hd3, clip_level=clip)
+        out = run_block(lna, Signal(sweep, 1000.0)).data
+        assert np.all(np.diff(out) >= 0.0)
+        # Below the turning point: the bytes of the cube without the hold.
+        v = sweep * gain
+        a3 = 4.0 * hd3 / clip**2
+        unheld = np.clip(v - a3 * (v * v * v), -clip, clip)
+        below = np.abs(v) < 1.0 / math.sqrt(3.0 * a3)
+        assert out[below].tobytes() == unheld[below].tobytes()
 
 
 class TestFromDesign:
