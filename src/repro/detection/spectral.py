@@ -1,32 +1,38 @@
-"""Spectral-comb seizure detector: deterministic accuracy oracle.
+"""Spectral seizure detector: deterministic accuracy oracle.
 
-Generalised spike-wave seizures are *rhythmic*: a 2.5-4.5 Hz discharge
-with strong harmonics.  The classical detector family (Gotman-style
-spectral detectors) therefore scores a record by how much of its power is
-concentrated on a low-frequency harmonic comb.  This module implements
-that detector with a two-feature logistic read-out:
+Ictal records carry low-voltage fast activity (LVFA): a gamma burst train
+of a few microvolts at 35-45 Hz, the classical low-amplitude seizure-onset
+marker.  The 1/f EEG background is weak there, so the front end's
+microvolt noise floor competes with the marker directly: this is where
+the class information meets the noise the sweeps trade for power.  The
+detector scores each record on two spectral features with a logistic
+read-out:
 
-* ``comb ratio`` -- the best fraction of in-band power sitting on a
-  harmonic comb ``{f0, 2 f0, 3 f0, 4 f0}`` over the discharge-frequency
-  grid, against the total 0.5-45 Hz power;
-* ``gamma power`` -- power in the low-voltage-fast-activity band
-  (35-45 Hz), the classical low-amplitude seizure-onset marker and the
-  noise-critical feature: the 1/f background is weak there, so the
-  front-end's microvolt noise floor competes with it directly;
-* ``log power`` -- total in-band power (ictal EEG is large).
+* ``gamma contrast`` -- power in the LVFA band (35-45 Hz) over the
+  broadband floor of a marker-free reference band (55-85 Hz), scaled to
+  the gamma bandwidth;
+* ``log power`` -- total 0.5-45 Hz power (ictal EEG is large).
 
 Why this oracle (rather than a learned network) drives the experiments:
 its score is a *smooth, monotone* functional of signal quality.  Broadband
-front-end noise lifts the off-comb floor and dilutes the comb ratio;
-quantization does the same; CS reconstruction -- which preserves dominant
-spectral lines while shrinking the broadband floor -- passes it almost
-unharmed.  That is precisely the averaging-effect asymmetry the paper
-reports, obtained here from first principles instead of from the training
-noise of a small neural network.
+front-end noise lifts the floor under the marker and pulls the contrast
+towards 1; quantization does the same; CS reconstruction -- which keeps
+the dominant spectral content while shrinking the broadband floor --
+passes it almost unharmed.  That is precisely the averaging-effect
+asymmetry the paper reports, obtained here from first principles instead
+of from the training noise of a small neural network.
+
+Gotman-style spectral detectors also score the 2.5-4.5 Hz spike-wave
+discharge by the share of power on a harmonic comb ``{f0, 2 f0, ...}``.
+This one does not: on the paper-scale corpus that ratio separates ictal
+from non-ictal records at chance (AUC 0.46-0.50, against 1.00 for gamma
+contrast and 0.66 for log power), and the discharge's size already
+reaches the read-out through log power.
 
 The logistic calibration (2 weights + bias, deterministic Newton solve)
-is fitted once on clean training records; accuracy and the soft accuracy
-estimator then evaluate any processed records.
+is fitted once on clean training records; :func:`hard_accuracy` and the
+soft accuracy estimator :func:`mean_correct_probability` then score the
+probabilities of any processed records.
 
 Every design point is scored here, so the spectral set-up that depends
 only on the detector's configuration and the record length -- the Welch
@@ -117,7 +123,6 @@ class _SpectralPlan:
     in_band: tuple[np.ndarray, np.ndarray]
     gamma: tuple[np.ndarray, np.ndarray]
     reference: tuple[np.ndarray, np.ndarray]
-    combs: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def psd(self, records: np.ndarray) -> np.ndarray:
         """One-sided Welch PSD of each row, with the bytes of ``scipy.signal.welch``.
@@ -154,9 +159,6 @@ def _bins(freqs: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=32)
 def _spectral_plan(
     sample_rate: float,
-    f0_grid: tuple[float, ...],
-    n_harmonics: int,
-    comb_halfwidth: float,
     band: tuple[float, float],
     gamma_band: tuple[float, float],
     reference_band: tuple[float, float],
@@ -171,41 +173,26 @@ def _spectral_plan(
     freqs = sp_fft.rfftfreq(nperseg, 1 / sample_rate)
 
     low, high = band
-    in_band = (freqs >= low) & (freqs <= high)
-    combs = []
-    for f0 in f0_grid:
-        mask = np.zeros_like(freqs, dtype=bool)
-        for k in range(1, n_harmonics + 1):
-            center = k * f0
-            mask |= (freqs >= center - comb_halfwidth) & (freqs <= center + comb_halfwidth)
-        combs.append(_bins(freqs, mask & in_band))
     g_lo, g_hi = gamma_band
     r_lo, r_hi = reference_band
     return _SpectralPlan(
         hop=nperseg - nperseg // 2,
         window=_read_only(window),
         freqs=_read_only(freqs),
-        in_band=_bins(freqs, in_band),
+        in_band=_bins(freqs, (freqs >= low) & (freqs <= high)),
         gamma=_bins(freqs, (freqs >= g_lo) & (freqs <= g_hi)),
         reference=_bins(freqs, (freqs >= r_lo) & (freqs <= r_hi)),
-        combs=tuple(combs),
     )
 
 
 @dataclass
 class SpectralCombDetector:
-    """Deterministic rhythmic-discharge detector with logistic read-out.
+    """Deterministic gamma-marker detector with logistic read-out.
 
     Parameters
     ----------
     sample_rate:
         Rate of the records it scores, Hz.
-    f0_grid:
-        Candidate discharge fundamentals, Hz (paper generator: 2.5-4.5 Hz).
-    n_harmonics:
-        Harmonics included in the comb (fundamental counts as the first).
-    comb_halfwidth:
-        Half-width of each comb tooth in Hz.
     band:
         (low, high) analysis band in Hz for the total-power reference.
     gamma_band:
@@ -220,9 +207,6 @@ class SpectralCombDetector:
     """
 
     sample_rate: float
-    f0_grid: tuple[float, ...] = tuple(np.arange(2.2, 4.9, 0.1).round(2))
-    n_harmonics: int = 4
-    comb_halfwidth: float = 0.35
     band: tuple[float, float] = (0.5, 45.0)
     gamma_band: tuple[float, float] = (35.0, 45.0)
     reference_band: tuple[float, float] = (55.0, 85.0)
@@ -232,8 +216,6 @@ class SpectralCombDetector:
 
     def __post_init__(self) -> None:
         check_positive("sample_rate", self.sample_rate)
-        if not self.f0_grid:
-            raise ValueError("f0_grid must be non-empty")
         low, high = self.band
         if not 0 < low < high < self.sample_rate / 2:
             raise ValueError(f"invalid analysis band {self.band}")
@@ -244,12 +226,9 @@ class SpectralCombDetector:
     # --- score -----------------------------------------------------------------
 
     def _plan(self, n_samples: int) -> _SpectralPlan:
-        # Keyed on hashable copies: f0_grid and the bands may be lists.
+        # Keyed on hashable copies: the bands may be lists.
         return _spectral_plan(
             self.sample_rate,
-            tuple(self.f0_grid),
-            self.n_harmonics,
-            self.comb_halfwidth,
             tuple(self.band),
             tuple(self.gamma_band),
             tuple(self.reference_band),
@@ -257,7 +236,7 @@ class SpectralCombDetector:
         )
 
     def features(self, records: np.ndarray) -> np.ndarray:
-        """(n_records, 3) features: [log comb ratio, log gamma power, log power]."""
+        """(n_records, 2) features: [log gamma contrast, log in-band power]."""
         records = np.asarray(records, dtype=np.float64)
         if records.ndim != 2 or records.shape[1] == 0:
             raise ValueError(f"records must be (n_records, n_samples), got {records.shape}")
@@ -266,12 +245,6 @@ class SpectralCombDetector:
         bins, freqs = plan.in_band
         total = np.trapezoid(psd[:, bins], freqs, axis=1)
         total = np.where(total > 0, total, 1e-30)
-
-        best = np.zeros(records.shape[0])
-        for bins, freqs in plan.combs:
-            comb = np.trapezoid(psd[:, bins], freqs, axis=1)
-            best = np.maximum(best, comb / total)
-
         bins, freqs = plan.gamma
         gamma = np.trapezoid(psd[:, bins], freqs, axis=1)
         bins, freqs = plan.reference
@@ -282,13 +255,7 @@ class SpectralCombDetector:
         r_lo, r_hi = self.reference_band
         bandwidth_ratio = (g_hi - g_lo) / (r_hi - r_lo)
         contrast = (gamma + 1e-30) / (reference * bandwidth_ratio + 1e-30)
-        return np.column_stack(
-            [
-                np.log10(best + 1e-12),
-                np.log10(contrast),
-                np.log10(total),
-            ]
-        )
+        return np.column_stack([np.log10(contrast), np.log10(total)])
 
     # --- calibration -----------------------------------------------------------
 
@@ -315,29 +282,3 @@ class SpectralCombDetector:
             raise RuntimeError("detector is not fitted; call fit() first")
         features = (self.features(records) - self._feature_mean) / self._feature_std
         return logistic_predict(self._weights, features)
-
-    def predict(self, records: np.ndarray) -> np.ndarray:
-        """Hard 0/1 decisions at probability 0.5."""
-        return (self.predict_proba(records) >= 0.5).astype(int)
-
-    def accuracy(self, records: np.ndarray, labels: np.ndarray) -> float:
-        """Hard record-level accuracy."""
-        return hard_accuracy(self.predict_proba(records), labels)
-
-    def soft_accuracy(self, records: np.ndarray, labels: np.ndarray) -> float:
-        """Mean correct-class probability (continuous accuracy estimator)."""
-        return mean_correct_probability(self.predict_proba(records), labels)
-
-    def sensitivity_specificity(
-        self, records: np.ndarray, labels: np.ndarray
-    ) -> tuple[float, float]:
-        """(sensitivity, specificity) of the hard decisions."""
-        labels = np.asarray(labels, dtype=int)
-        predictions = self.predict(records)
-        tp = int(np.sum((labels == 1) & (predictions == 1)))
-        fn = int(np.sum((labels == 1) & (predictions == 0)))
-        tn = int(np.sum((labels == 0) & (predictions == 0)))
-        fp = int(np.sum((labels == 0) & (predictions == 1)))
-        sensitivity = tp / (tp + fn) if (tp + fn) else 0.0
-        specificity = tn / (tn + fp) if (tn + fp) else 0.0
-        return float(sensitivity), float(specificity)

@@ -5,7 +5,7 @@ Every figure experiment runs on the same stack:
 1. a synthetic Bonn-like corpus resampled to the front-end rate
    ``f_sample = 2.1 * 256 Hz`` and truncated to a whole number of CS
    frames;
-2. the deterministic spectral-comb seizure detector calibrated once on an
+2. the deterministic spectral seizure detector calibrated once on an
    *independent* clean corpus (the accuracy oracle standing in for the CNN
    of ref. [20] -- see :mod:`repro.detection.spectral` for the rationale);
 3. a :class:`~repro.core.explorer.FrontEndEvaluator` scoring design points.
@@ -188,7 +188,7 @@ def _harness_cached(scale_name: str) -> ExperimentHarness:
     train_records, train_labels = _truncated_records(
         scale.n_train_records, derive_seed(scale.seed, "train"), samples
     )
-    # The accuracy oracle: the deterministic spectral-comb detector,
+    # The accuracy oracle: the deterministic spectral detector,
     # calibrated once on the clean training corpus (see
     # repro.detection.spectral for why this oracle -- rather than a small
     # learned network -- drives the sweeps).

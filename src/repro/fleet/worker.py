@@ -36,7 +36,6 @@ import signal
 import socket
 import threading
 import time
-from importlib import import_module
 from typing import Callable
 
 from repro.core import flight
@@ -58,33 +57,24 @@ log = logging.getLogger("repro.fleet.worker")
 def resolve_spec(spec: dict) -> Callable:
     """Build an evaluator from a coordinator-advertised recipe.
 
-    Two kinds::
+    The one kind names a runner preset::
 
-        {"kind": "scale", "scale": "smoke"}          # a runner preset
-        {"kind": "callable", "target": "pkg.mod:fn", "args": {...}}
+        {"kind": "scale", "scale": "smoke"}
 
-    ``scale`` rebuilds the paper harness for that preset (each worker
-    regenerates the corpus deterministically from the preset's seed);
-    ``callable`` imports ``pkg.mod`` and calls ``fn(**args)``, which
-    must return the evaluator.  Only use specs from coordinators you
-    trust -- a spec names code to run, exactly like a checkpoint path
-    or a plugin module on the CLI.
+    and the worker rebuilds the paper harness for that preset (each
+    worker regenerates the corpus deterministically from the preset's
+    seed).  A spec names data, never code: any other kind, or a scale
+    that is not a key of :data:`repro.experiments.runner.SCALES`, raises
+    ``ValueError`` before anything is built.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError(f"evaluator spec must be a dict with 'kind', got {spec!r}")
-    kind = spec["kind"]
-    if kind == "scale":
-        from repro.experiments.runner import make_harness
+    if spec["kind"] != "scale":
+        raise ValueError(f"unknown evaluator spec kind {spec['kind']!r}; the one kind is 'scale'")
+    from repro.experiments.runner import make_harness
 
-        return make_harness(str(spec["scale"])).evaluator
-    if kind == "callable":
-        target = str(spec.get("target", ""))
-        module_name, _, attr = target.partition(":")
-        if not module_name or not attr:
-            raise ValueError(f"callable spec target must be 'module:attr', got {target!r}")
-        factory = getattr(import_module(module_name), attr)
-        return factory(**spec.get("args", {}))
-    raise ValueError(f"unknown evaluator spec kind {kind!r}")
+    # make_harness rejects a name that is not a key of SCALES.
+    return make_harness(str(spec.get("scale"))).evaluator
 
 
 class FleetWorker:

@@ -30,12 +30,14 @@ read-mostly clients hit the content-addressed store
 The transport is the stdlib's :class:`~http.server.ThreadingHTTPServer`
 with one request-handler class: a daemon thread per connection, each
 serving sequential keep-alive requests, so a slow store read stalls only
-its own client.  The handler narrows the stdlib's parser to what the API
-serves -- a ``METHOD target HTTP/1.x`` request line, a clean header
-block, and a body of at most :data:`MAX_BODY_BYTES` that arrives in full
--- and answers every rejection with the API's JSON ``{"error": ...}``
-body.  It is not a general-purpose web server: it serves JSON to
-cooperating clients and rejects everything else with 4xx.
+its own client, and a client that sends nothing for
+:data:`READ_TIMEOUT_S` is disconnected.  The handler narrows the
+stdlib's parser to what the API serves -- a ``METHOD target HTTP/1.x``
+request line, a clean header block, and a body of at most
+:data:`MAX_BODY_BYTES` that arrives in full -- and answers every
+rejection with the API's JSON ``{"error": ...}`` body.  It is not a
+general-purpose web server: it serves JSON to cooperating clients and
+rejects everything else with 4xx.
 """
 
 from __future__ import annotations
@@ -76,6 +78,12 @@ MAX_PAGE_LIMIT = 1000
 
 #: Poll interval of the progress tail (seconds).
 EVENT_POLL_S = 0.05
+
+#: Seconds one socket read or write may wait before the connection is
+#: closed, so a client that stalls mid-request, or idles between
+#: keep-alive requests, cannot pin a handler thread.  The event stream
+#: only writes, so it stays open for as long as its client reads.
+READ_TIMEOUT_S = 30.0
 
 #: Response-size histogram bucket upper bounds (bytes): log-spaced from a
 #: health-check ping to the largest paginated evaluation page.
@@ -865,6 +873,12 @@ class _Handler(BaseHTTPRequestHandler):
         if name.startswith("do_"):
             return self._dispatch
         raise AttributeError(name)
+
+    def setup(self) -> None:
+        # The stdlib applies ``timeout`` to the socket here, and its
+        # ``handle_one_request`` closes the connection on TimeoutError.
+        self.timeout = READ_TIMEOUT_S
+        super().setup()
 
     def handle(self) -> None:
         try:

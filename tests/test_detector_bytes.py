@@ -6,9 +6,9 @@ configuration, record length), and computes the one-sided Welch PSD
 itself.
 
 * Byte lock: ``_allocating_psd`` and ``_integrals`` are the same
-  sequence with the window and every mask rebuilt per call and the
-  segments' powers stacked.  The plan's grid and PSD, and ``features()``
-  and ``predict_proba()`` of a fitted detector, must return exactly their
+  sequence with the window, every mask and the power array rebuilt per
+  call.  The plan's grid and PSD, and ``features()`` and
+  ``predict_proba()`` of a fitted detector, must return exactly their
   bytes, dtype and shape, on interleaved record lengths and over
   Hypothesis-drawn ones (1, 4, 7, 8 and 10 segments, odd segment
   lengths), both corpus rates, amplitudes, all-zero records and
@@ -53,17 +53,6 @@ def _integrals(det, freqs, psd):
     in_band = (freqs >= low) & (freqs <= high)
     total = np.trapezoid(psd[:, in_band], freqs[in_band], axis=1)
     total = np.where(total > 0, total, 1e-30)
-    best = np.zeros(psd.shape[0])
-    for f0 in det.f0_grid:
-        mask = np.zeros_like(freqs, dtype=bool)
-        for k in range(1, det.n_harmonics + 1):
-            center = k * f0
-            mask |= (freqs >= center - det.comb_halfwidth) & (
-                freqs <= center + det.comb_halfwidth
-            )
-        mask &= in_band
-        comb = np.trapezoid(psd[:, mask], freqs[mask], axis=1)
-        best = np.maximum(best, comb / total)
     g_lo, g_hi = det.gamma_band
     gamma_mask = (freqs >= g_lo) & (freqs <= g_hi)
     gamma = np.trapezoid(psd[:, gamma_mask], freqs[gamma_mask], axis=1)
@@ -72,7 +61,7 @@ def _integrals(det, freqs, psd):
     reference = np.trapezoid(psd[:, ref_mask], freqs[ref_mask], axis=1)
     bandwidth_ratio = (g_hi - g_lo) / (r_hi - r_lo)
     contrast = (gamma + 1e-30) / (reference * bandwidth_ratio + 1e-30)
-    return np.column_stack([np.log10(best + 1e-12), np.log10(contrast), np.log10(total)])
+    return np.column_stack([np.log10(contrast), np.log10(total)])
 
 
 def _allocating_psd(det, records):
@@ -83,13 +72,16 @@ def _allocating_psd(det, records):
     window = get_window("hann", nperseg)
     window = window * (1 / np.sqrt(sum(window**2) / (1 / det.sample_rate)))
     freqs = sp_fft.rfftfreq(nperseg, 1 / det.sample_rate)
-    powers = []
-    for start in range(0, n - nperseg + 1, hop):
+    starts = range(0, n - nperseg + 1, hop)
+    # Each segment's power is added into its slot of a fresh (records,
+    # freqs, segments) array, as in scipy's ``welch``: numpy's add into a
+    # contiguous temporary takes the other operand's NaN in its tail lanes.
+    power = np.empty((records.shape[0], freqs.size, len(starts)))
+    for index, start in enumerate(starts):
         segment = records[:, start : start + nperseg]
         segment = segment - segment.mean(axis=-1, keepdims=True)
         spectrum = sp_fft.rfft(segment * window, axis=-1)
-        powers.append(spectrum.real**2 + spectrum.imag**2)
-    power = np.stack(powers, axis=-1)  # (records, freqs, segments)
+        np.add(spectrum.real**2, spectrum.imag**2, out=power[:, :, index])
     power[:, 1 : -1 if nperseg % 2 == 0 else None] *= 2
     return freqs, power.mean(axis=-1) if power.shape[-1] > 1 else power[..., 0]
 
@@ -194,7 +186,7 @@ def test_non_finite_samples_keep_scipys_nan_bits(rows):
 def test_plan_arrays_are_read_only():
     plan = SpectralCombDetector(sample_rate=537.6)._plan(12_672)
     arrays = [plan.window, plan.freqs]
-    for bins, freqs in (plan.in_band, plan.gamma, plan.reference, *plan.combs):
+    for bins, freqs in (plan.in_band, plan.gamma, plan.reference):
         arrays += [bins, freqs]
     for array in arrays:
         with pytest.raises(ValueError):
@@ -207,7 +199,6 @@ def test_plan_is_shared_across_detectors_and_list_valued_bands():
     a = SpectralCombDetector(sample_rate=537.6)
     b = SpectralCombDetector(
         sample_rate=537.6,
-        f0_grid=list(a.f0_grid),
         band=list(a.band),
         gamma_band=list(a.gamma_band),
         reference_band=list(a.reference_band),

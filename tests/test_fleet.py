@@ -13,6 +13,7 @@ import io
 import json
 import math
 import socket
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -407,29 +408,28 @@ class TestRetryJitter:
 # --- evaluator spec resolution ------------------------------------------------
 
 
-def make_toy_evaluator(master_seed: int = 7):
-    """Factory target for the ``callable`` spec kind."""
-    return ToyEvaluator(master_seed=master_seed)
-
-
 class TestResolveSpec:
-    def test_callable_spec(self):
-        evaluator = resolve_spec(
-            {
-                "kind": "callable",
-                "target": "tests.test_fleet:make_toy_evaluator",
-                "args": {"master_seed": 11},
-            }
+    def test_callable_spec(self, tmp_path, monkeypatch):
+        # A spec names data, never code: a coordinator naming a module to
+        # import and call is refused before the module is imported.
+        (tmp_path / "spec_target_probe.py").write_text(
+            "raise AssertionError('a worker imported a spec target')\n"
+            "def make():\n    return None\n"
         )
-        assert evaluator.fingerprint() == "toy:11"
+        monkeypatch.syspath_prepend(str(tmp_path))
+        with pytest.raises(ValueError, match="unknown evaluator spec kind 'callable'"):
+            resolve_spec({"kind": "callable", "target": "spec_target_probe:make", "args": {}})
+        assert "spec_target_probe" not in sys.modules
 
     def test_bad_specs_raise(self):
         with pytest.raises(ValueError, match="must be a dict"):
             resolve_spec("smoke")
         with pytest.raises(ValueError, match="unknown evaluator spec kind"):
             resolve_spec({"kind": "carrier-pigeon"})
-        with pytest.raises(ValueError, match="module:attr"):
-            resolve_spec({"kind": "callable", "target": "no-colon"})
+        with pytest.raises(ValueError, match="unknown scale 'galactic'"):
+            resolve_spec({"kind": "scale", "scale": "galactic"})
+        with pytest.raises(ValueError, match="unknown scale"):
+            resolve_spec({"kind": "scale"})
 
 
 # --- clean end-to-end fleet runs ----------------------------------------------

@@ -11,7 +11,11 @@ from repro.core.explorer import DesignSpaceExplorer
 from repro.core.goal import accuracy_power_goal, snr_power_goal
 from repro.core.parameters import ParameterSpace
 from repro.core.simulator import Simulator
-from repro.detection.spectral import SpectralCombDetector
+from repro.detection.spectral import (
+    SpectralCombDetector,
+    hard_accuracy,
+    mean_correct_probability,
+)
 from repro.experiments.fig7 import analyze_fig7
 from repro.experiments.runner import make_harness
 from repro.power.technology import DesignPoint
@@ -28,7 +32,8 @@ class TestHarnessIntegrity:
         assert harness.records.shape[1] % 384 == 0
 
     def test_detector_accurate_on_clean_eval_set(self, harness):
-        assert harness.detector.accuracy(harness.records, harness.labels) > 0.85
+        probabilities = harness.detector.predict_proba(harness.records)
+        assert hard_accuracy(probabilities, harness.labels) > 0.85
 
     def test_labels_cover_both_classes(self, harness):
         labels = set(harness.labels.tolist())
@@ -68,11 +73,10 @@ class TestEndToEndEvaluation:
         evaluation = evaluator.score_output(point, result.output, result.power)
         assert len(calls) == 1
         output = np.asarray(result.output.data).reshape(harness.records.shape[0], -1)
-        assert evaluation.metrics["accuracy_hard"] == harness.detector.accuracy(
-            output, harness.labels
-        )
-        assert evaluation.metrics["accuracy"] == harness.detector.soft_accuracy(
-            output, harness.labels
+        probabilities = harness.detector.predict_proba(output)
+        assert evaluation.metrics["accuracy_hard"] == hard_accuracy(probabilities, harness.labels)
+        assert evaluation.metrics["accuracy"] == mean_correct_probability(
+            probabilities, harness.labels
         )
 
     def test_noise_tradeoff_monotone(self, harness):

@@ -8,6 +8,7 @@ from repro.blocks.sources import sine
 from repro.core.block import SimulationContext
 from repro.core.signal import Signal
 from repro.metrics.snr import analyze_sine
+from repro.power.technology import DesignPoint
 from repro.util.rng import make_rng
 
 
@@ -140,3 +141,56 @@ class TestFromDesign:
         rows = adc.power(baseline_point)
         assert set(rows) == {"comparator", "sar_logic", "dac", "leakage"}
         assert all(v >= 0 for v in rows.values())
+
+
+class TestSndrAcrossResolution:
+    """The SAR that ``from_design`` builds, against the closed form.
+
+    Prediction: 6.02 N + 1.76 dB for a full-scale sine, 20 log10(0.99)
+    for the 0.99 FS tone, and -10 log10(1 + 12 sigma^2 / LSB^2) for the
+    comparator noise, which ``from_design`` sets to sigma = LSB/4: 0.75 of
+    the LSB^2/12 quantization noise, a 2.43 dB penalty (1.75 in all).
+
+    Tolerance, from what can move one record of one converter off it:
+
+    * FFT estimate: the noise is summed over the ~4089 bins of one
+      8192-point record that hold neither DC, the tone nor its harmonics.
+      Each bin of a white floor is an exponential draw, so the sum is
+      known to 1/sqrt(4089) = 1.6 %; 3 sigma is 0.20 dB either way.
+    * Coherence: 41 Hz repeats every 4096 samples, so the record is one
+      fixed pattern of codes.  A sine of amplitude A LSB spreads its
+      samples over an LSB with a density that departs from uniform by
+      2 J0(2 pi A) <= 2 / (pi sqrt(A)) at first order; every noise term
+      is an average over that density, so it moves by up to that share:
+      0.47, 0.33 and 0.24 dB at N = 6, 7, 8, either way.
+    * DAC mismatch, low side only: with unit sigma s_u, bit k's weight
+      errs by LSB s_u sqrt(2^k).  A sine toggles each bit half the time,
+      so the static INL adds 3 s_u^2 (2^N - 1) of LSB^2/12 on average
+      (0.05-0.10 dB here).  The MSB carries half of it as one Gaussian
+      draw, so a 1-in-100 converter costs about 4 times the average.
+    """
+
+    @staticmethod
+    def bounds_db(adc):
+        fft = 10 * np.log10(1 + 3 / np.sqrt(4089))
+        amplitude_lsb = 0.99 * 2 ** (adc.n_bits - 1)
+        coherence = 10 * np.log10(1 + 2 / (np.pi * np.sqrt(amplitude_lsb)))
+        inl_share = 3 * adc.dac_mismatch_sigma**2 * (2**adc.n_bits - 1) / 1.75
+        mismatch = 10 * np.log10(1 + 4 * inl_share)
+        return -(fft + coherence + mismatch), fft + coherence
+
+    @pytest.mark.parametrize("n_bits", [6, 7, 8])
+    def test_sndr_matches_the_closed_form(self, n_bits):
+        point = DesignPoint(n_bits=n_bits, lna_noise_rms=2e-6)
+        tone = sine(
+            frequency=41.0, amplitude=0.99 * point.v_fs / 2, sample_rate=4096.0, n_samples=8192
+        )
+        predicted = (
+            6.02 * n_bits + 1.76 + 20 * np.log10(0.99) - 10 * np.log10(1 + 12 / 4**2)
+        )
+        for seed in range(5):
+            adc = SarAdc.from_design(point, seed=seed)
+            assert adc.comparator_noise_rms == pytest.approx(adc.lsb / 4)
+            low, high = self.bounds_db(adc)
+            sndr = analyze_sine(run_block(adc, tone, seed=seed).data).sndr_db
+            assert low <= sndr - predicted <= high, (seed, sndr, predicted)

@@ -769,8 +769,9 @@ def hostile_requests(draw) -> tuple[bytes, int | None, bool]:
 
 class TestHostileInput:
     """Raw bytes at the request parser: every case ends in a status line
-    or a closed connection, malformed input gets a 4xx, and a request
-    whose body ends early never reaches a handler."""
+    or a closed connection, malformed input gets a 4xx, a request whose
+    body ends early never reaches a handler, and a client that stalls is
+    disconnected."""
 
     @pytest.fixture
     def refusing(self, tmp_path):
@@ -830,6 +831,48 @@ class TestHostileInput:
         assert reply == b""
         assert service.jobs == {}
         assert "serve.requests" not in service.telemetry.counters
+
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            b"GET /healthz HTTP/1.1\r\nAccept: application/json\r\n",
+            b'POST /v1/sweeps HTTP/1.1\r\nContent-Length: 100\r\n\r\n{"name": ',
+        ],
+        ids=["mid-header", "mid-body"],
+    )
+    def test_stalled_client_is_disconnected(self, server, service, monkeypatch, partial):
+        """A client that stops sending mid-request is disconnected after
+        the read timeout: unanswered, undispatched, its thread gone."""
+        monkeypatch.setattr("repro.serve.READ_TIMEOUT_S", 0.5)
+        baseline = threading.active_count()
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(partial)  # and send nothing more, without closing
+            assert sock.recv(65536) == b""
+        assert "serve.requests" not in service.telemetry.counters
+        deadline = time.time() + 5
+        while threading.active_count() > baseline and time.time() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= baseline
+
+    def test_event_stream_outlives_the_read_timeout(self, server, service, monkeypatch):
+        """The timeout bounds each wait for the client, not a response:
+        a progress stream open three times as long still ends cleanly."""
+        monkeypatch.setattr("repro.serve.READ_TIMEOUT_S", 0.5)
+        service.evaluator.gate.clear()
+        client = Client(server)
+        client.request("POST", "/v1/sweeps", body={"name": "slow"})
+        client.close()
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        conn.request("GET", "/v1/sweeps/slow/events")
+        response = conn.getresponse()
+        release = threading.Timer(1.5, service.evaluator.gate.set)
+        release.start()
+        lines = [json.loads(raw) for raw in response if raw.strip()]
+        conn.close()
+        release.join()
+        kinds = [line["kind"] for line in lines]
+        assert kinds.count("explore.progress") == 4
+        assert kinds[-1] == "serve.stream_end"
 
     @pytest.mark.parametrize(
         "raw, status",
