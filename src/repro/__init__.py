@@ -46,7 +46,7 @@ Quickstart
 8.34
 """
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 from repro.power.technology import GPDK045, DesignPoint, Technology
 

@@ -6,13 +6,18 @@ to their own bytes.  The wrappers in :mod:`repro.cs.reconstruction`
 validate, time and call them; the numeric cores live here.  Their
 floating-point operations, in order, are the contract: ``fista`` spells
 its sequence out in its docstring, and changing it changes the
-package's numbers (see ``docs/extending.md`` §12).
+package's numbers (see ``docs/extending.md`` §12).  Every kernel
+returns float64; ``fista`` iterates in float32 (release 1.4.0), the
+others in float64.
 
 Kernel contract
 ---------------
 ``fista`` / ``ista``
     ``(a(M,N), y2(B,M), lam, n_iter, tol) -> (z(B,N), iterations)``;
     ``iterations == 0`` only for the degenerate zero-operator case.
+    ``fista`` rounds ``a`` and ``y2`` to float32, so their finite
+    entries must lie within float32's range; the validating wrapper
+    checks that.
 ``omp``
     ``(a(M,N), y(M,), sparsity, tol) -> (coeffs(N,), n_selected)``.
 ``encoder_multiply``
@@ -65,7 +70,12 @@ def fista(
 ) -> tuple[np.ndarray, int]:
     """Batched FISTA core (Beck & Teboulle); see module docstring.
 
-    Each iteration computes, in this order and with these operands::
+    The loop runs in float32.  ``a`` and ``y2`` are rounded to float32
+    once; the Lipschitz constant comes from ``a`` as given, and each
+    scalar (``step``, ``lam * step``, ``(t - 1.0) / t_next``) is computed
+    in float64 and rounded once to ``np.float32``, so no scalar promotion
+    rule of numpy touches the loop.  Each iteration computes, in this
+    order, with these operands, every array in float32::
 
         gradient = (momentum @ a.T - y2) @ a
         v        = momentum - step * gradient
@@ -73,8 +83,11 @@ def fista(
         momentum = z_next + ((t - 1.0) / t_next) * (z_next - z)
         delta    = max(abs(z_next - z))
 
-    That sequence is the contract the byte-lock tests hold it to.
-    The soft threshold writes +0.0 for every ``v`` inside the threshold.
+    and stops early once ``delta <= tol``, compared in float64.  The
+    returned ``z`` is the last ``z_next`` cast to float64.  That sequence
+    is the contract the byte-lock tests hold it to.  The soft threshold
+    writes +0.0 for every ``v`` inside the threshold.
+
     The loop runs in one ``(B, M)`` and four ``(B, N)`` buffers allocated
     once per solve: ``out=`` ufuncs overwrite them, ``z_next - z`` is
     formed once for both the momentum and the convergence test, and the
@@ -82,7 +95,9 @@ def fista(
     gradient costs two ``B x M x N`` products per iteration where the
     ``a.T @ a`` form costs one ``B x N x N``: cheaper when ``2M < N``,
     and level at ``M = N/2``, the densest receiver the grids sweep (192
-    of 384).
+    of 384).  float32 halves the bytes those products stream, and the
+    6-8-bit codes the receiver reconstructs sit 16 bits above float32's
+    rounding.
     """
     b, m = y2.shape
     n = a.shape[1]
@@ -90,12 +105,15 @@ def fista(
     if lipschitz == 0:
         return np.zeros((b, n)), 0
     step = 1.0 / lipschitz
-    threshold = lam * step
-    z = np.zeros((b, n))
-    momentum = np.zeros((b, n))
-    z_next = np.empty((b, n))
-    work = np.empty((b, n))
-    residual = np.empty((b, m))
+    step32 = np.float32(step)
+    threshold = np.float32(lam * step)
+    a = a.astype(np.float32)
+    y2 = y2.astype(np.float32)
+    z = np.zeros((b, n), np.float32)
+    momentum = np.zeros((b, n), np.float32)
+    z_next = np.empty((b, n), np.float32)
+    work = np.empty((b, n), np.float32)
+    residual = np.empty((b, m), np.float32)
     t = 1.0
     iterations = 0
     for _ in range(n_iter):
@@ -103,20 +121,20 @@ def fista(
         np.matmul(momentum, a.T, out=residual)
         np.subtract(residual, y2, out=residual)
         np.matmul(residual, a, out=work)  # gradient
-        np.multiply(step, work, out=work)
+        np.multiply(step32, work, out=work)
         np.subtract(momentum, work, out=work)  # v; momentum is dead from here
         np.clip(work, -threshold, threshold, out=z_next)
         np.subtract(work, z_next, out=z_next)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         diff = np.subtract(z_next, z, out=z)  # z is dead from here
-        delta = np.max(np.abs(diff, out=work))
-        np.multiply((t - 1.0) / t_next, diff, out=diff)
+        delta = float(np.max(np.abs(diff, out=work)))
+        np.multiply(np.float32((t - 1.0) / t_next), diff, out=diff)
         np.add(z_next, diff, out=diff)
         z, momentum, z_next = z_next, diff, momentum
         t = t_next
         if delta <= tol:
             break
-    return z, iterations
+    return z.astype(np.float64), iterations
 
 
 def ista(

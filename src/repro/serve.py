@@ -30,8 +30,9 @@ read-mostly clients hit the content-addressed store
 The transport is the stdlib's :class:`~http.server.ThreadingHTTPServer`
 with one request-handler class: a daemon thread per connection, each
 serving sequential keep-alive requests, so a slow store read stalls only
-its own client, and a client that sends nothing for
-:data:`READ_TIMEOUT_S` is disconnected.  The handler narrows the
+its own client, and a client whose request line, headers and body have
+not all arrived :data:`READ_TIMEOUT_S` after the handler started waiting
+is disconnected.  The handler narrows the
 stdlib's parser to what the API serves -- a ``METHOD target HTTP/1.x``
 request line, a clean header block, and a body of at most
 :data:`MAX_BODY_BYTES` that arrives in full -- and answers every
@@ -42,9 +43,11 @@ rejects everything else with 4xx.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import signal
+import socket
 import threading
 import time
 from collections.abc import Callable, Iterator
@@ -79,8 +82,9 @@ MAX_PAGE_LIMIT = 1000
 #: Poll interval of the progress tail (seconds).
 EVENT_POLL_S = 0.05
 
-#: Seconds one socket read or write may wait before the connection is
-#: closed, so a client that stalls mid-request, or idles between
+#: Seconds a whole request (line, headers and body) may take to arrive,
+#: and one socket write may wait, before the connection is closed, so a
+#: client that stalls or trickles mid-request, or idles between
 #: keep-alive requests, cannot pin a handler thread.  The event stream
 #: only writes, so it stays open for as long as its client reads.
 READ_TIMEOUT_S = 30.0
@@ -845,6 +849,30 @@ class SweepApi:
 # --- transport ----------------------------------------------------------------
 
 
+class _RequestReader(io.RawIOBase):
+    """A connection's read side, bounded per request instead of per wait.
+
+    Every ``recv`` waits at most until :attr:`deadline`, which the handler
+    sets when it starts waiting for a request, so a client cannot stretch
+    one request past :data:`READ_TIMEOUT_S` by sending a byte just before
+    each wait would time out.
+    """
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+        self.deadline = 0.0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        remaining = self.deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError("request not received within READ_TIMEOUT_S")
+        self._sock.settimeout(remaining)
+        return self._sock.recv_into(buffer)
+
+
 class _Handler(BaseHTTPRequestHandler):
     """One client connection: the stdlib parses, :class:`SweepApi` routes.
 
@@ -879,6 +907,12 @@ class _Handler(BaseHTTPRequestHandler):
         # ``handle_one_request`` closes the connection on TimeoutError.
         self.timeout = READ_TIMEOUT_S
         super().setup()
+        self.rfile.close()
+        self.rfile = io.BufferedReader(_RequestReader(self.connection))
+
+    def handle_one_request(self) -> None:
+        self.rfile.raw.deadline = time.monotonic() + READ_TIMEOUT_S
+        super().handle_one_request()
 
     def handle(self) -> None:
         try:
@@ -944,6 +978,9 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(self.server.api.dispatch(request))
 
     def _send(self, response: Response) -> None:
+        # The request's deadline bounds reads only: each write gets the
+        # whole timeout, so the event stream outlives it.
+        self.connection.settimeout(READ_TIMEOUT_S)
         headers = dict(response.headers)
         if response.stream is not None:
             headers.setdefault("Content-Type", "application/x-ndjson")

@@ -150,6 +150,34 @@ class TestEncoderSimulation:
         noisy = enc.encode(x)
         assert not np.allclose(noisy, enc.phi_effective @ x, atol=1e-9)
 
+    def test_kt_noise_variance_matches_closed_form(self):
+        # Paper Eq. (1) applied to the noise: sample j's kT/C_s noise is
+        # weighted like the sample, Phi_eff[i, j]; the kT/(C_s + C_h) noise
+        # of its share onto row i then decays by b per later share, so it
+        # reaches readout weighted Phi_eff[i, j] / a.  All draws are
+        # independent, so per row
+        #   var_i = sum_j Phi_eff[i, j]^2 kT/C_s
+        #                 + (Phi_eff[i, j] / a)^2 kT/(C_s + C_h).
+        # Mismatch and leakage are off, so the nominal a, b and Phi_eff are
+        # the physical ones.
+        n_frames = 40_000
+        mat = srbm_balanced(8, 32, 2, seed=3)
+        cfg = ChargeSharingConfig(c_sample=2e-15, c_hold=16e-15)
+        enc = ChargeSharingEncoder(mat, cfg, seed=7)
+        v_hold = enc.encode(np.zeros((n_frames, 32)))
+        phi = enc.phi_effective
+        predicted = np.sum(
+            phi**2 * cfg.kt / cfg.c_sample
+            + (phi / cfg.share_gain) ** 2 * cfg.kt / (cfg.c_sample + cfg.c_hold),
+            axis=1,
+        )
+        # The zero-mean estimator sum(v^2) / n of a Gaussian variance has
+        # relative standard deviation sqrt(2 / n); allow five of them.
+        measured = np.mean(v_hold**2, axis=0)
+        np.testing.assert_allclose(
+            measured / predicted, 1.0, rtol=0, atol=5 * np.sqrt(2 / n_frames)
+        )
+
     def test_reset_noise_replays_identically(self, rng):
         mat = srbm_balanced(8, 32, 2, seed=3)
         cfg = ChargeSharingConfig(c_sample=2e-15, c_hold=16e-15)

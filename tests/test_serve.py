@@ -854,6 +854,37 @@ class TestHostileInput:
             time.sleep(0.01)
         assert threading.active_count() <= baseline
 
+    def test_trickling_client_is_disconnected(self, server, service, monkeypatch):
+        """The read timeout bounds the whole request, not each wait: a
+        client that sends one header byte per 0.3 s, each inside the 0.5 s
+        timeout, is closed once 0.5 s have passed, unanswered and
+        undispatched, and its thread exits."""
+        monkeypatch.setattr("repro.serve.READ_TIMEOUT_S", 0.5)
+        baseline = threading.active_count()
+        trickle = b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 40
+        closed_after = None
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.settimeout(0.3)
+            start = time.monotonic()
+            for byte in trickle:
+                try:
+                    sock.sendall(bytes([byte]))
+                    reply = sock.recv(65536)  # waits 0.3 s while the server reads on
+                except TimeoutError:
+                    continue
+                except OSError:  # reset or broken pipe: closed as well
+                    reply = b""
+                assert reply == b""
+                closed_after = time.monotonic() - start
+                break
+        assert closed_after is not None, "the trickling client was never closed"
+        assert closed_after < 0.5 + 1.0
+        assert "serve.requests" not in service.telemetry.counters
+        deadline = time.time() + 5
+        while threading.active_count() > baseline and time.time() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= baseline
+
     def test_event_stream_outlives_the_read_timeout(self, server, service, monkeypatch):
         """The timeout bounds each wait for the client, not a response:
         a progress stream open three times as long still ends cleanly."""
