@@ -1,13 +1,14 @@
 """Shared benchmark fixtures.
 
-The Fig. 7-10 benchmarks share one search-space sweep (cached per scale in
-the experiment runner), so the whole suite costs a single sweep plus the
-cheap per-figure analyses.  Scale selection: ``REPRO_SCALE`` env var
+The Fig. 7-10 benchmarks share one search-space sweep (the session fixture
+``search_sweep``), so the whole suite costs a single sweep plus the cheap
+per-figure analyses.  Scale selection: ``REPRO_SCALE`` env var
 (``smoke`` default; ``small`` is the EXPERIMENTS.md reporting scale).
 """
 
 import pytest
 
+from repro.core.goal import MIN_ACCURACY
 from repro.experiments.runner import active_scale, make_harness, run_search_space
 
 #: Accuracy bound used when selecting the "optimal point" per scale.  The
@@ -15,7 +16,7 @@ from repro.experiments.runner import active_scale, make_harness, run_search_spac
 #: (24 records x 5.7 s) relaxes it to 90 % because the short records give
 #: the spectral oracle ~1.4 Welch segments, raising its variance floor --
 #: smoke checks code paths and shape, not absolute accuracy levels.
-MIN_ACCURACY_BY_SCALE = {"smoke": 0.90, "small": 0.98, "paper": 0.98}
+MIN_ACCURACY_BY_SCALE = {"smoke": 0.90, "small": MIN_ACCURACY, "paper": MIN_ACCURACY}
 
 
 @pytest.fixture(scope="session")

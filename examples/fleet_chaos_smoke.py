@@ -1,4 +1,4 @@
-"""Smoke-test of the fault-tolerant fleet executor under scripted chaos.
+"""Smoke-test of the process executor's fault-tolerant fleet under scripted chaos.
 
 Runs the same smoke-scale paper sweep twice -- once serially, once on a
 three-worker lease-based fleet where one worker is SIGKILLed mid-chunk
@@ -79,7 +79,7 @@ def main(argv=None) -> int:
     try:
         result = explorer.explore(
             space,
-            executor="fleet",
+            executor="process",
             telemetry=telemetry,
             fleet=FleetOptions(
                 spawn_workers=args.workers,

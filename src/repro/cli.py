@@ -59,6 +59,8 @@ import sys
 import time
 from collections.abc import Sequence
 
+from repro.core.execution import EXECUTORS, ExecutionPolicy, resolve_executor
+from repro.core.goal import MIN_ACCURACY
 from repro.util.constants import MICRO
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
@@ -139,10 +141,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.util.textplot import pareto_chart
 
     telemetry = get_active()
-    # Resolved once, so the manifest records what the run used.
-    workers = args.workers if args.workers is not None else default_workers()
-    executor = args.executor or ("process" if (workers or 1) > 1 else "serial")
-    ledger = fleet_options = None
     if args.adaptive and args.fleet:
         print(
             "error: --fleet is not supported with --adaptive (the adaptive "
@@ -150,67 +148,59 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    # Resolved once, so the manifest records what the run used.
+    workers = args.workers if args.workers is not None else default_workers()
+    fleet_options = None
+    if args.fleet:
+        from repro.fleet import FleetOptions
+
+        fleet_kwargs = {}
+        if args.fleet_lease_timeout is not None:
+            fleet_kwargs["lease_timeout_s"] = args.fleet_lease_timeout
+        fleet_options = FleetOptions(
+            # Advertise the evaluator recipe so external workers
+            # (repro worker --connect) can rebuild the same harness.
+            spec={"kind": "scale", "scale": args.scale},
+            host=args.fleet_host,
+            port=args.fleet_port,
+            spawn_workers=(
+                args.fleet_spawn if args.fleet_spawn is not None else (workers or 3)
+            ),
+            worker_cache_dir=None if args.no_cache else args.cache_dir,
+            **fleet_kwargs,
+        )
+    try:
+        executor = resolve_executor(args.executor, workers, fleet_options)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    explore_kwargs = {
+        "executor": executor,
+        "n_workers": workers,
+        "checkpoint": args.checkpoint,
+        "cache": None if args.no_cache else args.cache_dir,
+        "telemetry": telemetry if telemetry.enabled else None,
+        "policy": ExecutionPolicy(timeout_s=args.timeout, retries=args.retries),
+    }
+    ledger = None
     if args.adaptive:
         # No live progress line: each rung is its own sweep with a
         # data-dependent total, so a single [done/total] ETA would lie.
         sweep = run_adaptive_search_space(
-            args.scale,
-            rungs=args.rungs,
-            keep_frac=args.keep_frac,
-            executor=executor,
-            n_workers=workers,
-            checkpoint=args.checkpoint,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            telemetry=telemetry if telemetry.enabled else None,
-            timeout_s=args.timeout,
-            retries=args.retries,
+            args.scale, rungs=args.rungs, keep_frac=args.keep_frac, **explore_kwargs
         )
         ledger = sweep.ledger
         print("adaptive exploration (successive halving):")
         print(ledger.summary())
         print()
     else:
-        if args.fleet:
-            from repro.fleet import FleetOptions
-
-            if args.executor not in (None, "fleet"):
-                print(
-                    f"error: --fleet conflicts with --executor {args.executor}",
-                    file=sys.stderr,
-                )
-                return 2
-            fleet_kwargs = {}
-            if args.fleet_lease_timeout is not None:
-                fleet_kwargs["lease_timeout_s"] = args.fleet_lease_timeout
-            fleet_options = FleetOptions(
-                # Advertise the evaluator recipe so external workers
-                # (repro worker --connect) can rebuild the same harness.
-                spec={"kind": "scale", "scale": args.scale},
-                host=args.fleet_host,
-                port=args.fleet_port,
-                spawn_workers=(
-                    args.fleet_spawn if args.fleet_spawn is not None else (workers or 3)
-                ),
-                worker_cache_dir=None if args.no_cache else args.cache_dir,
-                **fleet_kwargs,
-            )
-            executor = "fleet"
         progress = (
             None
             if args.no_progress
             else _progress_printer(search_space_for(args.scale).size)
         )
         sweep = run_search_space(
-            args.scale,
-            executor=executor,
-            n_workers=workers,
-            checkpoint=args.checkpoint,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            progress=progress,
-            telemetry=telemetry if telemetry.enabled else None,
-            timeout_s=args.timeout,
-            retries=args.retries,
-            fleet=fleet_options,
+            args.scale, progress=progress, fleet=fleet_options, **explore_kwargs
         )
     full_sweep = sweep
     failures = sweep.failures()
@@ -307,8 +297,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
         severities=tuple(args.severities),
         n_realisations=args.realisations,
         max_degradation=args.max_degradation,
-        timeout_s=args.timeout,
-        retries=args.retries,
+        policy=ExecutionPolicy(timeout_s=args.timeout, retries=args.retries),
         telemetry=telemetry if telemetry.enabled else None,
     )
     print(f"robustness analysis at scale {args.scale!r}\n")
@@ -541,7 +530,14 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="run the Fig. 7 search-space sweep", parents=[common]
     )
     sweep.add_argument("--scale", default="smoke", choices=["smoke", "small", "paper"])
-    sweep.add_argument("--min-accuracy", type=float, default=0.9)
+    sweep.add_argument(
+        "--min-accuracy",
+        type=float,
+        default=MIN_ACCURACY,
+        help="accuracy bound of the Fig. 7b optima (default: the paper's "
+        f"{MIN_ACCURACY:g}; smoke-scale accuracies stay below it, so pass "
+        "0.9 at --scale smoke)",
+    )
     sweep.add_argument(
         "--adaptive",
         action="store_true",
@@ -572,18 +568,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--executor",
-        choices=["serial", "process", "thread", "fleet"],
+        choices=EXECUTORS,
         default=None,
-        help="execution backend (default: process when --workers > 1); "
-        "'fleet' distributes leased chunks to workers over TCP (see --fleet)",
+        help="execution backend (default: process when --workers > 1 or "
+        "with --fleet); process leases chunks to workers over TCP",
     )
     sweep.add_argument(
         "--fleet",
         action="store_true",
-        help="run the sweep through the fault-tolerant fleet coordinator: "
-        "chunks are leased to workers over TCP, dead workers are recovered "
-        "by lease expiry, and remote workers can join with "
-        "'repro worker --connect HOST:PORT'",
+        help="configure the process executor's fleet coordinator with the "
+        "--fleet-* flags: chunks are leased to workers over TCP, dead "
+        "workers are recovered by lease expiry, and remote workers can "
+        "join with 'repro worker --connect HOST:PORT'",
     )
     sweep.add_argument(
         "--fleet-host",
@@ -694,7 +690,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="re-analyse a saved sweep", parents=[common])
     report.add_argument("sweep_file")
-    report.add_argument("--min-accuracy", type=float, default=0.98)
+    report.add_argument(
+        "--min-accuracy",
+        type=float,
+        default=MIN_ACCURACY,
+        help=f"accuracy bound of the optima (default: {MIN_ACCURACY:g})",
+    )
     report.set_defaults(func=_cmd_report)
 
     budget = sub.add_parser(

@@ -6,11 +6,12 @@ layers these mechanisms on top of the bare evaluation loop:
 
 * **Parallel dispatch** -- design points fan out in index-tagged chunks,
   over a thread pool (:func:`evaluate_chunk_with`) or, for
-  ``executor="process"`` and ``"fleet"``, as leases to worker processes
+  ``executor="process"``, as leases to worker processes
   (:mod:`repro.fleet`, whose requeue -> split -> quarantine ladder is
-  the sweep's crash recovery).  Results reassemble in grid order, so the
-  returned :class:`~repro.core.results.ExplorationResult` is bit-identical
-  to a serial sweep regardless of completion order.  Per-point seeds are
+  the sweep's crash recovery); :func:`resolve_executor` picks the
+  executor.  Results reassemble in grid order, so the returned
+  :class:`~repro.core.results.ExplorationResult` is bit-identical to a
+  serial sweep regardless of completion order.  Per-point seeds are
   derived from the master seed and the point description (never from the
   evaluation order), which is what makes the reordering safe.
 * **On-disk caching** (:class:`EvaluationCache`) -- evaluations persist
@@ -61,7 +62,26 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 log = logging.getLogger("repro.execution")
 
 #: Valid values of ``DesignSpaceExplorer.explore(executor=...)``.
-EXECUTORS = ("serial", "process", "thread", "fleet")
+EXECUTORS = ("serial", "thread", "process")
+
+
+def resolve_executor(executor: str | None, n_workers: int | None, fleet: object = None) -> str:
+    """The executor a sweep runs on.
+
+    ``None`` resolves to ``"process"`` when ``fleet`` options are given or
+    more than one worker is asked for, and to ``"serial"`` otherwise.
+    Fleet options configure the ``"process"`` engine, so they are an
+    error with any other executor.
+    """
+    if executor is None:
+        return "process" if fleet is not None or (n_workers or 1) > 1 else "serial"
+    if executor not in EXECUTORS:
+        raise ValueError(f"unknown executor {executor!r}; choose from {EXECUTORS}")
+    if fleet is not None and executor != "process":
+        raise ValueError(
+            f"fleet options configure the 'process' executor, not {executor!r}"
+        )
+    return executor
 
 
 class EvaluationTimeout(TimeoutError):

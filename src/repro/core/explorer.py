@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.execution import (
-    EXECUTORS,
+    DEFAULT_POLICY,
     EvaluationCache,
     ExecutionPolicy,
     PointEvaluationError,
@@ -42,6 +42,7 @@ from repro.core.execution import (
     evaluate_chunk_with,
     evaluate_one_timed,
     evaluator_fingerprint,
+    resolve_executor,
 )
 from repro.core.resources import ResourceSampler
 from repro.core.telemetry import Telemetry, activate, get_active
@@ -327,7 +328,7 @@ class DesignSpaceExplorer:
     def __init__(self, evaluator: Callable[[DesignPoint], Evaluation]):
         self.evaluator = evaluator
         #: :class:`~repro.fleet.FleetReport` of the most recent process
-        #: or fleet sweep (``None`` before one runs).
+        #: sweep (``None`` before one runs).
         self.last_fleet_report = None
 
     def explore(
@@ -337,17 +338,14 @@ class DesignSpaceExplorer:
         name: str = "sweep",
         progress: Callable[[int, Evaluation], None] | None = None,
         *,
-        executor: str = "serial",
+        executor: str | None = None,
         n_workers: int | None = None,
         chunk_size: int | None = None,
         cache: EvaluationCache | str | Path | None = None,
         checkpoint: str | Path | None = None,
         strict: bool = False,
         telemetry: Telemetry | None = None,
-        policy: ExecutionPolicy | None = None,
-        timeout_s: float | None = None,
-        retries: int = 0,
-        retry_backoff_s: float = 0.5,
+        policy: ExecutionPolicy = DEFAULT_POLICY,
         fleet=None,
     ) -> ExplorationResult:
         """Evaluate every point of ``space``.
@@ -360,15 +358,15 @@ class DesignSpaceExplorer:
             parallel executor the invocation order follows *completion*
             order; the returned result is always in grid order.
         executor:
-            ``"serial"`` (default), ``"process"``, ``"thread"`` or
-            ``"fleet"``.  Seeds derive from the master seed and the point
-            description, never from evaluation order, so every executor
-            returns bit-identical results.  ``"process"`` runs a local
-            fleet: chunks are leased to worker processes over the TCP
-            protocol of :mod:`repro.fleet` on a loopback port, surviving
-            killed workers, silent leases and socket partitions.
-            ``"fleet"`` is the same engine with its topology (and remote
-            hosts) set by the ``fleet`` parameter.
+            ``"serial"``, ``"thread"`` or ``"process"``; ``None`` (default)
+            picks ``"process"`` when ``fleet`` is given or ``n_workers > 1``
+            and ``"serial"`` otherwise
+            (:func:`~repro.core.execution.resolve_executor`).  Seeds derive
+            from the master seed and the point description, never from
+            evaluation order, so every executor returns bit-identical
+            results.  ``"process"`` runs a fleet: chunks are leased to
+            worker processes over the TCP protocol of :mod:`repro.fleet`,
+            surviving killed workers, silent leases and socket partitions.
         n_workers:
             Worker count for parallel executors (default ``os.cpu_count()``,
             at most one per pending point).
@@ -404,20 +402,16 @@ class DesignSpaceExplorer:
             result, latency stats) is always in grid order.
         policy:
             :class:`~repro.core.execution.ExecutionPolicy` applied to every
-            point (wall-clock timeout, bounded retry with exponential
-            backoff).  The convenience parameters below build one when
-            ``policy`` is not given; passing both is an error.
-        timeout_s, retries, retry_backoff_s:
-            Shorthand for ``policy=ExecutionPolicy(...)``.  A timed-out
-            point becomes a failed :class:`Evaluation` (non-strict) so a
-            hung reconstruction cannot stall the sweep; ``retries`` bounds
-            re-attempts of *failing* (not timed-out) points.
+            point: a wall-clock timeout (a timed-out point becomes a
+            failed :class:`Evaluation` when non-strict, so a hung
+            reconstruction cannot stall the sweep) and bounded retry with
+            exponential backoff of *failing* (not timed-out) points.
         fleet:
-            :class:`~repro.fleet.FleetOptions` for ``executor="fleet"``
-            (endpoint, spawned local workers, lease timeout, chaos
-            plans).  Without it the fleet is sized like ``"process"``:
-            an ephemeral loopback port with ``n_workers`` forked worker
-            processes (at most one per pending point).  The run's
+            :class:`~repro.fleet.FleetOptions` of the ``"process"``
+            executor (endpoint, spawned local workers, lease timeout,
+            chaos plans).  Without it the fleet is an ephemeral loopback
+            port with ``n_workers`` forked worker processes (at most one
+            per pending point).  The run's
             :class:`~repro.fleet.FleetReport` lands in
             :attr:`last_fleet_report`, in the ``fleet.report``
             telemetry event, and (via the runner) in the manifest's
@@ -437,16 +431,7 @@ class DesignSpaceExplorer:
           ``"Interrupted"``) *without* checkpointing them -- so a resumed
           run retries them -- and returns the partial result.
         """
-        if executor not in EXECUTORS:
-            raise ValueError(f"unknown executor {executor!r}; choose from {EXECUTORS}")
-        if fleet is not None and executor != "fleet":
-            raise ValueError("fleet options require executor='fleet'")
-        if policy is None:
-            policy = ExecutionPolicy(
-                timeout_s=timeout_s, retries=retries, retry_backoff_s=retry_backoff_s
-            )
-        elif timeout_s is not None or retries or retry_backoff_s != 0.5:
-            raise ValueError("pass either policy or timeout_s/retries, not both")
+        executor = resolve_executor(executor, n_workers, fleet)
         if isinstance(space, (ParameterSpace, CompositeSpace)):
             points = list(space.grid(base))
         else:
@@ -632,18 +617,7 @@ class DesignSpaceExplorer:
         keep_frac: float = 1 / 3,
         epsilon: dict[str, float] | None = None,
         group_by: Callable[[Evaluation], object] | None = None,
-        executor: str | None = None,
-        progress: Callable[[int, Evaluation], None] | None = None,
-        n_workers: int | None = None,
-        chunk_size: int | None = None,
-        cache: EvaluationCache | str | Path | None = None,
-        checkpoint: str | Path | None = None,
-        strict: bool = False,
-        telemetry: Telemetry | None = None,
-        policy: ExecutionPolicy | None = None,
-        timeout_s: float | None = None,
-        retries: int = 0,
-        retry_backoff_s: float = 0.5,
+        **explore_kwargs,
     ):
         """Multi-fidelity successive-halving exploration of ``space``.
 
@@ -654,8 +628,9 @@ class DesignSpaceExplorer:
         Pareto front as :meth:`explore` at a fraction of the full-fidelity
         evaluations (see ``docs/extending.md``).
 
-        Parameters (beyond the :meth:`explore` knobs, which all apply
-        per rung; ``checkpoint`` expands to one path per rung):
+        Parameters (``explore_kwargs`` are :meth:`explore`'s settings,
+        applied to every rung; ``checkpoint`` expands to one path per
+        rung):
 
         objectives:
             A :class:`~repro.core.goal.Goal` or sequence of
@@ -680,9 +655,6 @@ class DesignSpaceExplorer:
             Optional ``f(evaluation) -> key`` partitioning survivor
             selection (e.g. ``lambda e: e.point.use_cs`` keeps both
             architectures' fronts alive, as Fig. 7 needs).
-        executor:
-            Executor of every rung; default ``"process"`` when
-            ``n_workers > 1``, else ``"serial"``.
 
         Returns an :class:`~repro.core.adaptive.AdaptiveExplorationResult`:
         the full-fidelity evaluations of the final survivors plus the
@@ -704,8 +676,6 @@ class DesignSpaceExplorer:
             objectives = objectives.objectives
         if schedule is None:
             schedule = FidelitySchedule.geometric(rungs)
-        if executor is None:
-            executor = "process" if (n_workers or 1) > 1 else "serial"
         if isinstance(space, (ParameterSpace, CompositeSpace)):
             points = list(space.grid(base))
         else:
@@ -719,18 +689,7 @@ class DesignSpaceExplorer:
             epsilon=epsilon,
             group_by=group_by,
             name=name,
-            telemetry=telemetry,
-            checkpoint=checkpoint,
-            executor=executor,
-            progress=progress,
-            n_workers=n_workers,
-            chunk_size=chunk_size,
-            cache=cache,
-            strict=strict,
-            policy=policy,
-            timeout_s=timeout_s,
-            retries=retries,
-            retry_backoff_s=retry_backoff_s,
+            **explore_kwargs,
         )
 
     def _run_threads(
@@ -774,7 +733,7 @@ class DesignSpaceExplorer:
         finalize: Callable[..., None],
         options,
     ) -> None:
-        """Lease ``pending`` to a worker fleet (``"process"`` and ``"fleet"``).
+        """Lease ``pending`` to a worker fleet (the ``"process"`` executor).
 
         The coordinator binds an ephemeral (or configured) TCP port,
         optionally forks local worker processes against it, and blocks

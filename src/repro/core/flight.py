@@ -206,24 +206,6 @@ def set_recorder(recorder: FlightRecorder) -> FlightRecorder:
     return previous
 
 
-def configure(
-    capacity: int | None = None,
-    directory: str | Path | None = None,
-    max_dumps: int | None = None,
-) -> FlightRecorder:
-    """Re-point the global recorder (e.g. ``--flight-dir``); keeps the ring."""
-    recorder = get_recorder()
-    with recorder._lock:
-        if capacity is not None and int(capacity) != recorder.capacity:
-            recorder.capacity = int(capacity)
-            recorder._ring = deque(recorder._ring, maxlen=recorder.capacity)
-        if directory is not None:
-            recorder.directory = Path(directory)
-        if max_dumps is not None:
-            recorder.max_dumps = int(max_dumps)
-    return recorder
-
-
 def record(kind: str, **fields) -> None:
     """Record one event on the global ring."""
     _recorder.record(kind, **fields)

@@ -13,6 +13,10 @@ from dataclasses import dataclass
 
 from repro.core.pareto import Objective
 
+#: The paper's minimum acceptable detection accuracy (its 98 % application
+#: bound on the Fig. 7 b) and Fig. 10 optima).
+MIN_ACCURACY = 0.98
+
 
 @dataclass(frozen=True)
 class Goal:
@@ -37,7 +41,7 @@ def snr_power_goal() -> Goal:
     )
 
 
-def accuracy_power_goal(min_accuracy: float = 0.98) -> Goal:
+def accuracy_power_goal(min_accuracy: float = MIN_ACCURACY) -> Goal:
     """Fig. 7 b): accuracy (max) vs power (min), optimum requires
     ``accuracy >= min_accuracy`` (the paper's 98 % application bound)."""
     if not 0.0 < min_accuracy <= 1.0:
@@ -52,7 +56,7 @@ def accuracy_power_goal(min_accuracy: float = 0.98) -> Goal:
     )
 
 
-def area_constrained_goal(max_area_units: float, min_accuracy: float = 0.98) -> Goal:
+def area_constrained_goal(max_area_units: float, min_accuracy: float = MIN_ACCURACY) -> Goal:
     """Fig. 10: accuracy vs power under a total-capacitance cap."""
     if max_area_units <= 0:
         raise ValueError(f"max_area_units must be > 0, got {max_area_units}")

@@ -441,7 +441,6 @@ def trace_time_bounds(payload: dict | list) -> tuple[float, float] | None:
 def merge_chrome_traces(
     payloads: Sequence[dict | list],
     *,
-    offsets_s: Sequence[float] | None = None,
     align: bool = False,
 ) -> dict:
     """Merge exported Chrome-trace files into one multi-lane trace.
@@ -451,20 +450,12 @@ def merge_chrome_traces(
     same clock-alignment idea, applied to ``ts`` microseconds instead of
     snapshot seconds.
 
-    ``offsets_s[i]`` is added to every timestamp of ``payloads[i]``;
-    ``align=True`` instead shifts each trace so its earliest event
-    coincides with the first trace's earliest (for dumps whose clocks
-    were never synchronised).  Colliding pids between files that name
+    ``align=True`` shifts each trace so its earliest event coincides
+    with the first trace's earliest (for dumps whose clocks were never
+    synchronised).  Colliding pids between files that name
     *different* processes are remapped to fresh lanes so no two sources
     overwrite each other's swimlane.
     """
-    if offsets_s is not None and align:
-        raise ValueError("pass offsets_s or align=True, not both")
-    if offsets_s is not None and len(offsets_s) != len(payloads):
-        raise ValueError(
-            f"got {len(offsets_s)} offsets for {len(payloads)} traces"
-        )
-
     anchor: float | None = None
     merged: list[dict] = []
     lane_names: dict[int, str] = {}
@@ -479,12 +470,10 @@ def merge_chrome_traces(
         default=0,
     )
 
-    for position, payload in enumerate(payloads):
+    for payload in payloads:
         events = _coerce_trace(payload)
         offset_us = 0.0
-        if offsets_s is not None:
-            offset_us = float(offsets_s[position]) * 1e6
-        elif align:
+        if align:
             bounds = trace_time_bounds(payload)
             if bounds is not None:
                 if anchor is None:

@@ -25,11 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.goal import accuracy_power_goal, snr_power_goal
+from repro.core.goal import MIN_ACCURACY, accuracy_power_goal, snr_power_goal
 from repro.core.results import Evaluation, ExplorationResult
-
-#: The paper's minimum acceptable detection accuracy.
-MIN_ACCURACY = 0.98
 
 #: Paper-reported optima, for the EXPERIMENTS.md comparison.
 PAPER_BASELINE_OPTIMUM = {"accuracy": 0.981, "power_uw": 8.8}

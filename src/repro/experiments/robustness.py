@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 
-from repro.core.execution import ExecutionPolicy
+from repro.core.execution import DEFAULT_POLICY, ExecutionPolicy
 from repro.core.telemetry import RunManifest, Telemetry, get_active
 from repro.experiments.runner import SCALES, ExperimentScale, active_scale, make_harness
 from repro.experiments.table2 import reference_operating_points
@@ -69,16 +69,14 @@ def run_robustness(
     severities: tuple[float, ...] = DEFAULT_SEVERITIES,
     n_realisations: int | None = None,
     max_degradation: float = DEFAULT_MAX_DEGRADATION,
-    timeout_s: float | None = None,
-    retries: int = 0,
+    policy: ExecutionPolicy = DEFAULT_POLICY,
     telemetry: Telemetry | None = None,
 ) -> YieldResult:
     """Run the yield analysis at ``scale`` for both reference optima.
 
     ``n_realisations`` defaults to 3 at smoke scale and 8 otherwise (the
     smoke run exists to validate code paths in seconds, not statistics).
-    ``timeout_s``/``retries`` guard each evaluation through the same
-    :class:`ExecutionPolicy` machinery the sweeps use.
+    ``policy`` guards each evaluation as it does a sweep's points.
     """
     if scale is None:
         scale = active_scale()
@@ -96,7 +94,7 @@ def run_robustness(
         n_realisations=n_realisations,
         metric="accuracy",
         max_degradation=max_degradation,
-        policy=ExecutionPolicy(timeout_s=timeout_s, retries=retries),
+        policy=policy,
     )
     return runner.run(telemetry=telemetry)
 

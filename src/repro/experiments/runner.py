@@ -17,15 +17,14 @@ for benchmark reporting) resolves accuracy to <1 % in minutes; ``paper``
 is the faithful full-size run.  Select one globally with the
 ``REPRO_SCALE`` environment variable.
 
-Harnesses and full Fig. 7 sweeps are cached per scale so the Fig. 7/8/9/10
-benchmarks share a single exploration.
+Harnesses are cached per scale, so every experiment at one scale shares
+one corpus and one calibrated detector.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -235,110 +234,22 @@ def search_space_for(scale: str | ExperimentScale):
     )
 
 
-def _run_sweep(
-    scale_name: str,
-    executor: str,
-    n_workers: int | None,
-    checkpoint: str | None,
-    cache_dir: str | None,
-    progress: Callable[[int, Evaluation], None] | None = None,
-    telemetry: Telemetry | None = None,
-    timeout_s: float | None = None,
-    retries: int = 0,
-    fleet=None,
-) -> ExplorationResult:
-    harness = make_harness(scale_name)
-    explorer = DesignSpaceExplorer(harness.evaluator)
-    return explorer.explore(
-        search_space_for(harness.scale),
-        name=f"fig7-{scale_name}",
-        executor=executor,
-        n_workers=n_workers,
-        checkpoint=checkpoint,
-        cache=cache_dir,
-        progress=progress,
-        telemetry=telemetry,
-        timeout_s=timeout_s,
-        retries=retries,
-        fleet=fleet,
-    )
-
-
-@lru_cache(maxsize=8)
-def _sweep_cached(
-    scale_name: str,
-    executor: str,
-    n_workers: int | None,
-    checkpoint: str | None,
-    cache_dir: str | None,
-    timeout_s: float | None = None,
-    retries: int = 0,
-) -> ExplorationResult:
-    return _run_sweep(
-        scale_name,
-        executor,
-        n_workers,
-        checkpoint,
-        cache_dir,
-        timeout_s=timeout_s,
-        retries=retries,
-    )
-
-
 def run_search_space(
-    scale: str | ExperimentScale | None = None,
-    *,
-    executor: str | None = None,
-    n_workers: int | None = None,
-    checkpoint: str | None = None,
-    cache_dir: str | None = None,
-    progress: Callable[[int, Evaluation], None] | None = None,
-    telemetry: Telemetry | None = None,
-    timeout_s: float | None = None,
-    retries: int = 0,
-    fleet=None,
+    scale: str | ExperimentScale | None = None, **explore_kwargs
 ) -> ExplorationResult:
-    """The Fig. 7 search-space sweep (cached per scale; Figs. 8-10 reuse it).
+    """The Fig. 7 search-space sweep at ``scale`` (default ``REPRO_SCALE``).
 
-    ``n_workers`` defaults to ``REPRO_WORKERS`` (serial when unset);
-    ``executor`` defaults to ``"process"`` whenever more than one worker
-    is requested.  Parallel runs are bit-identical to serial ones, so the
-    in-process per-scale cache stays valid across backends.  ``checkpoint``
-    (JSONL resume) and ``cache_dir`` (on-disk evaluation cache) are passed
-    through to :meth:`DesignSpaceExplorer.explore`, as are ``progress``
-    (live per-point callback) and ``telemetry`` (sweep statistics sink) --
-    runs observed through either bypass the in-process memo so the
-    observers actually fire.  ``timeout_s``/``retries`` harden the run
-    (per-point wall-clock ceiling, bounded retry of transient failures).
-    ``fleet`` (:class:`repro.fleet.FleetOptions`, or executor="fleet")
-    distributes the sweep over lease-based worker processes; fleet runs
-    always bypass the memo -- their per-run report (and any chaos plans)
-    is per-run state.
+    ``explore_kwargs`` go to :meth:`DesignSpaceExplorer.explore`
+    unchanged; ``n_workers`` defaults to ``REPRO_WORKERS`` (serial when
+    unset), and ``explore`` picks the executor from it.
     """
-    if scale is None:
-        scale = active_scale()
-    name = scale if isinstance(scale, str) else scale.name
-    if n_workers is None:
-        n_workers = default_workers()
-    if executor is None:
-        executor = "fleet" if fleet is not None else (
-            "process" if (n_workers or 1) > 1 else "serial"
-        )
-    if progress is not None or telemetry is not None or executor == "fleet":
-        return _run_sweep(
-            name,
-            executor,
-            n_workers,
-            checkpoint,
-            cache_dir,
-            progress,
-            telemetry,
-            timeout_s=timeout_s,
-            retries=retries,
-            fleet=fleet,
-        )
-    return _sweep_cached(
-        name, executor, n_workers, checkpoint, cache_dir, timeout_s, retries
+    harness = make_harness(scale)
+    if explore_kwargs.get("n_workers") is None:
+        explore_kwargs["n_workers"] = default_workers()
+    return DesignSpaceExplorer(harness.evaluator).explore(
+        search_space_for(harness.scale),
+        name=f"fig7-{harness.scale.name}",
+        **explore_kwargs,
     )
 
 
@@ -358,18 +269,7 @@ def _architecture_of(evaluation: Evaluation) -> bool:
 
 
 def run_adaptive_search_space(
-    scale: str | ExperimentScale | None = None,
-    *,
-    rungs: int = 3,
-    keep_frac: float = 1 / 3,
-    executor: str | None = None,
-    n_workers: int | None = None,
-    checkpoint: str | None = None,
-    cache_dir: str | None = None,
-    progress: Callable[[int, Evaluation], None] | None = None,
-    telemetry: Telemetry | None = None,
-    timeout_s: float | None = None,
-    retries: int = 0,
+    scale: str | ExperimentScale | None = None, **adaptive_kwargs
 ) -> AdaptiveExplorationResult:
     """The Fig. 7 search space explored adaptively (successive halving).
 
@@ -378,34 +278,20 @@ def run_adaptive_search_space(
     :mod:`repro.core.adaptive`.  Survivor selection uses the Fig. 7
     trade-off axes (:data:`ADAPTIVE_OBJECTIVES`) and is grouped by
     architecture so both the baseline and the CS fronts survive promotion.
-    ``executor`` defaults as in :func:`run_search_space`: ``"process"``
-    when more than one worker is requested, else ``"serial"``.
-    Not memoised: the promotion ledger is per-run state callers typically
-    want fresh (the per-scale exhaustive cache in :func:`run_search_space`
-    exists because Figs. 8-10 share one sweep).
+    ``adaptive_kwargs`` go to
+    :meth:`DesignSpaceExplorer.explore_adaptive` unchanged (``rungs``,
+    ``keep_frac`` and :meth:`~DesignSpaceExplorer.explore`'s settings);
+    ``n_workers`` defaults as in :func:`run_search_space`.
     """
-    if scale is None:
-        scale = active_scale()
-    name = scale if isinstance(scale, str) else scale.name
-    if n_workers is None:
-        n_workers = default_workers()
-    harness = make_harness(name)
-    explorer = DesignSpaceExplorer(harness.evaluator)
-    return explorer.explore_adaptive(
+    harness = make_harness(scale)
+    if adaptive_kwargs.get("n_workers") is None:
+        adaptive_kwargs["n_workers"] = default_workers()
+    return DesignSpaceExplorer(harness.evaluator).explore_adaptive(
         search_space_for(harness.scale),
-        name=f"fig7-adaptive-{name}",
+        name=f"fig7-adaptive-{harness.scale.name}",
         objectives=ADAPTIVE_OBJECTIVES,
-        rungs=rungs,
-        keep_frac=keep_frac,
         group_by=_architecture_of,
-        executor=executor,
-        n_workers=n_workers,
-        checkpoint=checkpoint,
-        cache=cache_dir,
-        progress=progress,
-        telemetry=telemetry,
-        timeout_s=timeout_s,
-        retries=retries,
+        **adaptive_kwargs,
     )
 
 

@@ -18,7 +18,9 @@ sockets on seeded schedules.
 
 Entry points:
 
-* ``DesignSpaceExplorer.explore(executor="fleet", fleet=FleetOptions(...))``
+* ``DesignSpaceExplorer.explore(executor="process")``, which runs a
+  local fleet sized by ``n_workers``; ``fleet=FleetOptions(...)`` sets
+  its endpoint, spawned workers and lease timing;
 * ``repro sweep --fleet`` / ``repro worker --connect HOST:PORT`` (CLI)
 * :class:`FleetCoordinator` + :func:`spawn_local_workers` directly.
 """

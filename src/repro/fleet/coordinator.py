@@ -7,7 +7,7 @@ executor) and granted to workers as **leases**: a chunk, a wall-clock
 deadline, and the evaluator fingerprint.  Heartbeats extend the
 deadline; a lease that goes silent past it is *expired* and its
 unfinished points are requeued.  The failure ladder is the sweep's
-only crash recovery (``executor="process"`` runs a local fleet):
+only crash recovery (``executor="process"`` runs on a fleet):
 
 1. expiry / worker disconnect / reported failure -> requeue the chunk
    (bounded by ``max_requeues``);
@@ -298,7 +298,7 @@ class LeaseTable:
 
 @dataclass
 class FleetOptions:
-    """Knobs of a fleet-executed sweep (``explore(executor="fleet")``).
+    """Fleet of a ``"process"`` sweep (``explore(fleet=FleetOptions(...))``).
 
     ``spawn_workers`` forks that many local worker processes against the
     coordinator's endpoint -- the processes-as-nodes mode the tests and

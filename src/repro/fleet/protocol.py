@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Sequence
 from typing import IO
 
@@ -178,7 +179,7 @@ def decode_chunk(payload: Sequence[dict]) -> list[tuple[int, DesignPoint]]:
     """Inverse of :func:`encode_chunk`."""
     try:
         return [
-            (int(entry["index"]), design_point_from_dict(entry["point"]))
+            (_decode_index(entry["index"]), design_point_from_dict(entry["point"]))
             for entry in payload
         ]
     except (KeyError, TypeError) as error:
@@ -203,21 +204,41 @@ def encode_rows(
 def decode_rows(payload: Sequence[dict]) -> list[tuple[int, Evaluation, float, dict]]:
     """Inverse of :func:`encode_rows`.
 
-    A row's ``stats`` (retry and timeout counts the explorer adds to its
-    telemetry counters) must map names to non-negative ints.
+    A row's ``index`` must be an int, its ``elapsed_s`` a finite,
+    non-negative number (the explorer's latency histogram takes it as
+    is), and its ``stats`` (retry and timeout counts the explorer adds to
+    its telemetry counters) must map names to non-negative ints.
     """
     try:
         return [
             (
-                int(entry["index"]),
+                _decode_index(entry["index"]),
                 evaluation_from_dict(entry["evaluation"]),
-                float(entry["elapsed_s"]),
+                _decode_elapsed(entry["elapsed_s"]),
                 _decode_stats(entry.get("stats", {})),
             )
             for entry in payload
         ]
     except (KeyError, TypeError, ValueError) as error:
         raise ProtocolError(f"malformed result rows: {error}") from error
+
+
+def _decode_index(index) -> int:
+    # bool is an int subclass: JSON ``true`` must not pass as index 1.
+    if not isinstance(index, int) or isinstance(index, bool):
+        raise TypeError(f"index must be an int: {index!r}")
+    return index
+
+
+def _decode_elapsed(elapsed_s) -> float:
+    if (
+        not isinstance(elapsed_s, (int, float))
+        or isinstance(elapsed_s, bool)
+        or not math.isfinite(elapsed_s)
+        or elapsed_s < 0
+    ):
+        raise ValueError(f"elapsed_s must be a finite number >= 0: {elapsed_s!r}")
+    return float(elapsed_s)
 
 
 def _decode_stats(stats) -> dict[str, int]:

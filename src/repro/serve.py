@@ -112,9 +112,11 @@ def default_resolver(payload: dict):
 
     Accepts ``{"scale": "smoke"|"small"|"paper", "name"?: str,
     "executor"?: str, "workers"?: int}`` and returns
-    ``(name, evaluator, points, explore_kwargs)``.  Tests and embedders
-    inject their own resolver with the same signature to serve custom
-    evaluators.
+    ``(name, evaluator, points, explore_kwargs)``.  An absent executor
+    passes through as ``None``, so :meth:`DesignSpaceExplorer.explore`
+    picks it from the worker count as it does for the CLI.  Tests and
+    embedders inject their own resolver with the same signature to serve
+    custom evaluators.
     """
     from repro.core.execution import EXECUTORS
     from repro.experiments.runner import SCALES, make_harness, search_space_for
@@ -126,8 +128,8 @@ def default_resolver(payload: dict):
         raise SubmissionError(
             f"unknown scale {scale!r}; choose one of {sorted(SCALES)}"
         )
-    executor = payload.get("executor", "serial")
-    if executor not in EXECUTORS:
+    executor = payload.get("executor")
+    if executor is not None and executor not in EXECUTORS:
         raise SubmissionError(
             f"unknown executor {executor!r}; choose one of {EXECUTORS}"
         )

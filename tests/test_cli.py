@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.goal import MIN_ACCURACY
 
 
 class TestParser:
@@ -15,7 +16,15 @@ class TestParser:
     def test_sweep_defaults(self):
         args = build_parser().parse_args(["sweep"])
         assert args.scale == "smoke"
-        assert args.min_accuracy == 0.9
+        assert args.min_accuracy == MIN_ACCURACY
+
+    def test_sweep_and_report_share_the_accuracy_bound(self):
+        # One sweep must name the same Fig. 7b optima from `sweep` and
+        # from `report`, so both default to the paper's bound.
+        parser = build_parser()
+        sweep = parser.parse_args(["sweep"])
+        report = parser.parse_args(["report", "sweep.json"])
+        assert sweep.min_accuracy == report.min_accuracy == MIN_ACCURACY
 
     def test_sweep_rejects_unknown_scale(self):
         with pytest.raises(SystemExit):
@@ -122,12 +131,12 @@ class TestProfiledSweep:
 
 
     @pytest.mark.parametrize(
-        ("env_workers", "flags", "executor"),
-        [("2", [], "process"), (None, ["--fleet", "--fleet-spawn", "2"], "fleet")],
+        ("env_workers", "flags"),
+        [("2", []), (None, ["--fleet", "--fleet-spawn", "2"])],
         ids=["REPRO_WORKERS", "fleet"],
     )
     def test_manifest_records_how_the_sweep_ran(
-        self, tmp_path, monkeypatch, env_workers, flags, executor
+        self, tmp_path, monkeypatch, env_workers, flags
     ):
         from repro.core.telemetry import RunManifest
 
@@ -139,7 +148,7 @@ class TestProfiledSweep:
         argv = ["sweep", "--scale", "smoke", "--profile", "--no-progress", "--no-cache"]
         assert main([*argv, *flags, "--manifest", str(manifest_path)]) == 0
         manifest = RunManifest.load(manifest_path)
-        assert (manifest.executor, manifest.n_workers) == (executor, 2)
+        assert (manifest.executor, manifest.n_workers) == ("process", 2)
         assert sorted(manifest.fleet["workers"]) == ["worker-0", "worker-1"]
 
 
@@ -390,10 +399,6 @@ class TestFleetCli:
         assert args.fleet_spawn == 0
         assert args.fleet_lease_timeout == 5.0
 
-    def test_executor_accepts_fleet(self):
-        args = build_parser().parse_args(["sweep", "--executor", "fleet"])
-        assert args.executor == "fleet"
-
     def test_worker_flags_parse(self):
         args = build_parser().parse_args(
             ["worker", "--connect", "coord:8731", "--label", "w0", "--no-cache"]
@@ -412,8 +417,8 @@ class TestFleetCli:
         assert main(["worker", "--connect", "host:notaport"]) == 2
 
     def test_fleet_conflicts_with_other_executor(self, capsys):
-        assert main(["sweep", "--fleet", "--executor", "process"]) == 2
-        assert "--fleet conflicts" in capsys.readouterr().err
+        assert main(["sweep", "--fleet", "--executor", "thread"]) == 2
+        assert "'process' executor" in capsys.readouterr().err
 
     def test_fleet_conflicts_with_adaptive(self, capsys):
         assert main(["sweep", "--fleet", "--adaptive"]) == 2

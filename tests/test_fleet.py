@@ -205,6 +205,10 @@ class TestProtocol:
     def test_malformed_chunk_and_rows_raise(self):
         with pytest.raises(ProtocolError, match="malformed chunk"):
             protocol.decode_chunk([{"index": 0}])
+        point = protocol.encode_chunk([(0, DesignPoint())])[0]["point"]
+        for index in (True, 1.7, math.inf):
+            with pytest.raises(ProtocolError, match="malformed chunk"):
+                protocol.decode_chunk([{"index": index, "point": point}])
         with pytest.raises(ProtocolError, match="malformed result rows"):
             protocol.decode_rows([{"index": 0, "elapsed_s": 0.0}])
 
@@ -443,7 +447,7 @@ class TestFleetExplorer:
         fleet = explorer.explore(
             space,
             name="fleet",
-            executor="fleet",
+            executor="process",
             fleet=FleetOptions(spawn_workers=3),
         )
         assert_sweeps_identical(serial, fleet)
@@ -454,7 +458,7 @@ class TestFleetExplorer:
         space = smoke_grid()
         result = explorer.explore(
             space,
-            executor="fleet",
+            executor="process",
             fleet=FleetOptions(spawn_workers=3),
             telemetry=tel,
         )
@@ -482,7 +486,7 @@ class TestFleetExplorer:
         space = smoke_grid()
         explorer.explore(
             space,
-            executor="fleet",
+            executor="process",
             fleet=FleetOptions(spawn_workers=3, wait_for_workers=3),
         )
         report = explorer.last_fleet_report
@@ -497,7 +501,7 @@ class TestFleetExplorer:
         with pytest.raises(PointEvaluationError) as excinfo:
             explorer.explore(
                 sweep,
-                executor="fleet",
+                executor="process",
                 strict=True,
                 chunk_size=1,
                 checkpoint=checkpoint,
@@ -528,7 +532,7 @@ class TestFleetExplorer:
         with pytest.raises(OSError, match="No space left"):
             explorer.explore(
                 smoke_grid(),
-                executor="fleet",
+                executor="process",
                 checkpoint=checkpoint,
                 fleet=FleetOptions(spawn_workers=2),
             )
@@ -536,24 +540,26 @@ class TestFleetExplorer:
 
     def test_unprofiled_fleet_leaves_null_telemetry_empty(self):
         DesignSpaceExplorer(ToyEvaluator()).explore(
-            smoke_grid(), executor="fleet", fleet=FleetOptions(spawn_workers=2)
+            smoke_grid(), executor="process", fleet=FleetOptions(spawn_workers=2)
         )
         assert not (NULL.counters or NULL.spans or NULL.histograms)
         assert not (NULL.events or NULL.workers)
 
     def test_fleet_options_demand_fleet_executor(self):
+        # Fleet options configure the process executor and no other.
         explorer = DesignSpaceExplorer(ToyEvaluator())
-        with pytest.raises(ValueError, match="require executor='fleet'"):
-            explorer.explore(smoke_grid(), fleet=FleetOptions())
+        for executor in ("serial", "thread"):
+            with pytest.raises(ValueError, match="'process' executor"):
+                explorer.explore(smoke_grid(), executor=executor, fleet=FleetOptions())
 
     def test_worker_cache_prefills_second_run(self, tmp_path):
         tel = Telemetry()
         explorer = DesignSpaceExplorer(ToyEvaluator())
         space = smoke_grid()
         options = FleetOptions(spawn_workers=2, worker_cache_dir=str(tmp_path))
-        first = explorer.explore(space, executor="fleet", fleet=options)
+        first = explorer.explore(space, executor="process", fleet=options)
         second = explorer.explore(
-            space, executor="fleet", fleet=options, telemetry=tel
+            space, executor="process", fleet=options, telemetry=tel
         )
         assert_sweeps_identical(first, second)
         assert tel.counters.get("fleet.worker.evaluator_calls", 0) == 0
@@ -568,14 +574,14 @@ class TestFleetExplorer:
         result = explorer.explore(
             space,
             name="fleet-manifest",
-            executor="fleet",
+            executor="process",
             # The fair-start gate gives both workers a chunk; without it a
             # worker that connects late may find the queue already drained.
             fleet=FleetOptions(spawn_workers=2, wait_for_workers=2),
             telemetry=tel,
         )
         manifest = build_run_manifest(
-            result, tel, "smoke", executor="fleet", n_workers=2
+            result, tel, "smoke", executor="process", n_workers=2
         )
         assert manifest.schema == MANIFEST_SCHEMA_VERSION == 11
         assert manifest.fleet["points_total"] == space.size
@@ -600,7 +606,7 @@ class TestFleetExplorer:
         explorer = DesignSpaceExplorer(SlowToyEvaluator())
         explorer.explore(
             [DesignPoint(n_bits=n) for n in range(6, 14)],
-            executor="fleet",
+            executor="process",
             n_workers=2,
             chunk_size=1,
         )
@@ -807,13 +813,26 @@ class TestCompletionValidation:
         assert tel.tracer.lanes() == {tel.tracer.pid: "driver"}
 
     @pytest.mark.parametrize(
-        "stats", [{"retries": "x"}, {"retries": -1}, {"timeouts": True}, {"retries": 1.5}, []]
+        ("field", "value"),
+        [
+            ("stats", {"retries": "x"}),
+            ("stats", {"retries": -1}),
+            ("stats", {"timeouts": True}),
+            ("stats", {"retries": 1.5}),
+            ("stats", []),
+            ("index", math.inf),
+            ("index", 1.7),
+            ("index", True),
+            ("elapsed_s", math.inf),
+            ("elapsed_s", -5.0),
+        ],
     )
     def test_mistyped_row_stats_drop_the_connection_not_the_sweep(
-        self, monkeypatch, stats
+        self, monkeypatch, field, value
     ):
-        # The explorer's finalize hook adds a row's stats to telemetry
-        # counters; a mistyped count must not reach it.
+        # The explorer's finalize hook files a row under its index, adds
+        # its stats to telemetry counters and its elapsed time to the
+        # latency histogram; a mistyped field must reach none of them.
         from repro.fleet import FleetWorker
 
         escaped = []
@@ -829,7 +848,7 @@ class TestCompletionValidation:
         def sweep():
             outcome["result"] = explorer.explore(
                 grid,
-                executor="fleet",
+                executor="process",
                 chunk_size=2,
                 telemetry=tel,
                 fleet=FleetOptions(spawn_workers=0, port=endpoint[1]),
@@ -848,9 +867,11 @@ class TestCompletionValidation:
         try:
             lease = sloppy.lease()
             chunk = protocol.decode_chunk(lease["points"])
+            assert [index for index, _ in chunk] == [0, 1]
             message = complete_message(lease, rows_for(chunk))
-            for row in message["rows"]:
-                row["stats"] = stats
+            # Only the second row: an index of 1.7 or true must not pass
+            # as its own index 1.
+            message["rows"][1][field] = value
             sloppy.send(message)
             assert protocol.recv_message(sloppy.reader) is None  # dropped
         finally:
@@ -864,3 +885,5 @@ class TestCompletionValidation:
         assert report.requeues == 1
         assert report.workers["honest"]["points"] == 4
         assert "explore.retries" not in tel.counters
+        for histogram in tel.histograms.values():
+            assert math.isfinite(histogram.total) and math.isfinite(histogram.m2)

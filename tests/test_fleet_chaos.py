@@ -29,7 +29,7 @@ FAST = dict(lease_timeout_s=1.0, heartbeat_interval_s=0.25)
 def run_fleet(space, options, telemetry=None):
     explorer = DesignSpaceExplorer(ToyEvaluator())
     result = explorer.explore(
-        space, executor="fleet", fleet=options, telemetry=telemetry
+        space, executor="process", fleet=options, telemetry=telemetry
     )
     return result, explorer.last_fleet_report
 
@@ -165,7 +165,7 @@ class TestCoordinatorKill:
         partial = explorer.explore(
             space,
             checkpoint=checkpoint,
-            executor="fleet",
+            executor="process",
             fleet=FleetOptions(spawn_workers=2, interrupt_after_points=4, **FAST),
         )
         interrupted = [
@@ -178,7 +178,7 @@ class TestCoordinatorKill:
         resumed = explorer.explore(
             space,
             checkpoint=checkpoint,
-            executor="fleet",
+            executor="process",
             fleet=FleetOptions(spawn_workers=2, **FAST),
             telemetry=tel,
         )
@@ -196,7 +196,7 @@ class TestCoordinatorKill:
         explorer.explore(
             smoke_grid(),
             checkpoint=tmp_path / "cp.jsonl",
-            executor="fleet",
+            executor="process",
             fleet=FleetOptions(spawn_workers=2, interrupt_after_points=1, **FAST),
             telemetry=tel,
         )
@@ -283,7 +283,7 @@ class TestDistributedObservability:
 
         # (c) Schema-v10 manifest: trace-merge bookkeeping + resources.
         manifest = build_run_manifest(
-            result, tel, "smoke", executor="fleet", n_workers=3
+            result, tel, "smoke", executor="process", n_workers=3
         )
         assert manifest.schema == MANIFEST_SCHEMA_VERSION == 11
         assert manifest.trace["events"] > 0

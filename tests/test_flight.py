@@ -104,12 +104,6 @@ class TestDump:
         assert path is not None
         assert path.parent == tmp_path / "via-env"
 
-    def test_configure_keeps_ring_contents(self, recorder):
-        for i in range(5):
-            flight.record("tick", i=i)
-        flight.configure(capacity=3)
-        assert [e["i"] for e in recorder.snapshot()] == [2, 3, 4]
-
 
 class TestTimeoutTrigger:
     def test_point_timeout_dumps_flight_artifact(self, recorder):

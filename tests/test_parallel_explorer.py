@@ -187,8 +187,18 @@ class TestParallelBitIdentity:
 
     def test_unknown_executor_rejected(self):
         explorer = DesignSpaceExplorer(ToyEvaluator())
-        with pytest.raises(ValueError, match="executor"):
-            explorer.explore([DesignPoint()], executor="gpu")
+        for executor in ("gpu", "fleet"):
+            with pytest.raises(ValueError, match="executor"):
+                explorer.explore([DesignPoint()], executor=executor)
+
+    def test_worker_count_alone_picks_the_process_executor(self):
+        explorer = DesignSpaceExplorer(ToyEvaluator())
+        space = smoke_grid()
+        serial = explorer.explore(space, n_workers=1)
+        assert explorer.last_fleet_report is None
+        parallel = explorer.explore(space, n_workers=2)
+        assert explorer.last_fleet_report.points_completed == space.size
+        assert_sweeps_identical(serial, parallel)
 
     def test_progress_called_for_every_point(self):
         explorer = DesignSpaceExplorer(ToyEvaluator())

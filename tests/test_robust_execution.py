@@ -151,13 +151,6 @@ class TestExecutionPolicy:
         with pytest.raises(ValueError):
             ExecutionPolicy(**kwargs)
 
-    def test_explore_rejects_policy_plus_shorthand(self):
-        explorer = DesignSpaceExplorer(ToyEvaluator())
-        with pytest.raises(ValueError, match="not both"):
-            explorer.explore(
-                POINTS, policy=ExecutionPolicy(retries=1), retries=2
-            )
-
 
 class TestTimeouts:
     @pytest.mark.parametrize("executor_kwargs", [
@@ -169,7 +162,8 @@ class TestTimeouts:
         tel = Telemetry()
         explorer = DesignSpaceExplorer(HangingEvaluator())
         result = explorer.explore(
-            POINTS, timeout_s=0.3, telemetry=tel, **executor_kwargs
+            POINTS, policy=ExecutionPolicy(timeout_s=0.3), telemetry=tel,
+            **executor_kwargs,
         )
         reference = clean_reference()
         for left, right in zip(reference, result):
@@ -186,7 +180,7 @@ class TestTimeouts:
         explorer = DesignSpaceExplorer(HangingEvaluator())
         bad = [DesignPoint(n_bits=BAD_BITS)]
         with pytest.raises(PointEvaluationError) as excinfo:
-            explorer.explore(bad, timeout_s=0.2, strict=True)
+            explorer.explore(bad, policy=ExecutionPolicy(timeout_s=0.2), strict=True)
         assert bad[0].describe() in str(excinfo.value)
         assert "EvaluationTimeout" in str(excinfo.value)
 
@@ -208,7 +202,8 @@ class TestRetries:
         evaluator = FlakyEvaluator(counter_dir=str(tmp_path))
         explorer = DesignSpaceExplorer(evaluator)
         result = explorer.explore(
-            POINTS, retries=2, retry_backoff_s=0.0, telemetry=tel
+            POINTS, policy=ExecutionPolicy(retries=2, retry_backoff_s=0.0),
+            telemetry=tel,
         )
         assert not result.failures()
         assert_sweeps_identical(clean_reference(), result)
@@ -218,7 +213,7 @@ class TestRetries:
         evaluator = FlakyEvaluator(counter_dir=str(tmp_path))
         explorer = DesignSpaceExplorer(evaluator)
         result = explorer.explore(
-            POINTS, retries=2, retry_backoff_s=0.0,
+            POINTS, policy=ExecutionPolicy(retries=2, retry_backoff_s=0.0),
             executor="process", n_workers=2,
         )
         assert not result.failures()
@@ -227,7 +222,7 @@ class TestRetries:
     def test_exhausted_retries_report_last_error(self, tmp_path):
         evaluator = FlakyEvaluator(counter_dir=str(tmp_path), fail_times=5)
         result = DesignSpaceExplorer(evaluator).explore(
-            POINTS, retries=1, retry_backoff_s=0.0
+            POINTS, policy=ExecutionPolicy(retries=1, retry_backoff_s=0.0)
         )
         failures = result.failures()
         assert len(failures) == 1

@@ -203,7 +203,7 @@ class TestDefaultResolver:
                 default_resolver({"scale": "smoke", "workers": workers})
 
     def test_bad_executor_rejected(self):
-        for executor in ("quantum", "batched"):
+        for executor in ("quantum", "batched", "fleet"):
             with pytest.raises(SubmissionError, match="executor"):
                 default_resolver({"scale": "smoke", "executor": executor})
 
@@ -212,7 +212,13 @@ class TestDefaultResolver:
         assert name == "fig7-smoke"
         assert callable(evaluator)
         assert len(points) > 0
-        assert kwargs["executor"] == "serial"
+        assert kwargs["executor"] is None
+
+    def test_workers_alone_pick_the_process_executor(self):
+        from repro.core.execution import resolve_executor
+
+        *_, kwargs = default_resolver({"scale": "smoke", "workers": 2})
+        assert resolve_executor(kwargs["executor"], kwargs["n_workers"]) == "process"
 
 
 class TestIfNoneMatch:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.block import PassthroughBlock
+from repro.core.execution import ExecutionPolicy
 from repro.core.explorer import DesignSpaceExplorer
 from repro.core.metrics import Histogram
 from repro.core.parameters import ParameterSpace
@@ -30,7 +31,7 @@ from repro.util.rng import derive_seed
 
 from tests.test_parallel_explorer import FailingEvaluator, ToyEvaluator, smoke_grid
 
-EXECUTORS = ["serial", "thread", "process", "fleet"]
+EXECUTORS = ["serial", "thread", "process"]
 
 
 class TestHistogramMoments:
@@ -241,7 +242,10 @@ class TestContextLocalSink:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"executor": "thread", "n_workers": 2}, {"timeout_s": 30.0}],
+        [
+            {"executor": "thread", "n_workers": 2},
+            {"policy": ExecutionPolicy(timeout_s=30.0)},
+        ],
         ids=["thread-pool", "watchdog"],
     )
     def test_evaluator_threads_report_to_the_sweep_sink(self, kwargs):

@@ -436,27 +436,12 @@ class TestMergeChromeTraces:
         xs = [e for e in merged["traceEvents"] if e["ph"] == "X"]
         assert {e["pid"] for e in xs} == set(lanes)
 
-    def test_offsets_shift_timestamps(self):
-        a = self._trace_for("a", 1, at_s=10.0)
-        b = self._trace_for("b", 2, at_s=10.0)
-        merged = merge_chrome_traces([a, b], offsets_s=[0.0, 3.0])
-        by_pid = {
-            e["pid"]: e["ts"] for e in merged["traceEvents"] if e["ph"] == "X"
-        }
-        assert by_pid[2] - by_pid[1] == pytest.approx(3.0 * 1e6)
-
     def test_align_anchors_to_first_trace(self):
         a = self._trace_for("a", 1, at_s=100.0)
         b = self._trace_for("b", 2, at_s=900.0)  # captured on a skewed clock
         merged = merge_chrome_traces([a, b], align=True)
         stamps = [e["ts"] for e in merged["traceEvents"] if e["ph"] == "X"]
         assert max(stamps) - min(stamps) < 10e6  # lanes now overlap
-
-    def test_offsets_and_align_are_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            merge_chrome_traces([], offsets_s=[], align=True)
-        with pytest.raises(ValueError, match="offsets"):
-            merge_chrome_traces([{"traceEvents": []}], offsets_s=[0.0, 1.0])
 
     def test_rejects_non_traces(self):
         with pytest.raises(ValueError, match="traceEvents"):
