@@ -23,7 +23,7 @@ from repro.blocks.sar_adc import SarAdc
 from repro.blocks.transmitter import Transmitter
 from repro.core.system import SystemModel
 from repro.cs.matrices import SensingMatrix, make_sensing_matrix
-from repro.cs.reconstruction import Reconstructor
+from repro.cs.reconstruction import FistaReconstructorFactory, Reconstructor
 from repro.power.technology import DesignPoint
 from repro.util.rng import derive_seed
 
@@ -81,8 +81,8 @@ def build_cs_chain(
         s-SRBM routing matrix; generated from the design point (balanced
         variant, seeded) when omitted.
     reconstructor:
-        Receiver-side solver; defaults to batched FISTA on a db4 wavelet
-        basis, the configuration used by all paper experiments.
+        Receiver-side solver; defaults to the one
+        :class:`~repro.cs.reconstruction.FistaReconstructorFactory` builds.
     seed:
         Controls matrix generation and mismatch realisations.
     compensate_attenuation:
@@ -114,18 +114,7 @@ def build_cs_chain(
             f"{point.cs_m}x{point.cs_n_phi}"
         )
     if reconstructor is None:
-        from repro.cs.dictionaries import dct_basis
-
-        # DCT + light shrinkage: the configuration that preserves narrow
-        # spectral structure (rhythms, low-voltage fast activity) best --
-        # orthogonal wavelets smear narrowband content across detail
-        # coefficients that l1 shrinkage then suppresses.
-        reconstructor = Reconstructor(
-            basis=dct_basis(point.cs_n_phi),
-            method="fista",
-            lam_rel=0.002,
-            n_iter=300,
-        )
+        reconstructor = FistaReconstructorFactory()(point)
     encoder = CsEncoderBlock.from_design(point, matrix, seed=derive_seed(seed, "cs-mismatch"))
     lna = LNA.from_design(point)
     if compensate_attenuation:
@@ -175,11 +164,7 @@ def build_digital_cs_chain(
             f"{point.cs_m}x{point.cs_n_phi}"
         )
     if reconstructor is None:
-        from repro.cs.dictionaries import dct_basis
-
-        reconstructor = Reconstructor(
-            basis=dct_basis(point.cs_n_phi), method="fista", lam_rel=0.002, n_iter=300
-        )
+        reconstructor = FistaReconstructorFactory()(point)
     from repro.blocks.cs_frontend import DigitalCsEncoderBlock
 
     return SystemModel(

@@ -36,9 +36,10 @@ import logging
 import math
 import time
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from repro.core.execution import component_fingerprint
 from repro.core.pareto import Objective, epsilon_nondominated, pareto_front
 from repro.core.results import Evaluation, ExplorationResult
 
@@ -99,22 +100,10 @@ class ScaledSolverFactory:
         iterations = max(
             MIN_SOLVER_ITERATIONS, int(round(reconstructor.n_iter * self.scale))
         )
-        return type(reconstructor)(
-            basis=reconstructor.basis,
-            method=reconstructor.method,
-            lam_rel=reconstructor.lam_rel,
-            sparsity=reconstructor.sparsity,
-            n_iter=iterations,
-            debias=reconstructor.debias,
-        )
+        return replace(reconstructor, n_iter=iterations)
 
     def fingerprint(self) -> str:
-        method = getattr(self.inner, "fingerprint", None)
-        if callable(method):
-            inner_tag = str(method())
-        else:
-            inner_tag = getattr(self.inner, "__qualname__", type(self.inner).__qualname__)
-        return f"{inner_tag}:solver_scale={self.scale!r}"
+        return f"{component_fingerprint(self.inner)}:solver_scale={self.scale!r}"
 
 
 def derive_low_fidelity(evaluator, rung: FidelityRung):
@@ -134,20 +123,13 @@ def derive_low_fidelity(evaluator, rung: FidelityRung):
         return evaluator
     n_records = evaluator.records.shape[0]
     keep = max(1, int(round(rung.corpus_fraction * n_records)))
-    factory = evaluator.reconstructor_factory
-    # The default factory is a bound method of the *source* evaluator;
-    # passing it through would drag the full corpus into every pickle of
-    # the derived evaluator.  Let the constructor rebind it instead.
-    is_default = (
-        getattr(factory, "__func__", None) is FrontEndEvaluator._default_reconstructor
-    )
     derived = FrontEndEvaluator(
         records=evaluator.records[:keep],
         labels=None if evaluator.labels is None else evaluator.labels[:keep],
         sample_rate=evaluator.sample_rate,
         detector=evaluator.detector,
         seed=evaluator.seed,
-        reconstructor_factory=None if is_default else factory,
+        reconstructor_factory=evaluator.reconstructor_factory,
         chain_transform=evaluator.chain_transform,
     )
     if rung.solver_scale < 1.0:

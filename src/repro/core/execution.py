@@ -341,6 +341,15 @@ def evaluator_fingerprint(evaluator: object) -> str:
     return f"{kind.__module__}.{kind.__qualname__}"
 
 
+def component_fingerprint(component: object) -> str:
+    """Cache identity of an evaluator's part (reconstructor factory, chain
+    transform): its ``fingerprint()``, else its qualified name."""
+    method = getattr(component, "fingerprint", None)
+    if callable(method):
+        return str(method())
+    return getattr(component, "__qualname__", type(component).__qualname__)
+
+
 def chunk_pending(
     pending: Sequence[tuple[int, DesignPoint]],
     n_workers: int,

@@ -19,6 +19,7 @@ Two layers:
 from __future__ import annotations
 
 import contextvars
+import copy
 import hashlib
 import logging
 import math
@@ -39,6 +40,7 @@ from repro.core.execution import (
     PointEvaluationError,
     SweepCheckpoint,
     chunk_pending,
+    component_fingerprint,
     evaluate_chunk_with,
     evaluate_one_timed,
     evaluator_fingerprint,
@@ -50,8 +52,7 @@ from repro.core.parameters import CompositeSpace, ParameterSpace
 from repro.core.results import Evaluation, ExplorationResult
 from repro.core.signal import Signal
 from repro.core.simulator import Simulator
-from repro.cs.dictionaries import dct_basis
-from repro.cs.reconstruction import Reconstructor
+from repro.cs.reconstruction import FistaReconstructorFactory, Reconstructor
 from repro.detection.spectral import (
     SpectralCombDetector,
     hard_accuracy,
@@ -103,9 +104,9 @@ class FrontEndEvaluator:
         Master seed: mismatch realisations and noise streams derive from
         it per design point, so the sweep is reproducible point-by-point.
     reconstructor_factory:
-        Optional ``f(point) -> Reconstructor`` override; default is
-        batched FISTA on a DCT basis (lam_rel 0.002, 300 iterations) --
-        the configuration all paper experiments use.
+        ``f(point) -> Reconstructor`` building each CS point's receiver;
+        default :class:`~repro.cs.reconstruction.FistaReconstructorFactory`
+        (batched FISTA on a DCT basis sized from the point's ``cs_n_phi``).
     chain_transform:
         Optional ``f(chain, point, point_seed) -> chain`` applied to the
         freshly built chain before simulation -- the hook the fault-
@@ -146,9 +147,8 @@ class FrontEndEvaluator:
                 "recalibrate it on records at the corpus rate",
             )
         self.seed = int(seed)
-        self.reconstructor_factory = reconstructor_factory or self._default_reconstructor
+        self.reconstructor_factory = reconstructor_factory or FistaReconstructorFactory()
         self.chain_transform = chain_transform
-        self._basis_cache: dict[int, np.ndarray] = {}
 
     def with_chain_transform(
         self, chain_transform: Callable[..., object] | None
@@ -160,25 +160,9 @@ class FrontEndEvaluator:
         Monte-Carlo yield runner creates one clone per (severity,
         realisation) cell.
         """
-        clone = type(self).__new__(type(self))
-        clone.__dict__.update(self.__dict__)
+        clone = copy.copy(self)
         clone.chain_transform = chain_transform
-        clone._basis_cache = {}
-        # The default factory is a bound method: left bound to the
-        # original, pickling the clone (a spawned worker's copy)
-        # would drag the original instance and its basis cache along
-        # through ``__self__``.
-        factory = clone.__dict__.get("reconstructor_factory")
-        if getattr(factory, "__func__", None) is type(self)._default_reconstructor:
-            clone.reconstructor_factory = clone._default_reconstructor
         return clone
-
-    def _default_reconstructor(self, point: DesignPoint) -> Reconstructor:
-        basis = self._basis_cache.get(point.cs_n_phi)
-        if basis is None:
-            basis = dct_basis(point.cs_n_phi)
-            self._basis_cache[point.cs_n_phi] = basis
-        return Reconstructor(basis=basis, method="fista", lam_rel=0.002, n_iter=300)
 
     def fingerprint(self) -> str:
         """Content identity for the on-disk evaluation cache.
@@ -203,22 +187,9 @@ class FrontEndEvaluator:
         digest.update(f"rate={self.sample_rate!r}:seed={self.seed}".encode())
         if self.detector is not None:
             digest.update(pickle.dumps(self.detector))
-        factory = self.reconstructor_factory
-        method = getattr(factory, "fingerprint", None)
-        if callable(method):
-            factory_tag = str(method())
-        else:
-            factory_tag = getattr(factory, "__qualname__", type(factory).__qualname__)
-        digest.update(factory_tag.encode())
-        transform = self.chain_transform
-        if transform is not None:
-            tag = getattr(transform, "fingerprint", None)
-            if callable(tag):
-                transform_tag = str(tag())
-            else:
-                transform_tag = getattr(
-                    transform, "__qualname__", type(transform).__qualname__
-                )
+        digest.update(component_fingerprint(self.reconstructor_factory).encode())
+        if self.chain_transform is not None:
+            transform_tag = component_fingerprint(self.chain_transform)
             digest.update(f"chain_transform={transform_tag}".encode())
         return digest.hexdigest()
 

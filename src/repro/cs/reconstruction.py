@@ -14,10 +14,13 @@ sparsifying basis.  Three solvers are implemented from scratch:
   Python.  It iterates in float32 and returns float64: the 6-8-bit codes
   it reconstructs sit 16 bits above float32's rounding, and the products
   stream half the bytes.  ISTA, the ablation reference, stays in float64.
-* :func:`least_squares_on_support` -- debiasing step shared by all solvers.
+* :func:`least_squares_on_support` -- the least-squares refit on a
+  support that OMP grows.
 
 :class:`Reconstructor` packages a basis + solver + parameters into the
-object the simulation chain and the explorer consume.
+object the simulation chain and the explorer consume, and
+:class:`FistaReconstructorFactory` is the one place the receiver of every
+CS chain is configured.
 
 The numeric solver cores live in :mod:`repro.kernels.numpy_backend`;
 the functions here validate their inputs, call the core, and report
@@ -30,12 +33,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.cs.dictionaries import dct_basis
 from repro.kernels import numpy_backend
 from repro.kernels.numpy_backend import least_squares_on_support
 from repro.util.validation import check_positive, check_positive_int
+
+if TYPE_CHECKING:
+    from repro.power.technology import DesignPoint
 
 _GET_ACTIVE_TELEMETRY = None
 
@@ -159,7 +168,6 @@ def fista(
     lam: float,
     n_iter: int = 100,
     tol: float = 1e-9,
-    debias: bool = False,
 ) -> np.ndarray:
     """FISTA (Beck & Teboulle) for the LASSO, batched across frames.
 
@@ -177,9 +185,6 @@ def fista(
         Maximum iterations (O(1/k^2) convergence).
     tol:
         Early exit when the max coefficient update falls below this.
-    debias:
-        Re-fit nonzero coefficients by least squares per frame after
-        convergence (slower; per-frame loop).
 
     Returns
     -------
@@ -204,11 +209,6 @@ def fista(
     z, iterations = numpy_backend.fista(a, y2, lam, n_iter, tol)
     if iterations:
         _note_solve("fista", iterations, b, time.perf_counter() - start)
-    if debias:
-        for i in range(b):
-            support = np.flatnonzero(z[i])
-            if 0 < support.size <= m:
-                z[i] = least_squares_on_support(a, y2[i], support)
     return z[0] if single else z
 
 
@@ -230,8 +230,6 @@ class Reconstructor:
         For OMP: atoms to select.
     n_iter:
         Iteration budget for the LASSO solvers.
-    debias:
-        Apply least-squares debiasing on the recovered support.
     """
 
     basis: np.ndarray | None = None
@@ -239,7 +237,6 @@ class Reconstructor:
     lam_rel: float = 0.02
     sparsity: int = 32
     n_iter: int = 120
-    debias: bool = False
 
     def __post_init__(self) -> None:
         if self.method not in ("fista", "ista", "omp"):
@@ -270,9 +267,46 @@ class Reconstructor:
             lam_scale = np.max(np.abs(y2 @ a))
             lam = self.lam_rel * (lam_scale if lam_scale > 0 else 1.0)
             if self.method == "fista":
-                coeffs = fista(a, y2, lam, n_iter=self.n_iter, debias=self.debias)
+                coeffs = fista(a, y2, lam, n_iter=self.n_iter)
             else:
                 coeffs = ista(a, y2, lam, n_iter=self.n_iter)
             coeffs = np.atleast_2d(coeffs)
         frames = coeffs if self.basis is None else coeffs @ self.basis.T
         return frames[0] if single else frames
+
+
+@lru_cache(maxsize=8)
+def _shared_dct_basis(n: int) -> np.ndarray:
+    # One read-only N x N basis per frame length, shared by every
+    # reconstructor (and every evaluator) in the process.
+    basis = dct_basis(n)
+    basis.flags.writeable = False
+    return basis
+
+
+@dataclass(frozen=True)
+class FistaReconstructorFactory:
+    """The receiver of every CS chain: batched FISTA on a DCT basis.
+
+    DCT with light shrinkage preserves narrow spectral structure (rhythms,
+    low-voltage fast activity) best -- orthogonal wavelets smear
+    narrowband content across detail coefficients that l1 shrinkage then
+    suppresses.  The basis is sized from each point's ``cs_n_phi``.  A
+    module-level frozen dataclass (not a closure or a bound method) so an
+    evaluator holding it pickles for process sweeps; ``fingerprint`` keys
+    the on-disk evaluation cache.
+    """
+
+    n_iter: int = 300
+    lam_rel: float = 0.002
+
+    def __call__(self, point: DesignPoint) -> Reconstructor:
+        return Reconstructor(
+            basis=_shared_dct_basis(point.cs_n_phi),
+            method="fista",
+            lam_rel=self.lam_rel,
+            n_iter=self.n_iter,
+        )
+
+    def fingerprint(self) -> str:
+        return f"fista:dct:lam{self.lam_rel}:iters{self.n_iter}"

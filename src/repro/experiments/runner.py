@@ -36,13 +36,11 @@ from repro.core.pareto import Objective
 from repro.core.results import Evaluation, ExplorationResult
 from repro.core.resources import resources_section
 from repro.core.telemetry import Telemetry, RunManifest
-from repro.cs.dictionaries import dct_basis
-from repro.cs.reconstruction import Reconstructor
+from repro.cs.reconstruction import FistaReconstructorFactory
 from repro.detection.spectral import SpectralCombDetector
 from repro.eeg.preprocessing import resample_dataset
 from repro.eeg.synthetic import make_bonn_like_dataset
 from repro.experiments.table3 import CS_N_PHI, paper_search_space
-from repro.power.technology import DesignPoint
 from repro.util.rng import derive_seed
 
 #: Front-end sampling rate of all experiments (Table III: 2.1 * 256 Hz).
@@ -126,36 +124,6 @@ def default_workers() -> int | None:
     return workers
 
 
-@lru_cache(maxsize=8)
-def _dct_basis_cached(n_phi: int) -> np.ndarray:
-    return dct_basis(n_phi)
-
-
-@dataclass(frozen=True)
-class FistaReconstructorFactory:
-    """Picklable reconstructor factory of the experiment harness.
-
-    A module-level frozen dataclass (not a closure) so the evaluator can
-    cross process boundaries in parallel sweeps; exposes a content
-    ``fingerprint`` for the on-disk evaluation cache.
-    """
-
-    n_iter: int
-    n_phi: int = CS_N_PHI
-    lam_rel: float = 0.002
-
-    def __call__(self, point: DesignPoint) -> Reconstructor:
-        return Reconstructor(
-            basis=_dct_basis_cached(self.n_phi),
-            method="fista",
-            lam_rel=self.lam_rel,
-            n_iter=self.n_iter,
-        )
-
-    def fingerprint(self) -> str:
-        return f"fista:dct{self.n_phi}:lam{self.lam_rel}:iters{self.n_iter}"
-
-
 @dataclass
 class ExperimentHarness:
     """Everything a figure experiment needs, built once per scale."""
@@ -193,16 +161,13 @@ def _harness_cached(scale_name: str) -> ExperimentHarness:
     # learned network -- drives the sweeps).
     detector = SpectralCombDetector(sample_rate=F_SAMPLE)
     detector.fit(train_records, train_labels)
-
-    reconstructor_factory = FistaReconstructorFactory(n_iter=scale.fista_iters)
-
     evaluator = FrontEndEvaluator(
         records=eval_records,
         labels=eval_labels,
         sample_rate=F_SAMPLE,
         detector=detector,
         seed=derive_seed(scale.seed, "evaluator"),
-        reconstructor_factory=reconstructor_factory,
+        reconstructor_factory=FistaReconstructorFactory(n_iter=scale.fista_iters),
     )
     return ExperimentHarness(
         scale=scale,

@@ -411,10 +411,15 @@ class FleetCoordinator:
     def close(self) -> None:
         """Stop accepting, drop every worker connection."""
         self._closing = True
-        try:
-            self._server.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+        # close() alone leaves an accept() blocked in the acceptor thread,
+        # which keeps the port listening until one more worker connects;
+        # shutdown() wakes it.
+        for stop in (partial(self._server.shutdown, socket.SHUT_RDWR), self._server.close):
+            try:
+                stop()
+            except OSError:  # already closed
+                pass
+        self._acceptor.join(timeout=5.0)
         with self._lock:
             sessions = list(self._sessions)
         for sock in sessions:
@@ -752,7 +757,7 @@ class FleetCoordinator:
         # here would interleave acks into the lease/complete reply
         # stream the main thread is reading.  A worker whose lease
         # silently expired finds out from its completion ack instead.
-        lease_id = str(message.get("lease"))
+        lease_id = protocol.decode_lease(message)
         with self._lock:
             ok = self._table.heartbeat(lease_id) if self._table else False
         self.telemetry.count("fleet.heartbeats")
@@ -765,7 +770,7 @@ class FleetCoordinator:
 
     def _handle_complete(self, worker: str, message: dict) -> dict:
         tel = self.telemetry
-        lease_id = str(message.get("lease"))
+        lease_id = protocol.decode_lease(message)
         rows = protocol.decode_rows(message.get("rows", []))
         with self._lock:
             table = self._table
@@ -842,7 +847,7 @@ class FleetCoordinator:
                     log.warning("dropping bad %s from %s: %s", part, worker, error)
 
     def _handle_fail(self, worker: str, message: dict) -> dict:
-        lease_id = str(message.get("lease"))
+        lease_id = protocol.decode_lease(message)
         reason = str(message.get("error", "unspecified"))
         with self._lock:
             events = self._table.fail(lease_id, reason) if self._table else []

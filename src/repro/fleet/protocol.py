@@ -223,6 +223,19 @@ def decode_rows(payload: Sequence[dict]) -> list[tuple[int, Evaluation, float, d
         raise ProtocolError(f"malformed result rows: {error}") from error
 
 
+def decode_lease(message: dict) -> str:
+    """The lease id a heartbeat, completion or failure refers to.
+
+    Only a string is an id: coercing ``null`` or ``7`` would ack a lease
+    that does not exist while the worker's real lease waits out its
+    timeout.
+    """
+    lease = message.get("lease")
+    if not isinstance(lease, str):
+        raise ProtocolError(f"lease id must be a string: {lease!r}")
+    return lease
+
+
 def _decode_index(index) -> int:
     # bool is an int subclass: JSON ``true`` must not pass as index 1.
     if not isinstance(index, int) or isinstance(index, bool):

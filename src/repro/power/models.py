@@ -399,25 +399,16 @@ class PowerReport:
         return "\n".join(lines)
 
 
-def chain_power(point: DesignPoint, vin: float | np.ndarray = 0.0) -> PowerReport:
+def chain_power(point: DesignPoint) -> PowerReport:
     """Full front-end power estimate for one design point.
 
-    Assembles every Table II model according to the architecture selected
-    by ``point.use_cs``.  ``vin`` optionally carries the actual ADC input
-    waveform for the signal-dependent DAC term.
+    The sum of every block's Table II models over the chain
+    :func:`~repro.blocks.chains.build_chain` builds for ``point`` -- what
+    :meth:`~repro.core.simulator.Simulator.collect_power` reports for a
+    simulated run, so this estimate and every sweep agree.
     """
-    blocks = {
-        "lna": lna_power(point),
-        "sample_hold": sample_hold_power(point),
-        "comparator": comparator_power(point),
-        "sar_logic": sar_logic_power(point),
-        "dac": dac_power(point, vin=vin),
-        "transmitter": transmitter_power(point),
-        "leakage": leakage_power(point),
-    }
-    if point.use_cs:
-        if point.cs_architecture == "analog":
-            blocks["cs_encoder"] = cs_encoder_logic_power(point)
-        else:
-            blocks["cs_encoder"] = digital_cs_encoder_power(point)
-    return PowerReport(blocks)
+    # Imported here: repro.blocks and repro.core import this module.
+    from repro.blocks.chains import build_chain
+    from repro.core.simulator import Simulator
+
+    return Simulator(build_chain(point), point).collect_power()

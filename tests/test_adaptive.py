@@ -677,7 +677,7 @@ def _adaptive_fig7a_setup():
         None,
         sample_rate,
         seed=11,
-        reconstructor_factory=FistaReconstructorFactory(n_iter=60, n_phi=256),
+        reconstructor_factory=FistaReconstructorFactory(n_iter=60),
     )
     noises = np.linspace(1e-6, 26e-6, 6)
     vdds = np.linspace(0.9, 2.0, 20)

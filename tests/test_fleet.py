@@ -812,31 +812,21 @@ class TestCompletionValidation:
         assert "x" not in tel.counters and not tel.workers
         assert tel.tracer.lanes() == {tel.tracer.pid: "driver"}
 
-    @pytest.mark.parametrize(
-        ("field", "value"),
-        [
-            ("stats", {"retries": "x"}),
-            ("stats", {"retries": -1}),
-            ("stats", {"timeouts": True}),
-            ("stats", {"retries": 1.5}),
-            ("stats", []),
-            ("index", math.inf),
-            ("index", 1.7),
-            ("index", True),
-            ("elapsed_s", math.inf),
-            ("elapsed_s", -5.0),
-        ],
-    )
-    def test_mistyped_row_stats_drop_the_connection_not_the_sweep(
-        self, monkeypatch, field, value
-    ):
-        # The explorer's finalize hook files a row under its index, adds
-        # its stats to telemetry counters and its elapsed time to the
-        # latency histogram; a mistyped field must reach none of them.
+    @staticmethod
+    def _sweep_past_a_sloppy_worker(monkeypatch, misbehave):
+        """Sweep 4 toy points while a raw worker misbehaves on its lease.
+
+        ``misbehave(worker, lease)`` sends the bad message.  The
+        coordinator must drop that connection and requeue its lease once;
+        an honest worker then finishes the sweep with the serial results,
+        and no exception escapes into a thread and no thread outlives it.
+        Returns the sweep's telemetry.
+        """
         from repro.fleet import FleetWorker
 
         escaped = []
         monkeypatch.setattr(threading, "excepthook", escaped.append)
+        threads_before = set(threading.enumerate())
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             endpoint = probe.getsockname()
@@ -866,24 +856,79 @@ class TestCompletionValidation:
                 time.sleep(0.01)
         try:
             lease = sloppy.lease()
-            chunk = protocol.decode_chunk(lease["points"])
-            assert [index for index, _ in chunk] == [0, 1]
-            message = complete_message(lease, rows_for(chunk))
-            # Only the second row: an index of 1.7 or true must not pass
-            # as its own index 1.
-            message["rows"][1][field] = value
-            sloppy.send(message)
+            assert [row["index"] for row in lease["points"]] == [0, 1]
+            misbehave(sloppy, lease)
             assert protocol.recv_message(sloppy.reader) is None  # dropped
         finally:
             sloppy.close()
             FleetWorker(endpoint, ToyEvaluator(), label="honest").run()
             runner.join(10)
         assert not runner.is_alive()
+        deadline = time.monotonic() + 5
+        while set(threading.enumerate()) - threads_before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert set(threading.enumerate()) <= threads_before
         assert escaped == []
         assert_sweeps_identical(explorer.explore(grid), outcome["result"])
         report = explorer.last_fleet_report
         assert report.requeues == 1
         assert report.workers["honest"]["points"] == 4
+        return tel
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("stats", {"retries": "x"}),
+            ("stats", {"retries": -1}),
+            ("stats", {"timeouts": True}),
+            ("stats", {"retries": 1.5}),
+            ("stats", []),
+            ("index", math.inf),
+            ("index", 1.7),
+            ("index", True),
+            ("elapsed_s", math.inf),
+            ("elapsed_s", -5.0),
+        ],
+    )
+    def test_mistyped_row_stats_drop_the_connection_not_the_sweep(
+        self, monkeypatch, field, value
+    ):
+        # The explorer's finalize hook files a row under its index, adds
+        # its stats to telemetry counters and its elapsed time to the
+        # latency histogram; a mistyped field must reach none of them.
+        def misbehave(sloppy, lease):
+            message = complete_message(lease, rows_for(protocol.decode_chunk(lease["points"])))
+            # Only the second row: an index of 1.7 or true must not pass
+            # as its own index 1.
+            message["rows"][1][field] = value
+            sloppy.send(message)
+
+        tel = self._sweep_past_a_sloppy_worker(monkeypatch, misbehave)
         assert "explore.retries" not in tel.counters
         for histogram in tel.histograms.values():
             assert math.isfinite(histogram.total) and math.isfinite(histogram.m2)
+
+    @pytest.mark.parametrize("kind", ["heartbeat", "complete", "fail"])
+    @pytest.mark.parametrize(
+        "lease_id",
+        [None, 7, 1.5, True, ["lease-000001"], {"id": "lease-000001"}],
+        ids=["null", "int", "float", "bool", "list", "object"],
+    )
+    def test_mistyped_lease_id_drops_the_connection_not_the_sweep(
+        self, monkeypatch, kind, lease_id
+    ):
+        # Coerced with str(), a null or 7 lease would be acked (or, for a
+        # heartbeat, silently ignored) while the real lease waits out its
+        # timeout.
+        def misbehave(sloppy, lease):
+            if kind == "complete":
+                message = complete_message(
+                    lease, rows_for(protocol.decode_chunk(lease["points"]))
+                )
+            else:
+                message = {"type": kind, "lease": lease["lease"], "error": "boom"}
+            message["lease"] = lease_id
+            sloppy.send(message)
+
+        tel = self._sweep_past_a_sloppy_worker(monkeypatch, misbehave)
+        assert "fleet.worker_failures" not in tel.counters

@@ -223,6 +223,27 @@ class TestChainPower:
         baseline = DesignPoint(n_bits=8, lna_noise_rms=2e-6)
         assert chain_power(cs_point).total < 0.5 * chain_power(baseline).total
 
+    @pytest.mark.parametrize(
+        "point",
+        [
+            DesignPoint(n_bits=8, lna_noise_rms=2e-6),
+            DesignPoint(n_bits=8, lna_noise_rms=8e-6, use_cs=True, cs_m=150),
+            DesignPoint(
+                n_bits=8, lna_noise_rms=8e-6, use_cs=True, cs_m=150, cs_architecture="digital"
+            ),
+        ],
+        ids=["baseline", "analog-cs", "digital-cs"],
+    )
+    def test_equals_the_simulated_chains_power(self, point):
+        # The estimate `repro budget` prints and the power every sweep
+        # reports are one sum over one chain: the analog-CS chain
+        # (LNA -> CS encoder -> SAR -> TX) has no S&H block to add.
+        from repro.blocks.chains import build_chain
+        from repro.core.simulator import Simulator
+
+        simulated = Simulator(build_chain(point), point).collect_power()
+        assert chain_power(point).blocks == simulated.blocks
+
 
 class TestPowerReport:
     def test_total_is_sum(self):

@@ -144,14 +144,6 @@ class TestFista:
         assert fista(a, y, lam=1e-3, n_iter=10).ndim == 1
         assert fista(a, np.stack([y]), lam=1e-3, n_iter=10).ndim == 2
 
-    def test_debias_refits_support(self):
-        a, x, y, _ = sparse_problem(k=4, seed=2)
-        biased = fista(a, y, lam=5e-3, n_iter=600)
-        debiased = fista(a, y, lam=5e-3, n_iter=600, debias=True)
-        err_biased = np.sum((x - biased) ** 2)
-        err_debiased = np.sum((x - debiased) ** 2)
-        assert err_debiased <= err_biased * 1.01
-
     def test_rejects_wrong_length(self):
         a, *_ = sparse_problem()
         with pytest.raises(ValueError):

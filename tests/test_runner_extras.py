@@ -1,5 +1,7 @@
 """Extra coverage of the experiment runner and harness plumbing."""
 
+import math
+
 import pytest
 
 from repro.experiments.runner import (
@@ -9,6 +11,7 @@ from repro.experiments.runner import (
     make_harness,
     run_search_space,
 )
+from repro.power.technology import DesignPoint
 
 
 class TestScalesConsistency:
@@ -54,3 +57,14 @@ class TestSweepCaching:
             1 + len(scale.cs_m_values)
         )
         assert len(sweep) == expected
+
+
+class TestHarnessReceiver:
+    def test_cs_point_sizes_its_basis_from_its_frame_length(self):
+        # The smoke records (3072 samples) hold whole 256-sample frames,
+        # so the harness evaluator must reconstruct on a 256 x 256 basis.
+        evaluator = make_harness("smoke").evaluator
+        point = DesignPoint(n_bits=8, lna_noise_rms=8e-6, use_cs=True, cs_m=75, cs_n_phi=256)
+        evaluation = evaluator.evaluate(point)
+        assert all(math.isfinite(value) for value in evaluation.metrics.values())
+        assert evaluator.reconstructor_factory(point).basis.shape == (256, 256)
