@@ -429,8 +429,7 @@ class DesignSpaceExplorer:
             # sweep sharing the checkpoint path fails here, before any
             # evaluation work is spent.
             ckpt.acquire()
-            expected = {i: p.describe() for i, p in enumerate(points)}
-            restored = ckpt.load(expected)
+            restored = ckpt.load(dict(enumerate(points)))
 
         tel = telemetry if telemetry is not None else get_active()
         total = len(points)

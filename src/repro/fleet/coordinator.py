@@ -79,8 +79,8 @@ class Lease:
     worker: str
     deadline: float  # time.monotonic() horizon, extended by heartbeats
     chunk_digest: str
-    #: index -> point description of every granted point.
-    points: dict[int, str]
+    #: index -> every granted point.
+    points: dict[int, DesignPoint]
 
     @property
     def n_points(self) -> int:
@@ -174,7 +174,7 @@ class LeaseTable:
                 worker=worker,
                 deadline=self.clock() + self.lease_timeout_s,
                 chunk_digest=protocol.chunk_digest(remaining),
-                points={index: point.describe() for index, point in remaining},
+                points=dict(remaining),
             )
             self.leases[lease.lease_id] = self.lease_history[lease.lease_id] = lease
             return lease, remaining
@@ -204,7 +204,7 @@ class LeaseTable:
         if granted is None:
             raise protocol.ProtocolError(f"completion for unknown lease {lease_id!r}")
         for index, evaluation, _elapsed_s, _stats in rows:
-            if granted.points.get(index) != evaluation.point.describe():
+            if granted.points.get(index) != evaluation.point:
                 raise protocol.ProtocolError(
                     f"completion row {index} ({evaluation.point.describe()}) "
                     f"was not granted by lease {lease_id!r}"

@@ -23,7 +23,6 @@ from repro.power.models import (
     cs_encoder_logic_power,
     dac_power,
     digital_cs_encoder_power,
-    leakage_power,
     lna_current_bounds,
     lna_power,
     sample_hold_power,
@@ -48,7 +47,6 @@ __all__ = [
     "cs_encoder_logic_power",
     "dac_power",
     "digital_cs_encoder_power",
-    "leakage_power",
     "lna_current_bounds",
     "lna_power",
     "NoiseBudget",

@@ -299,22 +299,6 @@ def digital_cs_encoder_power(point: DesignPoint) -> float:
     return mac + sequencing
 
 
-def leakage_power(point: DesignPoint) -> float:
-    """Static leakage of the switch network, ``n_switches * I_leak * V_dd``.
-
-    Baseline: one S&H switch plus 2 per DAC unit-cap bank approximated as
-    2N switches.  CS: one switch pair per (C_sample, C_hold) routing point,
-    i.e. ``s + M`` switches, plus the ADC's own.  This term is orders of
-    magnitude below the dynamic terms at Table III's 1 pA and is included
-    for completeness (it matters when sweeping duty-cycled systems).
-    """
-    tech = point.technology
-    n_switches = 1 + 2 * point.n_bits
-    if point.use_cs and point.cs_architecture == "analog":
-        n_switches += point.cs_sparsity + point.cs_m
-    return n_switches * tech.i_leak * point.v_dd
-
-
 # --------------------------------------------------------------------------
 # Aggregation
 # --------------------------------------------------------------------------

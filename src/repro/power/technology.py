@@ -393,7 +393,13 @@ class DesignPoint:
         return replace(self, **changes)
 
     def describe(self) -> str:
-        """One-line human-readable summary used in sweep logs."""
+        """One-line human-readable summary used in sweep logs.
+
+        Also the tag per-point seeds derive from and the name cache files
+        are filed under.  It omits most fields (supply, CS architecture,
+        technology, ...) and rounds the LNA noise, so it is no identity:
+        compare points, not descriptions.
+        """
         kind = (
             f"CS(M={self.cs_m}/{self.cs_n_phi}, s={self.cs_sparsity})"
             if self.use_cs

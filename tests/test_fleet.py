@@ -755,6 +755,17 @@ class TestCompletionValidation:
         fresh, duplicates = table.complete(lease.lease_id, rows_for(chunk + chunk[:1]))
         assert [row[0] for row in fresh] == [0, 1] and duplicates == 1
 
+    def test_lease_table_rejects_a_point_that_only_shares_the_label(self):
+        chunk = points(2)
+        table, _clock = make_table([chunk])
+        lease, _ = table.grant("w#1")
+        index, point = chunk[1]
+        twin = point.with_(v_dd=1.2)
+        assert twin.describe() == point.describe()
+        with pytest.raises(ProtocolError, match="not granted"):
+            table.complete(lease.lease_id, rows_for(chunk[:1] + [(index, twin)]))
+        assert not table.done
+
     def test_forged_completion_drops_connection_and_requeues(self):
         tel = Telemetry()
         coordinator, runner, finalized, outcome = self._start(tel)

@@ -19,7 +19,6 @@ from repro.power.models import (
     comparator_power,
     cs_encoder_logic_power,
     dac_power,
-    leakage_power,
     lna_current_bounds,
     lna_power,
     sample_hold_power,
@@ -188,10 +187,12 @@ class TestCsEncoderPower:
 
 class TestLeakagePower:
     def test_counts_cs_switches(self, baseline_point, cs_point):
-        assert leakage_power(cs_point) > leakage_power(baseline_point)
+        leakage = chain_power(cs_point).blocks["leakage"]
+        assert leakage > chain_power(baseline_point).blocks["leakage"]
 
     def test_orders_of_magnitude_below_dynamic(self, cs_point):
-        assert leakage_power(cs_point) < 0.01 * chain_power(cs_point).total
+        report = chain_power(cs_point)
+        assert report.blocks["leakage"] < 0.01 * report.total
 
 
 class TestChainPower:

@@ -15,7 +15,7 @@ from repro.cs.charge_sharing import effective_matrix
 from repro.cs.dictionaries import dct_basis, wavelet_basis
 from repro.cs.matrices import srbm_balanced
 from repro.power.models import chain_power, lna_power, transmitter_power
-from repro.power.technology import DesignPoint
+from repro.power.technology import DesignPoint, Technology
 
 # --- strategies -------------------------------------------------------------
 
@@ -257,6 +257,48 @@ def test_design_point_serialization_roundtrip(point):
     from repro.core.serialization import design_point_from_dict, design_point_to_dict
 
     assert design_point_from_dict(design_point_to_dict(point)) == point
+
+
+def _positive(low, high):
+    return st.floats(min_value=low, max_value=high, allow_nan=False)
+
+
+any_design_points = st.builds(
+    DesignPoint,
+    bw_in=_positive(1.0, 1e4),
+    n_bits=st.integers(min_value=1, max_value=16),
+    v_dd=_positive(0.1, 5.0),
+    v_fs=_positive(0.1, 5.0),
+    v_ref=_positive(0.1, 5.0),
+    lna_noise_rms=_positive(1e-8, 1e-3),
+    lna_gain=_positive(1.0, 1e6),
+    use_cs=st.booleans(),
+    cs_architecture=st.sampled_from(["analog", "digital"]),
+    cs_m=st.sampled_from([75, 150, 192]),
+    cs_cap_ratio=_positive(0.5, 64.0),
+    cs_weight_mismatch_sigma=_positive(0.0, 0.1),
+    lna_bw_ratio=_positive(0.5, 10.0),
+    technology=st.builds(
+        Technology,
+        c_logic=_positive(1e-16, 1e-14),
+        unit_cap_mismatch_sigma=_positive(0.0, 0.5),
+        i_leak=_positive(1e-14, 1e-9),
+        nef=_positive(1.0, 10.0),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_design_points)
+def test_design_point_to_dict_is_asdict(point):
+    import dataclasses
+    import json
+
+    from repro.core.serialization import design_point_to_dict
+
+    payload = design_point_to_dict(point)
+    assert payload == dataclasses.asdict(point)
+    assert json.dumps(payload) == json.dumps(dataclasses.asdict(point))
 
 
 @settings(max_examples=25, deadline=None)

@@ -29,9 +29,31 @@ class TestPowerModelRow:
     def test_total_matches_chain_power(self):
         from repro.power.models import chain_power
 
-        point = DesignPoint(n_bits=8, lna_noise_rms=4e-6)
-        total_rows = sum(row.power_w for row in power_model_rows(point))
-        assert total_rows == pytest.approx(chain_power(point).total, rel=1e-9)
+        for point in (
+            DesignPoint(n_bits=8, lna_noise_rms=4e-6),
+            DesignPoint(n_bits=8, lna_noise_rms=8e-6, use_cs=True, cs_m=150),
+        ):
+            rows = power_model_rows(point)
+            report = chain_power(point)
+            assert {row.block: row.power_w for row in rows} == dict(report.blocks)
+            total_rows = sum(row.power_w for row in rows)
+            assert total_rows == pytest.approx(report.total, rel=1e-9)
+
+    def test_analog_cs_column_has_no_sample_hold(self):
+        from repro.experiments.table2 import render_table2
+
+        rows = power_model_rows(DesignPoint(n_bits=8, lna_noise_rms=8e-6, use_cs=True))
+        assert "sample_hold" not in {row.block for row in rows}
+        sample_hold = next(
+            line for line in render_table2().splitlines() if line.startswith("sample_hold")
+        )
+        assert sample_hold.split()[-1] == "-"
+
+    def test_digital_cs_encoder_row_names_its_own_model(self):
+        rows = power_model_rows(DesignPoint(use_cs=True, cs_architecture="digital"))
+        encoder = next(row for row in rows if row.block == "cs_encoder")
+        assert encoder.power_w > 0
+        assert "Chen" in encoder.reference
 
 
 class TestTable3Rows:
