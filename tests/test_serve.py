@@ -183,6 +183,34 @@ class TestServiceSubmission:
         manifest = svc.store.get_sweep("bad")
         assert manifest.n_failures == 1
 
+    def test_label_twin_sweep_fails_and_leaves_the_stored_sweep(self, tmp_path):
+        """A sweep whose point shares a stored point's label (v_dd is not in
+        ``describe()``) cannot take over that point's blob."""
+
+        class SupplyEvaluator:
+            def fingerprint(self):
+                return "supply-v1"
+
+            def __call__(self, point):
+                return Evaluation(point, {"power_uw": 3.6 * point.v_dd})
+
+        def resolver(payload):
+            v_dd = payload["v_dd"]
+            return payload["name"], SupplyEvaluator(), [DesignPoint(v_dd=v_dd)], {}
+
+        svc = SweepService(
+            ResultStore(tmp_path / "s"), resolver=resolver, telemetry=Telemetry()
+        )
+        svc.submit({"name": "high", "v_dd": 2.0})
+        assert wait_done(svc, "high").status == "done"
+        svc.submit({"name": "low", "v_dd": 1.2})
+        job = wait_done(svc, "low")
+        assert job.status == "failed" and "already holds another point" in job.error
+        assert svc.store.sweep_names() == ["high"]
+        (stored,) = svc.store.load_result("high")
+        assert stored.point == DesignPoint(v_dd=2.0)
+        assert stored.metrics == {"power_uw": 3.6 * 2.0}
+
     def test_invalid_name_rejected(self, service):
         with pytest.raises(ValueError):
             service.submit({"name": "../escape"})
