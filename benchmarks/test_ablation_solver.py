@@ -7,6 +7,7 @@ accurate as ISTA at an equal iteration budget -- and it records the
 absolute throughput that makes Python-scale sweeps feasible.
 """
 
+import math
 import time
 
 import numpy as np
@@ -38,13 +39,19 @@ def test_ablation_solver(benchmark, harness):
         "omp": Reconstructor(basis=basis, method="omp", sparsity=40),
     }
 
-    quality = {}
-    runtime = {}
-    for name, reconstructor in solvers.items():
-        start = time.perf_counter()
-        recovered = reconstructor.recover(phi_eff, measurements)
-        runtime[name] = time.perf_counter() - start
-        quality[name] = nmse(frames, recovered)
+    quality = {
+        name: nmse(frames, reconstructor.recover(phi_eff, measurements))
+        for name, reconstructor in solvers.items()
+    }
+    # FISTA and OMP run interleaved over three rounds, and each keeps its
+    # fastest round: on a runner shared with other jobs, the minimum is
+    # the reading least disturbed by their load.
+    runtime = {"fista": math.inf, "omp": math.inf}
+    for _ in range(3):
+        for name in runtime:
+            start = time.perf_counter()
+            solvers[name].recover(phi_eff, measurements)
+            runtime[name] = min(runtime[name], time.perf_counter() - start)
 
     # The timed benchmark measures the production solver (batched FISTA).
     production = Reconstructor(basis=basis, method="fista", lam_rel=0.002, n_iter=200)
@@ -54,10 +61,13 @@ def test_ablation_solver(benchmark, harness):
 
     print()
     for name in solvers:
-        print(
-            f"{name:<8} NMSE={quality[name]:.4f}  wall={runtime[name] * 1e3:8.1f} ms "
+        wall = (
+            f"  fastest wall={runtime[name] * 1e3:8.1f} ms "
             f"({runtime[name] / frames.shape[0] * 1e3:6.2f} ms/frame)"
+            if name in runtime
+            else ""
         )
+        print(f"{name:<8} NMSE={quality[name]:.4f}{wall}")
 
     # FISTA beats ISTA at equal budget (Nesterov acceleration).
     assert quality["fista"] <= quality["ista"] * 1.05

@@ -7,9 +7,6 @@ Gives the paper's workflow a shell entry point:
 * ``fig4`` -- run the LNA-noise demonstration sweep and print the series;
 * ``sweep`` -- run the Fig. 7 search-space exploration at a chosen scale,
   print fronts/optima, and optionally save the raw sweep as JSON/CSV;
-  ``--adaptive`` (with ``--rungs``/``--keep-frac``) switches to the
-  multi-fidelity successive-halving explorer and prints its promotion
-  ledger;
 * ``report`` -- re-analyse a saved sweep (Figs. 7-10) without
   re-simulating;
 * ``budget`` -- print the closed-form noise budget of a design point;
@@ -133,7 +130,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         analyze_fig7,
         build_run_manifest,
         render_front,
-        run_adaptive_search_space,
         run_search_space,
         search_space_for,
     )
@@ -141,13 +137,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.util.textplot import pareto_chart
 
     telemetry = get_active()
-    if args.adaptive and args.fleet:
-        print(
-            "error: --fleet is not supported with --adaptive (the adaptive "
-            "schedule re-plans between rungs; run each rung scale directly)",
-            file=sys.stderr,
-        )
-        return 2
     # Resolved once, so the manifest records what the run used.
     workers = args.workers if args.workers is not None else default_workers()
     fleet_options = None
@@ -174,34 +163,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    explore_kwargs = {
-        "executor": executor,
-        "n_workers": workers,
-        "checkpoint": args.checkpoint,
-        "cache": None if args.no_cache else args.cache_dir,
-        "telemetry": telemetry if telemetry.enabled else None,
-        "policy": ExecutionPolicy(timeout_s=args.timeout, retries=args.retries),
-    }
-    ledger = None
-    if args.adaptive:
-        # No live progress line: each rung is its own sweep with a
-        # data-dependent total, so a single [done/total] ETA would lie.
-        sweep = run_adaptive_search_space(
-            args.scale, rungs=args.rungs, keep_frac=args.keep_frac, **explore_kwargs
-        )
-        ledger = sweep.ledger
-        print("adaptive exploration (successive halving):")
-        print(ledger.summary())
-        print()
-    else:
-        progress = (
+    sweep = run_search_space(
+        args.scale,
+        executor=executor,
+        n_workers=workers,
+        checkpoint=args.checkpoint,
+        cache=None if args.no_cache else args.cache_dir,
+        telemetry=telemetry if telemetry.enabled else None,
+        policy=ExecutionPolicy(timeout_s=args.timeout, retries=args.retries),
+        progress=(
             None
             if args.no_progress
             else _progress_printer(search_space_for(args.scale).size)
-        )
-        sweep = run_search_space(
-            args.scale, progress=progress, fleet=fleet_options, **explore_kwargs
-        )
+        ),
+        fleet=fleet_options,
+    )
     full_sweep = sweep
     failures = sweep.failures()
     print(f"evaluated {len(sweep)} design points at scale {args.scale!r}")
@@ -250,8 +226,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             executor=executor,
             # A fleet records the workers it spawned.
             n_workers=fleet_options.spawn_workers if fleet_options else workers,
-            command="sweep --adaptive" if args.adaptive else "sweep",
-            adaptive=ledger.to_dict() if ledger is not None else None,
         )
         manifest.save(manifest_path)
         print(f"wrote run manifest to {manifest_path}")
@@ -537,26 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="accuracy bound of the Fig. 7b optima (default: the paper's "
         f"{MIN_ACCURACY:g}; smoke-scale accuracies stay below it, so pass "
         "0.9 at --scale smoke)",
-    )
-    sweep.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="multi-fidelity successive-halving exploration: cheap "
-        "low-fidelity rungs eliminate dominated points and only survivors "
-        "reach the full-fidelity evaluator (prints the promotion ledger)",
-    )
-    sweep.add_argument(
-        "--rungs",
-        type=int,
-        default=3,
-        help="fidelity rungs of the adaptive schedule (with --adaptive)",
-    )
-    sweep.add_argument(
-        "--keep-frac",
-        type=float,
-        default=1 / 3,
-        help="per-rung survivor floor as a fraction of the rung's points "
-        "(with --adaptive)",
     )
     sweep.add_argument("--save", help="write the raw sweep as JSON")
     sweep.add_argument("--csv", help="write the sweep metrics as CSV")

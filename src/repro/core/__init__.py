@@ -7,13 +7,6 @@
   paper's flow).
 """
 
-from repro.core.adaptive import (
-    AdaptiveExplorationResult,
-    FidelityRung,
-    FidelitySchedule,
-    PromotionLedger,
-    RungReport,
-)
 from repro.core.block import Block, FunctionBlock, PassthroughBlock, SimulationContext
 from repro.core.execution import (
     DEFAULT_POLICY,
@@ -25,7 +18,6 @@ from repro.core.execution import (
     SweepCheckpoint,
     evaluation_key,
     evaluator_fingerprint,
-    point_digest,
 )
 from repro.core.explorer import DesignSpaceExplorer, FrontEndEvaluator
 from repro.core.goal import (
@@ -35,13 +27,7 @@ from repro.core.goal import (
     snr_power_goal,
 )
 from repro.core.parameters import SWEEPABLE_FIELDS, CompositeSpace, ParameterSpace
-from repro.core.pareto import (
-    Objective,
-    best_feasible,
-    dominates,
-    epsilon_nondominated,
-    pareto_front,
-)
+from repro.core.pareto import Objective, best_feasible, dominates, pareto_front
 from repro.core.results import Evaluation, ExplorationResult
 from repro.core.serialization import (
     design_point_from_dict,
@@ -66,7 +52,6 @@ from repro.core.telemetry import (
 from repro.core.tracing import Tracer, merge_chrome_traces, write_chrome_trace
 
 __all__ = [
-    "AdaptiveExplorationResult",
     "Block",
     "CheckpointLockedError",
     "CompositeSpace",
@@ -78,8 +63,6 @@ __all__ = [
     "EvaluationTimeout",
     "ExecutionPolicy",
     "ExplorationResult",
-    "FidelityRung",
-    "FidelitySchedule",
     "FlightRecorder",
     "FrontEndEvaluator",
     "FunctionBlock",
@@ -95,9 +78,7 @@ __all__ = [
     "ParameterSpace",
     "PassthroughBlock",
     "PointEvaluationError",
-    "PromotionLedger",
     "ResourceSampler",
-    "RungReport",
     "SWEEPABLE_FIELDS",
     "SimulationContext",
     "SimulationResult",
@@ -114,11 +95,9 @@ __all__ = [
     "design_point_to_dict",
     "evaluation_key",
     "evaluator_fingerprint",
-    "point_digest",
     "load_result",
     "save_result",
     "dominates",
-    "epsilon_nondominated",
     "merge_chrome_traces",
     "pareto_front",
     "resources_section",

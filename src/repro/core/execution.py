@@ -307,17 +307,6 @@ def evaluate_one_timed(
     return evaluation, time.perf_counter() - start, stats
 
 
-def point_digest(point: DesignPoint) -> str:
-    """SHA-256 content digest of one design point (its description).
-
-    Hashing the description gives a fixed-width address usable in
-    filenames and URLs.  The description is a label, not an identity:
-    points that differ only in fields it omits (supply, CS architecture,
-    technology, ...) share a digest.
-    """
-    return hashlib.sha256(point.describe().encode()).hexdigest()
-
-
 def evaluation_key(fingerprint: str, point: DesignPoint) -> str:
     """Content address of one ``(evaluator, point)`` evaluation.
 

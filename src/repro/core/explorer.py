@@ -575,93 +575,6 @@ class DesignSpaceExplorer:
                 ckpt.close()
         return ExplorationResult(results, name=name)
 
-    def explore_adaptive(
-        self,
-        space: ParameterSpace | CompositeSpace | Iterable[DesignPoint],
-        base: DesignPoint | None = None,
-        name: str = "adaptive",
-        *,
-        objectives=None,
-        schedule=None,
-        rungs: int = 3,
-        keep_frac: float = 1 / 3,
-        epsilon: dict[str, float] | None = None,
-        group_by: Callable[[Evaluation], object] | None = None,
-        **explore_kwargs,
-    ):
-        """Multi-fidelity successive-halving exploration of ``space``.
-
-        Instead of evaluating every grid point at full fidelity, runs the
-        grid through a :class:`~repro.core.adaptive.FidelitySchedule`:
-        cheap low-fidelity waves eliminate dominated points, and only the
-        survivors reach the full-fidelity evaluator.  Recovers the same
-        Pareto front as :meth:`explore` at a fraction of the full-fidelity
-        evaluations (see ``docs/extending.md``).
-
-        Parameters (``explore_kwargs`` are :meth:`explore`'s settings,
-        applied to every rung; ``checkpoint`` expands to one path per
-        rung):
-
-        objectives:
-            A :class:`~repro.core.goal.Goal` or sequence of
-            :class:`~repro.core.pareto.Objective` steering survivor
-            selection.  Default: minimise ``power_uw``, maximise
-            ``snr_db``.
-        schedule:
-            A :class:`~repro.core.adaptive.FidelitySchedule`; default is
-            ``FidelitySchedule.geometric(rungs)``.
-        rungs:
-            Rung count of the default geometric schedule (ignored when
-            ``schedule`` is given).
-        keep_frac:
-            Per-rung survivor floor: at least ``ceil(keep_frac * n)`` of a
-            rung's points are promoted (non-dominated layers beyond the
-            front), hedging low-fidelity misranking.
-        epsilon:
-            Optional metric->slack dict widening survivor selection to the
-            epsilon-dominance band
-            (:func:`~repro.core.pareto.epsilon_nondominated`).
-        group_by:
-            Optional ``f(evaluation) -> key`` partitioning survivor
-            selection (e.g. ``lambda e: e.point.use_cs`` keeps both
-            architectures' fronts alive, as Fig. 7 needs).
-
-        Returns an :class:`~repro.core.adaptive.AdaptiveExplorationResult`:
-        the full-fidelity evaluations of the final survivors plus the
-        per-rung :class:`~repro.core.adaptive.PromotionLedger` under
-        ``.ledger``.
-        """
-        # Imported lazily: repro.core.adaptive imports this module.
-        from repro.core.adaptive import FidelitySchedule, run_adaptive
-        from repro.core.goal import Goal
-
-        if objectives is None:
-            from repro.core.pareto import Objective
-
-            objectives = (
-                Objective("power_uw", maximize=False),
-                Objective("snr_db", maximize=True),
-            )
-        elif isinstance(objectives, Goal):
-            objectives = objectives.objectives
-        if schedule is None:
-            schedule = FidelitySchedule.geometric(rungs)
-        if isinstance(space, (ParameterSpace, CompositeSpace)):
-            points = list(space.grid(base))
-        else:
-            points = list(space)
-        return run_adaptive(
-            self,
-            points,
-            objectives=tuple(objectives),
-            schedule=schedule,
-            keep_frac=keep_frac,
-            epsilon=epsilon,
-            group_by=group_by,
-            name=name,
-            **explore_kwargs,
-        )
-
     def _run_threads(
         self,
         pending: list[tuple[int, DesignPoint]],

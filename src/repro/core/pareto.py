@@ -169,65 +169,3 @@ def best_feasible(
         return None
     return min(feasible, key=lambda item: metrics_of(item)[minimize_metric])
 
-
-def epsilon_nondominated(
-    evaluations: Sequence,
-    objectives: Sequence[Objective],
-    epsilon: dict[str, float],
-    metrics_of: Callable[[object], dict] = lambda e: e.metrics,
-    constraint: Callable[[dict], bool] | None = None,
-) -> list:
-    """The epsilon-approximate Pareto set: the front plus a tolerance band.
-
-    An item is *eliminated* only when some other item beats it by more
-    than ``epsilon[metric]`` on **every** objective (and strictly more on
-    at least one) -- equivalently, an item survives when improving it by
-    ``epsilon`` on each axis would place it on the exact front.  With all
-    epsilons zero this is exactly :func:`pareto_front`; with positive
-    epsilons it additionally keeps near-front items whose metrics are
-    uncertain by up to ``epsilon`` (e.g. low-fidelity estimates in the
-    adaptive explorer).  ``epsilon`` maps metric name to an absolute
-    non-negative slack; metrics not listed get zero slack.
-
-    Feasibility rules (missing metrics, non-finite values, ``constraint``)
-    match :func:`pareto_front`; the returned items are sorted by the first
-    objective the same way.
-    """
-    if not objectives:
-        raise ValueError("need at least one objective")
-    slack = []
-    for obj in objectives:
-        value = float(epsilon.get(obj.metric, 0.0))
-        if not math.isfinite(value) or value < 0.0:
-            raise ValueError(
-                f"epsilon for {obj.metric!r} must be finite and >= 0, got {value}"
-            )
-        slack.append(value)
-    names = [obj.metric for obj in objectives]
-    feasible = []
-    for item in evaluations:
-        metrics = metrics_of(item)
-        if not _all_finite(metrics, objectives):
-            continue
-        if constraint is None or constraint(metrics):
-            feasible.append(item)
-    if not feasible:
-        return []
-    signs = np.array([-1.0 if obj.maximize else 1.0 for obj in objectives])
-    values = np.array(
-        [[metrics_of(item)[name] for name in names] for item in feasible], dtype=float
-    )
-    values *= signs
-    eps = np.asarray(slack, dtype=float)
-    keep = np.ones(len(feasible), dtype=bool)
-    for start in range(0, len(feasible), _PARETO_BLOCK):
-        # The standard filter applied against epsilon-improved candidates:
-        # block rows get their slack as a bonus before the comparison.
-        block = values[start : start + _PARETO_BLOCK] - eps[None, :]
-        at_least = (values[:, None, :] <= block[None, :, :]).all(axis=2)
-        strictly = (values[:, None, :] < block[None, :, :]).any(axis=2)
-        keep[start : start + block.shape[0]] = ~(at_least & strictly).any(axis=0)
-    band = [item for item, kept in zip(feasible, keep) if kept]
-    primary = objectives[0]
-    band.sort(key=lambda item: metrics_of(item)[primary.metric], reverse=primary.maximize)
-    return band

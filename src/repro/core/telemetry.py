@@ -96,7 +96,9 @@ log = logging.getLogger("repro.telemetry")
 #: ``points_quarantined``.
 #: v11 dropped ``kernels``, the record of which implementation ran each
 #: hot kernel: the numpy kernels are the only one, called directly.
-MANIFEST_SCHEMA_VERSION = 11
+#: v12 dropped ``adaptive``, with the multi-fidelity explorer: every
+#: sweep evaluates its whole grid.
+MANIFEST_SCHEMA_VERSION = 12
 
 
 class _Span:
@@ -575,10 +577,6 @@ class RunManifest:
     workers: dict = field(default_factory=dict)
     #: Fixed-bucket latency/iteration histograms (bucket counts + p50/95/99).
     histograms: dict = field(default_factory=dict)
-    #: Adaptive-exploration promotion ledger
-    #: (:meth:`repro.core.adaptive.PromotionLedger.to_dict`); empty for
-    #: exhaustive sweeps.
-    adaptive: dict = field(default_factory=dict)
     #: Distributed-sweep report (:meth:`repro.fleet.FleetReport.to_dict`):
     #: per-worker attribution, lease/requeue/duplicate accounting and
     #: quarantined poison chunks; empty for single-host runs.

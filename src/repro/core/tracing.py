@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -272,8 +273,9 @@ class Tracer:
         tracer stamped into the snapshot); the applied offset and the
         remote side's dropped-event count are remembered per lane for
         :meth:`summary`.  A malformed snapshot -- one :func:`chrome_trace`
-        could not export, or with a non-numeric offset or dropped count
-        -- raises :class:`ValueError` before anything is filed.
+        could not export, or with a non-numeric dropped count or an offset
+        that is not a finite number -- raises :class:`ValueError` before
+        anything is filed.
         """
         version = snapshot.get("version") if isinstance(snapshot, dict) else None
         if version != TRACE_SNAPSHOT_VERSION:
@@ -287,8 +289,12 @@ class Tracer:
             if offset is None:
                 offset = float(snapshot.get("clock_offset_s") or 0.0)
             remote_dropped = int(snapshot.get("dropped", 0))
-        except (AttributeError, KeyError, TypeError) as error:
+        except (AttributeError, KeyError, OverflowError, TypeError) as error:
             raise ValueError(f"malformed trace snapshot: {error!r}") from None
+        if not math.isfinite(offset):
+            # json.loads reads NaN off the wire; it would shift every
+            # absorbed event to NaN.
+            raise ValueError(f"trace clock offset must be finite: {offset!r}")
         events = snapshot["events"]
         if offset:
             events = [{**event, "t": event["t"] + offset} for event in events]

@@ -41,7 +41,6 @@ from repro.experiments.runner import (
     build_run_manifest,
     default_workers,
     make_harness,
-    run_adaptive_search_space,
     run_search_space,
     search_space_for,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "render_table2",
     "render_table3",
     "run_fig4",
-    "run_adaptive_search_space",
     "run_search_space",
     "space_summary",
     "verify_capability_evidence",

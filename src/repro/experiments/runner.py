@@ -30,10 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.core.adaptive import AdaptiveExplorationResult
 from repro.core.explorer import DesignSpaceExplorer, FrontEndEvaluator
-from repro.core.pareto import Objective
-from repro.core.results import Evaluation, ExplorationResult
+from repro.core.results import ExplorationResult
 from repro.core.resources import resources_section
 from repro.core.telemetry import Telemetry, RunManifest
 from repro.cs.reconstruction import FistaReconstructorFactory
@@ -218,48 +216,6 @@ def run_search_space(
     )
 
 
-#: Survivor-selection objectives of adaptive experiment runs: the Fig. 7
-#: trade-off axes.  Accuracy is deliberately included alongside SNR so the
-#: fig7b front survives promotion too.
-ADAPTIVE_OBJECTIVES = (
-    Objective("power_uw", maximize=False),
-    Objective("snr_db", maximize=True),
-    Objective("accuracy", maximize=True),
-)
-
-
-def _architecture_of(evaluation: Evaluation) -> bool:
-    """Survivor-selection grouping key: baseline vs CS (Fig. 7's curves)."""
-    return evaluation.point.use_cs
-
-
-def run_adaptive_search_space(
-    scale: str | ExperimentScale | None = None, **adaptive_kwargs
-) -> AdaptiveExplorationResult:
-    """The Fig. 7 search space explored adaptively (successive halving).
-
-    Same harness and Table III grid as :func:`run_search_space`, but only
-    rung survivors reach the full-fidelity evaluator -- see
-    :mod:`repro.core.adaptive`.  Survivor selection uses the Fig. 7
-    trade-off axes (:data:`ADAPTIVE_OBJECTIVES`) and is grouped by
-    architecture so both the baseline and the CS fronts survive promotion.
-    ``adaptive_kwargs`` go to
-    :meth:`DesignSpaceExplorer.explore_adaptive` unchanged (``rungs``,
-    ``keep_frac`` and :meth:`~DesignSpaceExplorer.explore`'s settings);
-    ``n_workers`` defaults as in :func:`run_search_space`.
-    """
-    harness = make_harness(scale)
-    if adaptive_kwargs.get("n_workers") is None:
-        adaptive_kwargs["n_workers"] = default_workers()
-    return DesignSpaceExplorer(harness.evaluator).explore_adaptive(
-        search_space_for(harness.scale),
-        name=f"fig7-adaptive-{harness.scale.name}",
-        objectives=ADAPTIVE_OBJECTIVES,
-        group_by=_architecture_of,
-        **adaptive_kwargs,
-    )
-
-
 def build_run_manifest(
     sweep: ExplorationResult,
     telemetry: Telemetry,
@@ -269,7 +225,6 @@ def build_run_manifest(
     n_workers: int | None = None,
     command: str = "sweep",
     max_eta_events: int = 200,
-    adaptive: dict | None = None,
 ) -> RunManifest:
     """Assemble the :class:`RunManifest` of one profiled sweep.
 
@@ -278,10 +233,7 @@ def build_run_manifest(
     *time* breakdowns, cache/checkpoint counters, per-point latency, ETA
     history).  ``block_time_s`` holds the ``block.*`` spans every executor
     brings home; it is empty when nothing was simulated (fully cached or
-    restored sweeps, evaluators without a signal chain).  ``adaptive`` is
-    the promotion ledger dict
-    (:meth:`~repro.core.adaptive.PromotionLedger.to_dict`) of an adaptive
-    run; exhaustive sweeps leave it empty.
+    restored sweeps, evaluators without a signal chain).
     """
     if scale is None:
         scale = active_scale()
@@ -350,7 +302,6 @@ def build_run_manifest(
         },
         trace=telemetry.tracer.summary() if telemetry.tracer is not None else {},
         resources=resources_section(snapshot),
-        adaptive=dict(adaptive) if adaptive else {},
         fleet=fleet_section,
         workers=snapshot["workers"],
         histograms=snapshot["histograms"],

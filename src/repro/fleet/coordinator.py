@@ -690,9 +690,9 @@ class FleetCoordinator:
     def _dispatch(self, worker: str, session: str, message: dict) -> dict | None:
         kind = message["type"]
         if kind == "sync":
-            # Clock probe: echo the worker's t0 with our receive time, so
-            # it can estimate the coordinator-minus-worker offset.
-            return {"type": "sync_ack", "t0": message.get("t0"), "t1": time.time()}
+            # Clock probe: our receive time lets the worker estimate the
+            # coordinator-minus-worker offset.
+            return {"type": "sync_ack", "t1": time.time()}
         if kind == "request":
             return self._handle_request(worker, session)
         if kind == "heartbeat":
@@ -848,7 +848,11 @@ class FleetCoordinator:
 
     def _handle_fail(self, worker: str, message: dict) -> dict:
         lease_id = protocol.decode_lease(message)
-        reason = str(message.get("error", "unspecified"))
+        # The reason lands in requeue events and quarantined evaluations,
+        # so only a string is one.
+        reason = message.get("error")
+        if not isinstance(reason, str):
+            raise protocol.ProtocolError(f"fail error must be a string: {reason!r}")
         with self._lock:
             events = self._table.fail(lease_id, reason) if self._table else []
             self._finalize_quarantined(events)

@@ -20,8 +20,8 @@ Message flow (worker-initiated; the coordinator only ever replies)::
                                             policy, heartbeat_interval_s,
                                             telemetry: {enabled, trace,
                                                         max_trace_events}}
-    sync {t0}                  ->
-                               <-  sync_ack {t0, t1}
+    sync {}                    ->
+                               <-  sync_ack {t1}
     request {}                 ->
                                <-  lease {lease, chunk_id, deadline_s,
                                           fingerprint, chunk_digest,
@@ -236,6 +236,28 @@ def decode_lease(message: dict) -> str:
     return lease
 
 
+def decode_sync_time(message: dict) -> float:
+    """The coordinator's clock reading ``t1`` in a ``sync_ack``.
+
+    Only a finite number is a time: a ``NaN`` would become the worker's
+    clock offset and shift every span it ships to ``NaN``.
+    """
+    t1 = message.get("t1")
+    if not _is_finite_number(t1):
+        raise ProtocolError(f"sync_ack t1 must be a finite number: {t1!r}")
+    return float(t1)
+
+
+def _is_finite_number(value) -> bool:
+    # bool is an int subclass: JSON ``true`` is not the number 1.
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
+
+
 def _decode_index(index) -> int:
     # bool is an int subclass: JSON ``true`` must not pass as index 1.
     if not isinstance(index, int) or isinstance(index, bool):
@@ -244,12 +266,7 @@ def _decode_index(index) -> int:
 
 
 def _decode_elapsed(elapsed_s) -> float:
-    if (
-        not isinstance(elapsed_s, (int, float))
-        or isinstance(elapsed_s, bool)
-        or not math.isfinite(elapsed_s)
-        or elapsed_s < 0
-    ):
+    if not _is_finite_number(elapsed_s) or elapsed_s < 0:
         raise ValueError(f"elapsed_s must be a finite number >= 0: {elapsed_s!r}")
     return float(elapsed_s)
 

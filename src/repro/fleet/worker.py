@@ -177,12 +177,12 @@ class FleetWorker:
         whose wall clocks disagree.
         """
         t0 = time.time()
-        self._send({"type": "sync", "t0": t0})
+        self._send({"type": "sync"})
         ack = protocol.recv_message(self._reader, expect=("sync_ack", "error"))
         t2 = time.time()
         if ack is None or ack["type"] == "error":
             raise protocol.ProtocolError("coordinator failed the clock sync")
-        t1 = float(ack.get("t1", t0))
+        t1 = protocol.decode_sync_time(ack)
         self.clock_offset_s = t1 - (t0 + t2) / 2.0
         self.sync_rtt_s = max(0.0, t2 - t0)
         if self.telemetry.tracer is not None:

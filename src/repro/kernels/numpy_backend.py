@@ -6,7 +6,7 @@ to their own bytes.  The wrappers in :mod:`repro.cs.reconstruction`
 validate, time and call them; the numeric cores live here.  Their
 floating-point operations, in order, are the contract: ``fista`` spells
 its sequence out in its docstring, and changing it changes the
-package's numbers (see ``docs/extending.md`` §12).  Every kernel
+package's numbers (see ``docs/extending.md`` §11).  Every kernel
 returns float64; ``fista`` iterates in float32 (release 1.4.0), the
 others in float64.
 

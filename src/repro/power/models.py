@@ -78,28 +78,14 @@ def lna_power(point: DesignPoint, c_load: float | None = None) -> float:
     is the reason the CS system (which tolerates a higher noise floor) saves
     LNA power.
     """
-    tech = point.technology
-    if c_load is None:
-        c_load = point.lna_load_capacitance
-    check_positive("c_load", c_load)
-
-    gbw = point.lna_gain * point.bw_lna
-    i_gbw = gbw * 2.0 * math.pi * c_load / tech.gm_over_id
-    i_slew = point.v_ref * point.f_clk * c_load
-    i_noise = (
-        (tech.nef / point.lna_noise_rms) ** 2
-        * 2.0
-        * math.pi
-        * 4.0
-        * tech.kt
-        * point.bw_lna
-        * tech.v_t
-    )
-    return point.v_dd * max(i_gbw, i_slew, i_noise)
+    return point.v_dd * max(lna_current_bounds(point, c_load).values())
 
 
 def lna_current_bounds(point: DesignPoint, c_load: float | None = None) -> dict[str, float]:
-    """The three LNA current bounds individually (amperes), for diagnostics."""
+    """The three LNA current bounds individually (amperes).
+
+    :func:`lna_power` draws the largest; the others are diagnostics.
+    """
     tech = point.technology
     if c_load is None:
         c_load = point.lna_load_capacitance

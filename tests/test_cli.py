@@ -151,55 +151,6 @@ class TestProfiledSweep:
         assert (manifest.executor, manifest.n_workers) == ("process", 2)
         assert sorted(manifest.fleet["workers"]) == ["worker-0", "worker-1"]
 
-
-class TestAdaptiveSweep:
-    def test_adaptive_flags_parse(self):
-        args = build_parser().parse_args(
-            ["sweep", "--adaptive", "--rungs", "4", "--keep-frac", "0.25"]
-        )
-        assert args.adaptive
-        assert args.rungs == 4
-        assert args.keep_frac == 0.25
-
-    def test_adaptive_defaults(self):
-        args = build_parser().parse_args(["sweep"])
-        assert not args.adaptive
-        assert args.rungs == 3
-        assert args.keep_frac == pytest.approx(1 / 3)
-
-    def test_adaptive_sweep_writes_ledger_into_manifest(self, tmp_path, capsys):
-        from repro.core.telemetry import MANIFEST_SCHEMA_VERSION, RunManifest
-
-        manifest_path = tmp_path / "run.manifest.json"
-        assert (
-            main(
-                [
-                    "sweep",
-                    "--scale", "smoke",
-                    "--adaptive",
-                    "--rungs", "2",
-                    "--no-cache",
-                    "--manifest", str(manifest_path),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "adaptive exploration (successive halving)" in out
-        assert "full-fidelity evaluations" in out
-        assert "Pareto" in out
-
-        manifest = RunManifest.load(manifest_path)
-        assert manifest.schema == MANIFEST_SCHEMA_VERSION
-        assert manifest.command == "sweep --adaptive"
-        assert manifest.executor == "serial"
-        ledger = manifest.adaptive
-        assert ledger["grid_size"] == 18
-        assert len(ledger["rungs"]) == 2
-        assert ledger["rungs"][-1]["name"] == "full"
-        assert 0 < ledger["full_fidelity_evaluations"] <= 18
-        assert ledger["reduction"] >= 1.0
-
     def test_observability_flags_parse_on_every_command(self):
         for argv in (
             ["tables", "--profile"],
@@ -419,10 +370,6 @@ class TestFleetCli:
     def test_fleet_conflicts_with_other_executor(self, capsys):
         assert main(["sweep", "--fleet", "--executor", "thread"]) == 2
         assert "'process' executor" in capsys.readouterr().err
-
-    def test_fleet_conflicts_with_adaptive(self, capsys):
-        assert main(["sweep", "--fleet", "--adaptive"]) == 2
-        assert "--adaptive" in capsys.readouterr().err
 
 
 class TestTraceMergeCli:

@@ -583,7 +583,7 @@ class TestFleetExplorer:
         manifest = build_run_manifest(
             result, tel, "smoke", executor="process", n_workers=2
         )
-        assert manifest.schema == MANIFEST_SCHEMA_VERSION == 11
+        assert manifest.schema == MANIFEST_SCHEMA_VERSION == 12
         assert manifest.fleet["points_total"] == space.size
         assert manifest.fleet["points_completed"] == space.size
         assert sorted(manifest.fleet["workers"]) == ["worker-0", "worker-1"]
@@ -899,6 +899,7 @@ class TestCompletionValidation:
             ("index", True),
             ("elapsed_s", math.inf),
             ("elapsed_s", -5.0),
+            pytest.param("elapsed_s", 10**400, id="elapsed_s-beyond-float"),
         ],
     )
     def test_mistyped_row_stats_drop_the_connection_not_the_sweep(
@@ -943,3 +944,72 @@ class TestCompletionValidation:
 
         tel = self._sweep_past_a_sloppy_worker(monkeypatch, misbehave)
         assert "fleet.worker_failures" not in tel.counters
+
+    @pytest.mark.parametrize(
+        "error", [None, 7, ["boom"], {"why": "boom"}], ids=["null", "int", "list", "object"]
+    )
+    def test_mistyped_fail_error_drops_the_connection_not_the_sweep(
+        self, monkeypatch, error
+    ):
+        # Coerced with str(), the reason would land in requeue events and
+        # in quarantined evaluations.
+        def misbehave(sloppy, lease):
+            sloppy.send({"type": "fail", "lease": lease["lease"], "error": error})
+
+        tel = self._sweep_past_a_sloppy_worker(monkeypatch, misbehave)
+        assert "fleet.worker_failures" not in tel.counters
+
+
+# --- the clock-sync exchange --------------------------------------------------
+
+
+class TestClockSync:
+    def test_ack_carries_only_the_coordinator_clock(self):
+        # The worker times the exchange on its own clock, so nothing it
+        # sends in a sync comes back.
+        from repro.fleet import FleetCoordinator
+
+        coordinator = FleetCoordinator(
+            evaluator_fingerprint(ToyEvaluator()), policy=DEFAULT_POLICY
+        )
+        try:
+            worker = RawWorker(coordinator.endpoint, label="sync")
+            ack = worker.ask({"type": "sync", "t0": {"at": [1, {"deep": "x"}]}}, ("sync_ack",))
+            worker.close()
+        finally:
+            coordinator.close()
+        assert set(ack) == {"type", "t1"}
+        assert math.isfinite(ack["t1"])
+
+    @pytest.mark.parametrize(
+        "t1", ['"soon"', "null", "NaN", "Infinity", "true"], ids=lambda token: token
+    )
+    def test_worker_refuses_a_clock_that_is_not_a_finite_number(self, t1):
+        from repro.fleet import FleetWorker
+
+        received = []
+
+        def stub_coordinator(listener):
+            conn, _ = listener.accept()
+            with conn, conn.makefile("r", encoding="utf-8", newline="\n") as reader:
+                received.append(json.loads(reader.readline()))
+                welcome = {"type": "welcome", "protocol": protocol.PROTOCOL_VERSION}
+                conn.sendall((json.dumps(welcome) + "\n").encode())
+                received.append(json.loads(reader.readline()))
+                conn.sendall(('{"type": "sync_ack", "t1": ' + t1 + "}\n").encode())
+                reader.readline()  # until the worker hangs up
+
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            stub = threading.Thread(target=stub_coordinator, args=(listener,), daemon=True)
+            stub.start()
+            worker = FleetWorker(listener.getsockname(), ToyEvaluator(), label="w")
+            try:
+                with pytest.raises(ProtocolError, match="t1"):
+                    worker.run()
+            finally:
+                worker._disconnect()
+            stub.join(10)
+        assert not stub.is_alive()
+        assert received[1] == {"type": "sync"}

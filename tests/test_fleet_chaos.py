@@ -207,7 +207,7 @@ class TestDistributedObservability:
     """The tentpole acceptance path: one chaos-injected fleet sweep must
     leave behind (a) a single merged Chrome trace with per-worker lanes
     and coordinator-parented, clock-aligned spans, (b) a flight-recorder
-    artifact for the killed worker, and (c) a schema-v11 manifest whose
+    artifact for the killed worker, and (c) a schema-v12 manifest whose
     ``trace``/``resources`` sections account for the merge."""
 
     def test_chaos_sweep_produces_merged_trace_and_flight_artifact(
@@ -285,7 +285,7 @@ class TestDistributedObservability:
         manifest = build_run_manifest(
             result, tel, "smoke", executor="process", n_workers=3
         )
-        assert manifest.schema == MANIFEST_SCHEMA_VERSION == 11
+        assert manifest.schema == MANIFEST_SCHEMA_VERSION == 12
         assert manifest.trace["events"] > 0
         assert set(manifest.trace) >= {"clock_offsets", "dropped_by_lane", "lanes"}
         offsets = manifest.trace["clock_offsets"]

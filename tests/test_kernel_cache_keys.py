@@ -2,7 +2,7 @@
 
 ``FrontEndEvaluator.fingerprint`` keys the on-disk evaluation cache.  It
 hashes the package version, so a release that changes the kernels'
-arithmetic (and bumps the version, ``docs/extending.md`` §12) never
+arithmetic (and bumps the version, ``docs/extending.md`` §11) never
 serves evaluations cached under the old arithmetic.
 """
 

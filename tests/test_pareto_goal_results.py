@@ -1,6 +1,10 @@
 """Tests of Pareto extraction, goal functions and result containers."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.goal import (
     Goal,
@@ -21,6 +25,16 @@ def ev(power, quality, use_cs=False, area=100.0):
 
 
 OBJ = (Objective("power_uw", maximize=False), Objective("accuracy", maximize=True))
+
+# Metric values including the pathological ones: NaN, +/-inf, and huge
+# magnitudes, alongside ordinary finite floats.
+wild_value = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.just(float("nan")),
+    st.just(float("inf")),
+    st.just(float("-inf")),
+)
+wild_rows = st.lists(st.tuples(wild_value, wild_value), min_size=1, max_size=40)
 
 
 class TestDominates:
@@ -127,6 +141,18 @@ class TestNonFiniteHandling:
         assert not dominates(a, b, OBJ)
         assert not dominates(b, a, OBJ)
 
+    def test_two_non_finite_points_tie(self):
+        a = {"power_uw": self.nan, "accuracy": 0.9}
+        b = {"power_uw": 1.0, "accuracy": self.inf}
+        assert not dominates(a, b, OBJ)
+        assert not dominates(b, a, OBJ)
+
+    def test_inf_treated_like_nan(self):
+        inf = {"power_uw": -self.inf, "accuracy": 0.9}
+        good = {"power_uw": 5.0, "accuracy": 0.1}
+        assert dominates(good, inf, OBJ)
+        assert not dominates(inf, good, OBJ)
+
     def test_best_feasible_skips_nan_target(self):
         # The NaN candidate must lose regardless of scan order.
         evals = [ev(self.nan, 0.9), ev(3, 0.9)]
@@ -135,6 +161,45 @@ class TestNonFiniteHandling:
 
     def test_best_feasible_all_nan_returns_none(self):
         assert best_feasible([ev(self.nan, 0.9)], "power_uw") is None
+
+
+class TestParetoNonFiniteFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(wild_rows)
+    def test_front_never_contains_non_finite_point(self, rows):
+        front = pareto_front([ev(power, quality) for power, quality in rows], OBJ)
+        for evaluation in front:
+            assert math.isfinite(evaluation.metrics["power_uw"])
+            assert math.isfinite(evaluation.metrics["accuracy"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(wild_rows)
+    def test_scalar_dominates_matches_vectorised_filter(self, rows):
+        """Brute force via dominates() == the vectorised filter, NaN included."""
+        evals = [ev(power, quality) for power, quality in rows]
+        brute = [
+            candidate
+            for candidate in evals
+            if all(math.isfinite(candidate.metrics[obj.metric]) for obj in OBJ)
+            and not any(
+                dominates(other.metrics, candidate.metrics, OBJ)
+                for other in evals
+                if other is not candidate
+            )
+        ]
+        assert sorted(map(id, brute)) == sorted(map(id, pareto_front(evals, OBJ)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(wild_rows)
+    def test_best_feasible_is_order_independent(self, rows):
+        evals = [ev(power, quality) for power, quality in rows]
+        forward = best_feasible(evals, "power_uw")
+        backward = best_feasible(list(reversed(evals)), "power_uw")
+        if forward is None:
+            assert backward is None
+        else:
+            assert not math.isnan(forward.metrics["power_uw"])
+            assert forward.metrics["power_uw"] == backward.metrics["power_uw"]
 
 
 class TestGoals:

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.core.execution import EvaluationCache, evaluation_key, point_digest
+from repro.core.execution import EvaluationCache, evaluation_key
 from repro.core.explorer import DesignSpaceExplorer
 from repro.core.results import Evaluation, ExplorationResult
 from repro.power.technology import DesignPoint
@@ -51,10 +51,6 @@ class TestContentAddressing:
         cache = EvaluationCache(tmp_path)
         point = DesignPoint(n_bits=7)
         assert cache._path(FP, point).stem == evaluation_key(FP, point)
-
-    def test_point_digest_depends_on_description(self):
-        assert point_digest(DesignPoint(n_bits=6)) != point_digest(DesignPoint(n_bits=7))
-        assert point_digest(DesignPoint(n_bits=6)) == point_digest(DesignPoint(n_bits=6))
 
     def test_store_blobs_are_cache_hits(self, tmp_path):
         """An evaluation stored via put_sweep must be a cache hit for the

@@ -1,6 +1,7 @@
 """Tests of hierarchical tracing and cross-process telemetry shipping."""
 
 import json
+import math
 from dataclasses import dataclass
 
 import pytest
@@ -162,6 +163,10 @@ class TestTracer:
             lambda snap: {**snap, "lanes": {"pid": "worker"}},
             lambda snap: {**snap, "clock_offset_s": "soon"},
             lambda snap: {**snap, "dropped": "many"},
+            lambda snap: {**snap, "clock_offset_s": math.nan},
+            lambda snap: {**snap, "clock_offset_s": math.inf},
+            lambda snap: {**snap, "clock_offset_s": -math.inf},
+            lambda snap: {**snap, "dropped": math.inf},
         ],
     )
     def test_absorb_rejects_malformed_snapshots_whole(self, corrupt):
