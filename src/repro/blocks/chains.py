@@ -15,7 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.blocks.cs_frontend import CsEncoderBlock, CsReconstructionBlock
+from repro.blocks.cs_frontend import (
+    CsEncoderBlock,
+    CsReconstructionBlock,
+    DigitalCsEncoderBlock,
+)
 from repro.blocks.dsp import Normalizer
 from repro.blocks.lna import LNA
 from repro.blocks.sample_hold import SampleHold
@@ -63,6 +67,31 @@ def encoder_attenuation(phi_effective) -> float:
     return float(row_energy**0.5)
 
 
+def _matrix_and_receiver(
+    point: DesignPoint,
+    matrix: SensingMatrix | None,
+    reconstructor: Reconstructor | None,
+    seed: int,
+) -> tuple[SensingMatrix, Reconstructor]:
+    """A CS chain's s-SRBM routing matrix and receiver, drawn or checked."""
+    if matrix is None:
+        matrix = make_sensing_matrix(
+            "srbm",
+            point.cs_m,
+            point.cs_n_phi,
+            sparsity=point.cs_sparsity,
+            seed=derive_seed(seed, "sensing-matrix"),
+        )
+    if matrix.m != point.cs_m or matrix.n != point.cs_n_phi:
+        raise ValueError(
+            f"matrix is {matrix.m}x{matrix.n} but design point wants "
+            f"{point.cs_m}x{point.cs_n_phi}"
+        )
+    if reconstructor is None:
+        reconstructor = FistaReconstructorFactory()(point)
+    return matrix, reconstructor
+
+
 def build_cs_chain(
     point: DesignPoint,
     matrix: SensingMatrix | None = None,
@@ -100,21 +129,7 @@ def build_cs_chain(
         raise ValueError(
             "design point selects the digital CS encoder; use build_digital_cs_chain"
         )
-    if matrix is None:
-        matrix = make_sensing_matrix(
-            "srbm",
-            point.cs_m,
-            point.cs_n_phi,
-            sparsity=point.cs_sparsity,
-            seed=derive_seed(seed, "sensing-matrix"),
-        )
-    if matrix.m != point.cs_m or matrix.n != point.cs_n_phi:
-        raise ValueError(
-            f"matrix is {matrix.m}x{matrix.n} but design point wants "
-            f"{point.cs_m}x{point.cs_n_phi}"
-        )
-    if reconstructor is None:
-        reconstructor = FistaReconstructorFactory()(point)
+    matrix, reconstructor = _matrix_and_receiver(point, matrix, reconstructor, seed)
     encoder = CsEncoderBlock.from_design(point, matrix, seed=derive_seed(seed, "cs-mismatch"))
     lna = LNA.from_design(point)
     if compensate_attenuation:
@@ -150,23 +165,7 @@ def build_digital_cs_chain(
         raise ValueError(
             "design point must have use_cs=True and cs_architecture='digital'"
         )
-    if matrix is None:
-        matrix = make_sensing_matrix(
-            "srbm",
-            point.cs_m,
-            point.cs_n_phi,
-            sparsity=point.cs_sparsity,
-            seed=derive_seed(seed, "sensing-matrix"),
-        )
-    if matrix.m != point.cs_m or matrix.n != point.cs_n_phi:
-        raise ValueError(
-            f"matrix is {matrix.m}x{matrix.n} but design point wants "
-            f"{point.cs_m}x{point.cs_n_phi}"
-        )
-    if reconstructor is None:
-        reconstructor = FistaReconstructorFactory()(point)
-    from repro.blocks.cs_frontend import DigitalCsEncoderBlock
-
+    matrix, reconstructor = _matrix_and_receiver(point, matrix, reconstructor, seed)
     return SystemModel(
         [
             LNA.from_design(point),

@@ -155,7 +155,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             spawn_workers=(
                 args.fleet_spawn if args.fleet_spawn is not None else (workers or 3)
             ),
-            worker_cache_dir=None if args.no_cache else args.cache_dir,
             **fleet_kwargs,
         )
     try:
@@ -170,7 +169,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         checkpoint=args.checkpoint,
         cache=None if args.no_cache else args.cache_dir,
         telemetry=telemetry if telemetry.enabled else None,
-        policy=ExecutionPolicy(timeout_s=args.timeout, retries=args.retries),
+        policy=ExecutionPolicy(timeout_s=args.timeout),
         progress=(
             None
             if args.no_progress
@@ -271,7 +270,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
         severities=tuple(args.severities),
         n_realisations=args.realisations,
         max_degradation=args.max_degradation,
-        policy=ExecutionPolicy(timeout_s=args.timeout, retries=args.retries),
+        policy=ExecutionPolicy(timeout_s=args.timeout),
         telemetry=telemetry if telemetry.enabled else None,
     )
     print(f"robustness analysis at scale {args.scale!r}\n")
@@ -321,10 +320,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         )
         return 2
     worker = FleetWorker(
-        endpoint,
-        label=args.label,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        connect_timeout_s=args.connect_timeout,
+        endpoint, label=args.label, connect_timeout_s=args.connect_timeout
     )
     print(f"worker {worker.label} connecting to {endpoint[0]}:{endpoint[1]}")
     try:
@@ -338,9 +334,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     stats = worker.stats
     print(
         f"worker {worker.label} done: {stats['chunks']} chunks, "
-        f"{stats['points']} points ({stats['cache_hits']} cache hits, "
-        f"{stats['evaluator_calls']} evaluator calls, "
-        f"{stats['reconnects']} reconnects)"
+        f"{stats['points']} points, {stats['reconnects']} reconnects"
     )
     return 0
 
@@ -589,12 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-point wall-clock ceiling; a hung evaluation becomes a "
         "failed point instead of stalling the sweep",
     )
-    sweep.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="bounded retries (exponential backoff) for failing points",
-    )
     sweep.set_defaults(func=_cmd_sweep)
 
     robustness = sub.add_parser(
@@ -631,9 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="per-evaluation wall-clock ceiling",
-    )
-    robustness.add_argument(
-        "--retries", type=int, default=0, help="bounded retries per evaluation"
     )
     robustness.add_argument(
         "--manifest",
@@ -677,14 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--label",
         default=None,
         help="worker label for telemetry attribution (default: hostname:pid)",
-    )
-    worker.add_argument(
-        "--cache-dir",
-        default=".repro-cache",
-        help="local on-disk evaluation cache directory",
-    )
-    worker.add_argument(
-        "--no-cache", action="store_true", help="disable the local evaluation cache"
     )
     worker.add_argument(
         "--connect-timeout",

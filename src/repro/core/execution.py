@@ -24,9 +24,10 @@ layers these mechanisms on top of the bare evaluation loop:
   guard makes two concurrent sweeps sharing a checkpoint path fail fast
   instead of interleaving appends into corrupt JSONL.
 * **Hardened evaluation** (:class:`ExecutionPolicy`) -- per-point
-  wall-clock timeouts (a hung solve becomes a failed
-  :class:`Evaluation`, not a stalled sweep) and bounded retry with
-  exponential backoff for transient failures.
+  wall-clock timeouts: a hung solve becomes a failed
+  :class:`Evaluation`, not a stalled sweep.  Each pending point is
+  evaluated once; evaluations are deterministic given their seed, so a
+  failure would repeat.
 
 Worker processes receive the evaluator once, when they start, not per
 chunk, so the corpus array crosses the process boundary a single time
@@ -36,11 +37,11 @@ per worker.
 from __future__ import annotations
 
 import contextvars
+import fcntl
 import hashlib
 import json
 import logging
 import os
-import random
 import threading
 import time
 from collections.abc import Callable, Iterable, Sequence
@@ -57,12 +58,6 @@ from repro.core.serialization import (
 from repro.core.telemetry import get_active
 from repro.power.technology import DesignPoint
 from repro.util.fsio import atomic_write_text
-from repro.util.rng import derive_seed
-
-try:  # POSIX advisory locking; the fallback covers other platforms.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platform
-    fcntl = None  # type: ignore[assignment]
 
 log = logging.getLogger("repro.execution")
 
@@ -117,7 +112,7 @@ class CheckpointLockedError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """Fault-tolerance knobs applied to every point evaluation.
+    """Fault-tolerance knob applied to every point evaluation.
 
     Parameters
     ----------
@@ -128,55 +123,17 @@ class ExecutionPolicy:
         worker process exits) rather than interrupted -- the standard
         pure-Python trade-off; pick a ceiling well above the honest
         per-point latency.
-    retries:
-        Extra attempts after a failed evaluation (0 = fail immediately).
-        Evaluations are deterministic given their seed, so retries pay off
-        only for *transient* failures (OOM kills, flaky I/O in custom
-        evaluators), which is exactly what they are bounded for.
-    retry_backoff_s:
-        Base of the exponential backoff between attempts: attempt ``k``
-        sleeps up to ``retry_backoff_s * 2**(k-1)`` seconds.  0 disables
-        the sleep (used by tests).
-
-    Timed-out evaluations are never retried (each abandoned attempt
-    leaks a watchdog thread), and retry delays carry seeded full jitter
-    (:func:`retry_delay_s`).
     """
 
     timeout_s: float | None = None
-    retries: int = 0
-    retry_backoff_s: float = 0.5
 
     def __post_init__(self) -> None:
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError(f"timeout_s must be > 0 or None, got {self.timeout_s}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.retry_backoff_s < 0:
-            raise ValueError(
-                f"retry_backoff_s must be >= 0, got {self.retry_backoff_s}"
-            )
 
 
-#: The do-nothing policy: no timeout, no retries (pre-hardening semantics).
+#: The do-nothing policy: no timeout.
 DEFAULT_POLICY = ExecutionPolicy()
-
-
-def retry_delay_s(
-    policy: ExecutionPolicy, point: DesignPoint, attempt: int
-) -> float:
-    """Backoff before retry ``attempt`` (1-based) of ``point``.
-
-    A full-jitter uniform draw over ``[0, ceiling]``, the ceiling
-    exponential in the attempt number, seeded from the point description
-    and attempt: concurrent workers retrying the same transient fault
-    decorrelate, and each point's schedule stays reproducible.
-    """
-    ceiling = policy.retry_backoff_s * 2 ** (attempt - 1)
-    if ceiling <= 0:
-        return 0.0
-    rng = random.Random(derive_seed(attempt, f"retry:{point.describe()}"))
-    return rng.uniform(0.0, ceiling)
 
 
 def _call_with_timeout(
@@ -215,27 +172,27 @@ def _call_with_timeout(
     return value
 
 
-def _evaluate_with_policy(
+def evaluate_one(
     evaluator: Callable[[DesignPoint], Evaluation],
     point: DesignPoint,
     strict: bool,
-    policy: ExecutionPolicy,
-) -> tuple[Evaluation, dict]:
-    """Evaluate ``point`` under ``policy``; returns (evaluation, stats).
+    policy: ExecutionPolicy = DEFAULT_POLICY,
+) -> Evaluation:
+    """Evaluate ``point`` once, isolating failures unless ``strict``.
 
-    ``stats`` counts ``{"retries": n, "timeouts": n}`` for this point so
-    the driver can aggregate them into its telemetry (worker processes
-    have no ambient telemetry of their own).
+    A raising design point becomes a failed :class:`Evaluation` (empty
+    metrics, ``error`` set) so one pathological grid corner cannot kill an
+    hours-long sweep; ``strict=True`` restores fail-fast semantics (and
+    wraps the failure in :class:`PointEvaluationError` so the traceback
+    names the point).  ``policy`` adds a per-point timeout; a timed-out
+    point's ``error`` starts with ``EvaluationTimeout``.
     """
-    stats = {"retries": 0, "timeouts": 0}
-    attempt = 0
-    while True:
-        try:
-            if policy.timeout_s is None:
-                return evaluator(point), stats
-            return _call_with_timeout(evaluator, point, policy.timeout_s), stats
-        except EvaluationTimeout as error:
-            stats["timeouts"] += 1
+    try:
+        if policy.timeout_s is None:
+            return evaluator(point)
+        return _call_with_timeout(evaluator, point, policy.timeout_s)
+    except Exception as error:  # noqa: BLE001 - the isolation boundary
+        if isinstance(error, EvaluationTimeout):
             # A timed-out point is exactly the moment a postmortem wants
             # the recent event trail: dump the flight-recorder ring.
             flight.record(
@@ -246,48 +203,11 @@ def _evaluate_with_policy(
                 detail=str(error),
                 point=point.describe(),
                 timeout_s=policy.timeout_s,
-                attempt=attempt,
             )
-            failure: Exception = error
-        except Exception as error:  # noqa: BLE001 - the isolation boundary
-            failure = error
-            if attempt < policy.retries:
-                attempt += 1
-                stats["retries"] += 1
-                if policy.retry_backoff_s > 0:
-                    time.sleep(retry_delay_s(policy, point, attempt))
-                continue
+        failure = f"{type(error).__name__}: {error}"
         if strict:
-            raise PointEvaluationError(
-                point.describe(), f"{type(failure).__name__}: {failure}"
-            ) from failure
-        return (
-            Evaluation(
-                point=point,
-                metrics={},
-                error=f"{type(failure).__name__}: {failure}",
-            ),
-            stats,
-        )
-
-
-def evaluate_one(
-    evaluator: Callable[[DesignPoint], Evaluation],
-    point: DesignPoint,
-    strict: bool,
-    policy: ExecutionPolicy = DEFAULT_POLICY,
-) -> Evaluation:
-    """Evaluate ``point``, isolating failures unless ``strict``.
-
-    A raising design point becomes a failed :class:`Evaluation` (empty
-    metrics, ``error`` set) so one pathological grid corner cannot kill an
-    hours-long sweep; ``strict=True`` restores fail-fast semantics (and
-    wraps the failure in :class:`PointEvaluationError` so the traceback
-    names the point).  ``policy`` adds per-point timeouts and bounded
-    retry on top; the default policy is a plain single attempt.
-    """
-    evaluation, _ = _evaluate_with_policy(evaluator, point, strict, policy)
-    return evaluation
+            raise PointEvaluationError(point.describe(), failure) from error
+        return Evaluation(point=point, metrics={}, error=failure)
 
 
 def evaluate_one_timed(
@@ -295,16 +215,20 @@ def evaluate_one_timed(
     point: DesignPoint,
     strict: bool,
     policy: ExecutionPolicy = DEFAULT_POLICY,
-) -> tuple[Evaluation, float, dict]:
-    """:func:`evaluate_one` plus wall time and retry/timeout stats.
+) -> tuple[Evaluation, float]:
+    """:func:`evaluate_one` plus its wall time.
 
     The timing is measured *inside* the worker so parallel sweeps report
-    true per-point latency, not per-chunk completion granularity; the
-    stats dict travels with the result for driver-side aggregation.
+    true per-point latency, not per-chunk completion granularity.
     """
     start = time.perf_counter()
-    evaluation, stats = _evaluate_with_policy(evaluator, point, strict, policy)
-    return evaluation, time.perf_counter() - start, stats
+    evaluation = evaluate_one(evaluator, point, strict, policy)
+    return evaluation, time.perf_counter() - start
+
+
+def timed_out(evaluation: Evaluation) -> bool:
+    """Whether :func:`evaluate_one` failed ``evaluation`` on its timeout."""
+    return (evaluation.error or "").startswith(EvaluationTimeout.__name__)
 
 
 def evaluation_key(fingerprint: str, point: DesignPoint) -> str:
@@ -371,7 +295,7 @@ def evaluate_chunk_with(
     strict: bool,
     chunk: list[tuple[int, DesignPoint]],
     policy: ExecutionPolicy = DEFAULT_POLICY,
-) -> list[tuple[int, Evaluation, float, dict]]:
+) -> list[tuple[int, Evaluation, float]]:
     """Evaluate one chunk with an explicit evaluator (the thread executor).
 
     The ambient telemetry (when profiling) wraps the chunk in an
@@ -380,7 +304,7 @@ def evaluate_chunk_with(
     reduces both to shared no-op context managers.
     """
     tel = get_active()
-    rows: list[tuple[int, Evaluation, float, dict]] = []
+    rows: list[tuple[int, Evaluation, float]] = []
     with tel.span("explore.shard", points=len(chunk)):
         for index, point in chunk:
             with tel.span("explore.point", index=index):
@@ -526,10 +450,9 @@ class SweepCheckpoint:
     A sidecar lock file (``<path>.lock``) guards the writer: two
     concurrent sweeps pointed at the same checkpoint raise
     :class:`CheckpointLockedError` instead of interleaving appends into
-    corrupt JSONL.  On POSIX the guard is ``flock`` on an empty lock file
+    corrupt JSONL.  The guard is ``flock`` on an empty lock file
     (released by the kernel even if the holder is SIGKILLed, so no stale
-    locks); elsewhere it falls back to an exclusive-create file holding
-    the writer's pid, with a stale-pid check.
+    locks).
     """
 
     def __init__(self, path: str | Path, fingerprint: str | None = None):
@@ -552,12 +475,6 @@ class SweepCheckpoint:
         if self._lock_handle is not None:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if fcntl is not None:
-            self._acquire_flock()
-        else:  # pragma: no cover - non-POSIX platform
-            self._acquire_exclusive_create()
-
-    def _acquire_flock(self) -> None:
         # Loop: the lock file may be unlinked by a releasing holder
         # between our open() and flock(); re-stat after locking and retry
         # if we locked a ghost inode.
@@ -581,34 +498,6 @@ class SweepCheckpoint:
             except OSError:
                 pass  # lock file vanished underneath us: retry
             handle.close()
-
-    def _acquire_exclusive_create(self) -> None:  # pragma: no cover - non-POSIX
-        try:
-            fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            try:
-                pid = int(Path(self.lock_path).read_text().strip() or "0")
-            except (OSError, ValueError):
-                pid = 0
-            alive = False
-            if pid > 0:
-                try:
-                    os.kill(pid, 0)
-                    alive = True
-                except OSError:
-                    alive = False
-            if alive:
-                raise CheckpointLockedError(
-                    f"checkpoint {self.path} is locked by pid {pid} "
-                    f"(lock file: {self.lock_path})"
-                ) from None
-            # Stale lock from a dead process: steal it.
-            Path(self.lock_path).unlink(missing_ok=True)
-            fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        handle = os.fdopen(fd, "w")
-        handle.write(f"{os.getpid()}\n")
-        handle.flush()
-        self._lock_handle = handle
 
     def release(self) -> None:
         """Drop the writer lock and remove the lock file."""

@@ -45,6 +45,7 @@ from repro.core.execution import (
     evaluate_one_timed,
     evaluator_fingerprint,
     resolve_executor,
+    timed_out,
 )
 from repro.core.resources import ResourceSampler
 from repro.core.telemetry import Telemetry, activate, get_active
@@ -205,11 +206,7 @@ class FrontEndEvaluator:
         """
         # Imported here: repro.blocks imports repro.core (Block base class),
         # so a module-level import would be circular.
-        from repro.blocks.chains import (
-            build_baseline_chain,
-            build_cs_chain,
-            build_digital_cs_chain,
-        )
+        from repro.blocks.chains import build_chain
 
         _check_rate(
             self.sample_rate,
@@ -219,24 +216,15 @@ class FrontEndEvaluator:
         )
         n_samples = self.records.shape[1]
         point_seed = derive_seed(self.seed, point.describe())
+        reconstructor = None  # a baseline chain has no receiver
         if point.use_cs:
             if n_samples % point.cs_n_phi:
                 raise ValueError(
                     f"record length {n_samples} is not a multiple of N_phi="
                     f"{point.cs_n_phi}"
                 )
-            builder = (
-                build_digital_cs_chain
-                if point.cs_architecture == "digital"
-                else build_cs_chain
-            )
-            chain = builder(
-                point,
-                reconstructor=self.reconstructor_factory(point),
-                seed=point_seed,
-            )
-        else:
-            chain = build_baseline_chain(point, seed=point_seed)
+            reconstructor = self.reconstructor_factory(point)
+        chain = build_chain(point, seed=point_seed, reconstructor=reconstructor)
         if self.chain_transform is not None:
             chain = self.chain_transform(chain, point, point_seed)
         return chain, derive_seed(point_seed, "run")
@@ -375,8 +363,8 @@ class DesignSpaceExplorer:
             :class:`~repro.core.execution.ExecutionPolicy` applied to every
             point: a wall-clock timeout (a timed-out point becomes a
             failed :class:`Evaluation` when non-strict, so a hung
-            reconstruction cannot stall the sweep) and bounded retry with
-            exponential backoff of *failing* (not timed-out) points.
+            reconstruction cannot stall the sweep).  Every pending point
+            is evaluated once, and a failed point stays failed.
         fleet:
             :class:`~repro.fleet.FleetOptions` of the ``"process"``
             executor (endpoint, spawned local workers, lease timeout,
@@ -400,7 +388,7 @@ class DesignSpaceExplorer:
         * ``KeyboardInterrupt`` stops dispatch, fills the unevaluated
           slots with failed evaluations (``error`` starting with
           ``"Interrupted"``) *without* checkpointing them -- so a resumed
-          run retries them -- and returns the partial result.
+          run evaluates them -- and returns the partial result.
         """
         executor = resolve_executor(executor, n_workers, fleet)
         if isinstance(space, (ParameterSpace, CompositeSpace)):
@@ -444,7 +432,6 @@ class DesignSpaceExplorer:
             evaluation: Evaluation,
             record: bool = True,
             elapsed: float | None = None,
-            stats: dict | None = None,
         ) -> None:
             nonlocal completed
             results[index] = evaluation
@@ -456,13 +443,11 @@ class DesignSpaceExplorer:
             if tel.enabled:
                 if elapsed is not None:
                     tel.observe("explore.point_seconds", elapsed)
-                if stats:
-                    if stats.get("retries"):
-                        tel.count("explore.retries", stats["retries"])
-                    if stats.get("timeouts"):
-                        tel.count("explore.timeouts", stats["timeouts"])
                 if evaluation.error is not None:
                     tel.count("explore.failures")
+                    # Timeouts of this run only, not restored ones.
+                    if record and timed_out(evaluation):
+                        tel.count("explore.timeouts")
                 run_elapsed = time.perf_counter() - start_time
                 rate = completed / run_elapsed if run_elapsed > 0 else 0.0
                 tel.event(
@@ -534,10 +519,10 @@ class DesignSpaceExplorer:
                     if pending and executor == "serial":
                         for index, point in pending:
                             with tel.span("explore.point", index=index):
-                                evaluation, elapsed, stats = evaluate_one_timed(
+                                evaluation, elapsed = evaluate_one_timed(
                                     self.evaluator, point, strict, policy
                                 )
-                            finalize(index, evaluation, elapsed=elapsed, stats=stats)
+                            finalize(index, evaluation, elapsed=elapsed)
                     elif pending and executor == "thread":
                         self._run_threads(
                             pending, n_workers, chunk_size, strict, policy, finalize
@@ -553,7 +538,7 @@ class DesignSpaceExplorer:
                     log.warning(
                         "sweep interrupted after %d/%d points; returning partial "
                         "results (unevaluated points are marked failed and are "
-                        "NOT checkpointed, so a resumed run retries them)",
+                        "NOT checkpointed, so a resumed run evaluates them)",
                         completed,
                         total,
                     )
@@ -599,8 +584,8 @@ class DesignSpaceExplorer:
                 while futures:
                     done, futures = wait(futures, return_when=FIRST_COMPLETED)
                     for future in done:
-                        for index, evaluation, elapsed, stats in future.result():
-                            finalize(index, evaluation, elapsed=elapsed, stats=stats)
+                        for index, evaluation, elapsed in future.result():
+                            finalize(index, evaluation, elapsed=elapsed)
             except BaseException:
                 for future in futures:
                     future.cancel()
@@ -639,17 +624,12 @@ class DesignSpaceExplorer:
             options = fleet_mod.FleetOptions(spawn_workers=workers)
         hint = options.spawn_workers or n_workers or 4
 
-        def fleet_finalize(index, evaluation, elapsed_s, stats):
+        def fleet_finalize(index, evaluation, elapsed_s):
             if strict and evaluation.error is not None:
                 raise PointEvaluationError(evaluation.point.describe(), evaluation.error)
-            # A worker cache hit reports 0.0s; keep it out of the
-            # latency stats like driver-side hits are.
-            finalize(
-                index,
-                evaluation,
-                elapsed=elapsed_s if elapsed_s > 0 else None,
-                stats=stats,
-            )
+            # A quarantined point reports 0.0s, having never completed;
+            # keep it out of the latency stats.
+            finalize(index, evaluation, elapsed=elapsed_s if elapsed_s > 0 else None)
 
         coordinator = fleet_mod.FleetCoordinator(
             evaluator_fingerprint(self.evaluator),
@@ -694,7 +674,6 @@ class DesignSpaceExplorer:
                     1,
                     coordinator.endpoint,
                     evaluator=self.evaluator,
-                    cache_dir=options.worker_cache_dir,
                     first=label_number,
                 )[0]
 
@@ -704,7 +683,6 @@ class DesignSpaceExplorer:
                     options.spawn_workers,
                     coordinator.endpoint,
                     evaluator=self.evaluator,
-                    cache_dir=options.worker_cache_dir,
                     plans=tuple(options.chaos_plans),
                 )
             self.last_fleet_report = coordinator.run(

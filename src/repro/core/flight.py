@@ -188,8 +188,7 @@ def _reset_lock_in_child() -> None:
     _recorder._lock = threading.Lock()
 
 
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_lock_in_child)
+os.register_at_fork(after_in_child=_reset_lock_in_child)
 
 
 def get_recorder() -> FlightRecorder:

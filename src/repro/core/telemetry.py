@@ -98,7 +98,9 @@ log = logging.getLogger("repro.telemetry")
 #: hot kernel: the numpy kernels are the only one, called directly.
 #: v12 dropped ``adaptive``, with the multi-fidelity explorer: every
 #: sweep evaluates its whole grid.
-MANIFEST_SCHEMA_VERSION = 12
+#: v13 dropped ``sweep.retries`` and ``robustness.counters.retries``: each
+#: point is evaluated once, so nothing is retried.
+MANIFEST_SCHEMA_VERSION = 13
 
 
 class _Span:
@@ -163,7 +165,8 @@ def _parse_payload(payload: dict) -> tuple[dict, dict, dict, list]:
 
     Counters must be finite numbers, histograms must parse through
     :meth:`~repro.core.metrics.Histogram.from_dict` and events must be
-    dicts; anything else raises :class:`ValueError`.
+    dicts; anything else raises :class:`ValueError` (a number beyond the
+    float range included).
     """
     try:
         counters = dict(payload.get("counters", {}))
@@ -172,13 +175,13 @@ def _parse_payload(payload: dict) -> tuple[dict, dict, dict, list]:
             n: Histogram.from_dict(h) for n, h in payload.get("histograms", {}).items()
         }
         events = list(payload.get("events", []))
-    except (AttributeError, KeyError, TypeError) as error:
+        for name, amount in counters.items():
+            if not isinstance(amount, (int, float)) or isinstance(amount, bool):
+                raise ValueError(f"counter {name!r} must be a number, got {amount!r}")
+            if not math.isfinite(amount):
+                raise ValueError(f"counter {name!r} must be finite, got {amount!r}")
+    except (AttributeError, KeyError, TypeError, OverflowError) as error:
         raise ValueError(f"malformed telemetry payload: {error!r}") from None
-    for name, amount in counters.items():
-        if not isinstance(amount, (int, float)) or isinstance(amount, bool):
-            raise ValueError(f"counter {name!r} must be a number, got {amount!r}")
-        if not math.isfinite(amount):
-            raise ValueError(f"counter {name!r} must be finite, got {amount!r}")
     if not all(isinstance(event, dict) for event in events):
         raise ValueError("telemetry events must be dicts")
     return counters, spans, histograms, events
@@ -560,7 +563,7 @@ class RunManifest:
     block_power_w: dict = field(default_factory=dict)
     #: Sweep statistics: cache hits/misses, restores, failures, latency.
     sweep: dict = field(default_factory=dict)
-    #: Robustness accounting: fault/retry/timeout counters and, for yield
+    #: Robustness accounting: fault/failure/timeout counters and, for yield
     #: runs, the severity grid, clean references and yield curves.
     robustness: dict = field(default_factory=dict)
     #: Hierarchical-trace digest: event/drop counts, the pid -> label

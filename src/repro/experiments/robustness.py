@@ -124,7 +124,7 @@ def build_robustness_manifest(
     """A :class:`RunManifest` for one robustness run.
 
     The ``robustness`` section carries the yield digest plus the fault /
-    retry / timeout counters the hardened execution layer accumulated.
+    failure / timeout counters the hardened execution layer accumulated.
     """
     if scale is None:
         scale = active_scale()
@@ -146,7 +146,6 @@ def build_robustness_manifest(
                 "faults_applied": counters.get("faults.applied", 0),
                 "evaluations": counters.get("robustness.evaluations", 0),
                 "failures": counters.get("robustness.failures", 0),
-                "retries": counters.get("robustness.retries", 0),
                 "timeouts": counters.get("robustness.timeouts", 0),
             },
         },

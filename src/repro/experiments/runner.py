@@ -291,7 +291,6 @@ def build_run_manifest(
             "progress_errors": counters.get("explore.progress_errors", 0),
             "cache_corrupt": counters.get("cache.corrupt", 0),
             "timeouts": counters.get("explore.timeouts", 0),
-            "retries": counters.get("explore.retries", 0),
             "interrupted": counters.get("explore.interrupted", 0),
             "point_seconds": point_stats,
             "events_dropped": counters.get("telemetry.events_dropped", 0),

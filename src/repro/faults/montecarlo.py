@@ -25,7 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.core.execution import DEFAULT_POLICY, ExecutionPolicy, evaluate_one_timed
+from repro.core.execution import (
+    DEFAULT_POLICY,
+    ExecutionPolicy,
+    evaluate_one,
+    evaluate_one_timed,
+    timed_out,
+)
 from repro.core.explorer import FrontEndEvaluator
 from repro.core.telemetry import Telemetry, activate, get_active
 from repro.faults.injection import FaultSuite
@@ -165,9 +171,9 @@ class MonteCarloYield:
         Spec: a realisation *yields* when it completes without error and
         ``clean_metric - metric <= max_degradation`` (metric NaN fails).
     policy:
-        :class:`ExecutionPolicy` guarding each evaluation (timeout /
-        retries), reusing the sweep engine's fault isolation so a
-        diverging solve becomes a failed row, not a hung analysis.
+        :class:`ExecutionPolicy` guarding each evaluation (timeout),
+        reusing the sweep engine's fault isolation so a diverging solve
+        becomes a failed row, not a hung analysis.
     """
 
     def __init__(
@@ -220,10 +226,8 @@ class MonteCarloYield:
         with activate(tel), tel.span("robustness.total"):
             for chain, evaluator in self.evaluators.items():
                 point = self.points[chain]
-                clean_eval, elapsed, stats = evaluate_one_timed(
-                    evaluator, point, False, self.policy
-                )
-                self._count(tel, stats, clean_eval)
+                clean_eval = evaluate_one(evaluator, point, False, self.policy)
+                self._count(tel, clean_eval)
                 if clean_eval.error is not None:
                     raise RuntimeError(
                         f"clean reference evaluation failed for chain "
@@ -242,10 +246,10 @@ class MonteCarloYield:
                             realisation
                         )
                         faulty = evaluator.with_chain_transform(suite)
-                        evaluation, elapsed, stats = evaluate_one_timed(
+                        evaluation, elapsed = evaluate_one_timed(
                             faulty, point, False, self.policy
                         )
-                        self._count(tel, stats, evaluation)
+                        self._count(tel, evaluation)
                         tel.count("robustness.evaluations")
                         metric = (
                             None
@@ -276,10 +280,8 @@ class MonteCarloYield:
         return result
 
     @staticmethod
-    def _count(tel: Telemetry, stats: dict, evaluation) -> None:
-        if stats.get("retries"):
-            tel.count("robustness.retries", stats["retries"])
-        if stats.get("timeouts"):
-            tel.count("robustness.timeouts", stats["timeouts"])
+    def _count(tel: Telemetry, evaluation) -> None:
         if evaluation.error is not None:
             tel.count("robustness.failures")
+            if timed_out(evaluation):
+                tel.count("robustness.timeouts")

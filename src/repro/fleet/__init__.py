@@ -6,8 +6,8 @@ guarantees.  A :class:`FleetCoordinator` shards the sweep into chunks
 and rents them to workers as deadline-bounded **leases** over a
 JSON-lines TCP protocol (:mod:`repro.fleet.protocol`); workers
 (:class:`FleetWorker`, ``repro worker --connect HOST:PORT``) evaluate
-with their local :class:`~repro.core.execution.EvaluationCache`,
-heartbeat while working, and ship results plus telemetry deltas home.
+each leased point once, heartbeat while working, and ship results plus
+telemetry deltas home, where the driver's cache stores them.
 Dead workers are recovered by lease expiry and a bounded
 requeue -> split -> quarantine ladder (:class:`LeaseTable`); late
 completions deduplicate at point-index granularity, so the merged

@@ -189,8 +189,8 @@ class LeaseTable:
         return True
 
     def complete(
-        self, lease_id: str, rows: list[tuple[int, Evaluation, float, dict]]
-    ) -> tuple[list[tuple[int, Evaluation, float, dict]], int]:
+        self, lease_id: str, rows: list[tuple[int, Evaluation, float]]
+    ) -> tuple[list[tuple[int, Evaluation, float]], int]:
         """Merge a completion; returns (fresh rows, duplicate count).
 
         Accepts completions from expired leases (the worker was slow,
@@ -203,7 +203,7 @@ class LeaseTable:
         granted = self.lease_history.get(lease_id)
         if granted is None:
             raise protocol.ProtocolError(f"completion for unknown lease {lease_id!r}")
-        for index, evaluation, _elapsed_s, _stats in rows:
+        for index, evaluation, _elapsed_s in rows:
             if granted.points.get(index) != evaluation.point:
                 raise protocol.ProtocolError(
                     f"completion row {index} ({evaluation.point.describe()}) "
@@ -316,7 +316,6 @@ class FleetOptions:
     lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S
     heartbeat_interval_s: float | None = None  # default: lease_timeout_s / 3
     max_requeues: int = DEFAULT_MAX_REQUEUES
-    worker_cache_dir: str | None = None
     #: Fair-start gate: hold early grants so the first N *distinct*
     #: workers each receive one of the first N leases before any worker
     #: gets a second.  Without it, one fast worker can drain a cheap
@@ -341,7 +340,7 @@ class FleetCoordinator:
             report = co.run(pending, finalize, n_workers=3)
 
     ``run`` blocks until every point index is finalised (completed or
-    quarantined).  ``finalize(index, evaluation, elapsed_s, stats)`` is
+    quarantined).  ``finalize(index, evaluation, elapsed_s)`` is
     invoked under the coordinator lock in completion order -- the
     explorer's hook appends to the checkpoint, fills the cache and
     updates progress, exactly as the serial path does.  Its first
@@ -437,7 +436,7 @@ class FleetCoordinator:
     def run(
         self,
         pending: list[tuple[int, DesignPoint]],
-        finalize: Callable[[int, Evaluation, float, dict], None],
+        finalize: Callable[[int, Evaluation, float], None],
         *,
         n_workers: int = 1,
         chunk_size: int | None = None,
@@ -555,12 +554,9 @@ class FleetCoordinator:
                         point=self._table.points[index], metrics={}, error=event["detail"]
                     ),
                     0.0,
-                    {"retries": 0, "timeouts": 0},
                 )
 
-    def _finalize_row(
-        self, index: int, evaluation: Evaluation, elapsed_s: float, stats: dict
-    ) -> None:
+    def _finalize_row(self, index: int, evaluation: Evaluation, elapsed_s: float) -> None:
         """Hand one finished point to ``finalize`` (caller holds the lock).
 
         On a connection thread an exception would only drop the worker:
@@ -569,7 +565,7 @@ class FleetCoordinator:
         if self._finalize is None or self._finalize_error is not None:
             return
         try:
-            self._finalize(index, evaluation, elapsed_s, stats)
+            self._finalize(index, evaluation, elapsed_s)
         except BaseException as error:  # noqa: BLE001 - re-raised by run()
             self._finalize_error = error
             self._wake.set()

@@ -17,7 +17,8 @@ Message flow (worker-initiated; the coordinator only ever replies)::
     ------                         -----------
     hello {protocol, label}    ->
                                <-  welcome {protocol, fingerprint, spec,
-                                            policy, heartbeat_interval_s,
+                                            policy: {timeout_s},
+                                            heartbeat_interval_s,
                                             telemetry: {enabled, trace,
                                                         max_trace_events}}
     sync {}                    ->
@@ -33,7 +34,7 @@ Message flow (worker-initiated; the coordinator only ever replies)::
                                     main thread, so replies here would
                                     interleave into the lease stream)
     complete {lease, chunk_digest,
-              rows: [{index, evaluation, elapsed_s, stats}],
+              rows: [{index, evaluation, elapsed_s}],
               telemetry?, trace?}
                                ->
                                <-  ack {lease, ok, fresh, duplicates}
@@ -90,7 +91,10 @@ from repro.power.technology import DesignPoint
 #: v3 moved ``complete``'s trace delta into its own ``trace`` field, sent
 #: telemetry as a ``Telemetry.snapshot`` dict and cut the ``welcome``
 #: policy to ``timeout_s``/``retries``/``retry_backoff_s``.
-PROTOCOL_VERSION = 3
+#: v4 dropped retries: the ``welcome`` policy is ``{timeout_s}``, and a
+#: ``complete`` row lost its ``stats`` (the per-point retry and timeout
+#: counts; a timeout shows in the evaluation's ``error``).
+PROTOCOL_VERSION = 4
 
 #: Longest accepted message line in characters, newline included (the
 #: wire is ASCII JSON, so characters are bytes).  The largest message the
@@ -99,12 +103,6 @@ PROTOCOL_VERSION = 3
 #: of at most ~250 bytes) drained into one message stays under 5 MB.  A
 #: longer line is a misbehaving peer, not a message.
 MAX_LINE_LENGTH = 16 * 1024 * 1024
-
-#: Messages a worker may send (anything else is a protocol error).
-WORKER_MESSAGES = ("hello", "sync", "request", "heartbeat", "complete", "fail", "bye")
-
-#: Messages a coordinator may send.
-COORDINATOR_MESSAGES = ("welcome", "sync_ack", "lease", "wait", "done", "ack", "error")
 
 
 class ProtocolError(RuntimeError):
@@ -186,28 +184,24 @@ def decode_chunk(payload: Sequence[dict]) -> list[tuple[int, DesignPoint]]:
         raise ProtocolError(f"malformed chunk payload: {error}") from error
 
 
-def encode_rows(
-    rows: Sequence[tuple[int, Evaluation, float, dict]],
-) -> list[dict]:
-    """Wire form of completed result rows (index, evaluation, timing, stats)."""
+def encode_rows(rows: Sequence[tuple[int, Evaluation, float]]) -> list[dict]:
+    """Wire form of completed result rows (index, evaluation, timing)."""
     return [
         {
             "index": int(index),
             "evaluation": evaluation_to_dict(evaluation),
             "elapsed_s": float(elapsed_s),
-            "stats": dict(stats),
         }
-        for index, evaluation, elapsed_s, stats in rows
+        for index, evaluation, elapsed_s in rows
     ]
 
 
-def decode_rows(payload: Sequence[dict]) -> list[tuple[int, Evaluation, float, dict]]:
+def decode_rows(payload: Sequence[dict]) -> list[tuple[int, Evaluation, float]]:
     """Inverse of :func:`encode_rows`.
 
-    A row's ``index`` must be an int, its ``elapsed_s`` a finite,
+    A row's ``index`` must be an int and its ``elapsed_s`` a finite,
     non-negative number (the explorer's latency histogram takes it as
-    is), and its ``stats`` (retry and timeout counts the explorer adds to
-    its telemetry counters) must map names to non-negative ints.
+    is).
     """
     try:
         return [
@@ -215,7 +209,6 @@ def decode_rows(payload: Sequence[dict]) -> list[tuple[int, Evaluation, float, d
                 _decode_index(entry["index"]),
                 evaluation_from_dict(entry["evaluation"]),
                 _decode_elapsed(entry["elapsed_s"]),
-                _decode_stats(entry.get("stats", {})),
             )
             for entry in payload
         ]
@@ -269,15 +262,3 @@ def _decode_elapsed(elapsed_s) -> float:
     if not _is_finite_number(elapsed_s) or elapsed_s < 0:
         raise ValueError(f"elapsed_s must be a finite number >= 0: {elapsed_s!r}")
     return float(elapsed_s)
-
-
-def _decode_stats(stats) -> dict[str, int]:
-    if not isinstance(stats, dict) or not all(
-        isinstance(name, str)
-        and isinstance(count, int)
-        and not isinstance(count, bool)
-        and count >= 0
-        for name, count in stats.items()
-    ):
-        raise ValueError(f"row stats must map names to non-negative ints: {stats!r}")
-    return dict(stats)

@@ -1,16 +1,15 @@
-"""Fleet worker: lease, evaluate with the local cache, heartbeat, report.
+"""Fleet worker: lease, evaluate, heartbeat, report.
 
 A worker is a loop around four messages: ``request`` a lease, evaluate
 its points under the coordinator's :class:`ExecutionPolicy` (heartbeat
 thread keeping the lease alive), ``complete`` with the result rows (plus
 a drained ``Telemetry.snapshot`` delta and trace delta when the
 coordinator profiles), and repeat until the coordinator answers
-``done``.  Evaluations go through
+``done``.  Each leased point is evaluated once, through
 :func:`~repro.core.execution.evaluate_one_timed` -- the same per-point
-isolation, timeout and retry machinery as every other executor -- and
-an optional local :class:`~repro.core.execution.EvaluationCache` keyed
-by the coordinator's fingerprint, so a re-run fleet skips points any
-worker has already evaluated.
+isolation and timeout as every other executor.  A worker keeps no cache:
+the driver serves cache hits before leasing and stores every evaluation
+that comes home.
 
 Workers obtain their evaluator one of two ways: locally spawned
 processes (:func:`spawn_local_workers`) inherit the evaluator object
@@ -40,7 +39,6 @@ from typing import Callable
 
 from repro.core import flight
 from repro.core.execution import (
-    EvaluationCache,
     ExecutionPolicy,
     evaluate_one_timed,
     evaluator_fingerprint,
@@ -82,8 +80,8 @@ class FleetWorker:
 
     ``run()`` blocks until the coordinator reports the sweep done (or
     the connection is lost with reconnection exhausted) and returns an
-    accounting dict: chunks completed, points evaluated, cache hits,
-    evaluator calls.  The evaluator-call count is the currency of the
+    accounting dict: chunks completed, points evaluated, evaluator calls
+    and reconnects.  The evaluator-call count is the currency of the
     exactly-once acceptance test -- summed across workers it must equal
     the number of distinct points evaluated, chaos or no chaos.
     """
@@ -94,20 +92,17 @@ class FleetWorker:
         evaluator: Callable | None = None,
         *,
         label: str | None = None,
-        cache_dir: str | None = None,
         chaos: ChaosPlan | None = None,
         connect_timeout_s: float = 10.0,
     ):
         self.endpoint = (str(endpoint[0]), int(endpoint[1]))
         self.evaluator = evaluator
         self.label = label or f"{socket.gethostname()}:{os.getpid()}"
-        self.cache = EvaluationCache(cache_dir) if cache_dir else None
         self.chaos = chaos or ChaosPlan()
         self.connect_timeout_s = float(connect_timeout_s)
         self.stats = {
             "chunks": 0,
             "points": 0,
-            "cache_hits": 0,
             "evaluator_calls": 0,
             "reconnects": 0,
         }
@@ -271,7 +266,7 @@ class FleetWorker:
                     self._chunks_seen += 1
                     self._partition_and_reconnect()
                     continue
-                self._serve_lease(message, evaluator, fingerprint, policy, heartbeat_s)
+                self._serve_lease(message, evaluator, policy, heartbeat_s)
         finally:
             if sampler is not None:
                 sampler.stop()
@@ -289,7 +284,6 @@ class FleetWorker:
         self,
         lease: dict,
         evaluator: Callable,
-        fingerprint: str,
         policy: ExecutionPolicy,
         heartbeat_s: float,
     ) -> None:
@@ -334,23 +328,13 @@ class FleetWorker:
         try:
             with activate(tel):
                 for index, point in chunk:
-                    cached = (
-                        self.cache.get(fingerprint, point) if self.cache else None
-                    )
-                    if cached is not None:
-                        self.stats["cache_hits"] += 1
-                        tel.count("fleet.worker.cache_hits")
-                        rows.append((index, cached, 0.0, {"retries": 0, "timeouts": 0}))
-                    else:
-                        self.stats["evaluator_calls"] += 1
-                        tel.count("fleet.worker.evaluator_calls")
-                        with tel.span("explore.point", index=index):
-                            evaluation, elapsed_s, stats = evaluate_one_timed(
-                                evaluator, point, strict=False, policy=policy
-                            )
-                        if self.cache is not None:
-                            self.cache.put(fingerprint, point, evaluation)
-                        rows.append((index, evaluation, elapsed_s, stats))
+                    self.stats["evaluator_calls"] += 1
+                    tel.count("fleet.worker.evaluator_calls")
+                    with tel.span("explore.point", index=index):
+                        evaluation, elapsed_s = evaluate_one_timed(
+                            evaluator, point, strict=False, policy=policy
+                        )
+                    rows.append((index, evaluation, elapsed_s))
                     self.stats["points"] += 1
                     self._points_seen += 1
                     if self.chaos.kill_after_points == self._points_seen:
@@ -431,7 +415,6 @@ def _worker_process_main(
     endpoint: tuple[str, int],
     evaluator: Callable | None,
     label: str,
-    cache_dir: str | None,
     chaos: ChaosPlan | None,
     connect_timeout_s: float,
 ) -> None:
@@ -442,7 +425,6 @@ def _worker_process_main(
             endpoint,
             evaluator,
             label=label,
-            cache_dir=cache_dir,
             chaos=chaos,
             connect_timeout_s=connect_timeout_s,
         ).run()
@@ -457,7 +439,6 @@ def spawn_local_workers(
     endpoint: tuple[str, int],
     evaluator: Callable | None = None,
     *,
-    cache_dir: str | None = None,
     plans: tuple[ChaosPlan | None, ...] = (),
     connect_timeout_s: float = 10.0,
     first: int = 0,
@@ -480,7 +461,7 @@ def spawn_local_workers(
         label = f"worker-{first + i}"
         process = ctx.Process(
             target=_worker_process_main,
-            args=(endpoint, evaluator, label, cache_dir, plan, connect_timeout_s),
+            args=(endpoint, evaluator, label, plan, connect_timeout_s),
             name=f"repro-fleet-{label}",
             daemon=True,
         )

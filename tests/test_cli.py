@@ -351,12 +351,26 @@ class TestFleetCli:
         assert args.fleet_lease_timeout == 5.0
 
     def test_worker_flags_parse(self):
-        args = build_parser().parse_args(
-            ["worker", "--connect", "coord:8731", "--label", "w0", "--no-cache"]
-        )
+        args = build_parser().parse_args(["worker", "--connect", "coord:8731", "--label", "w0"])
         assert args.connect == "coord:8731"
         assert args.label == "w0"
-        assert args.no_cache
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--retries", "1"],
+            ["robustness", "--retries", "1"],
+            ["worker", "--connect", "h:1", "--cache-dir", "d"],
+            ["worker", "--connect", "h:1", "--no-cache"],
+        ],
+        ids=["sweep-retries", "robustness-retries", "worker-cache-dir", "worker-no-cache"],
+    )
+    def test_retries_and_worker_caches_are_not_options(self, argv, capsys):
+        # Each point is evaluated once, and only the driver caches.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_worker_requires_connect(self):
         with pytest.raises(SystemExit):

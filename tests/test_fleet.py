@@ -22,11 +22,9 @@ import pytest
 
 from repro.core.execution import (
     DEFAULT_POLICY,
-    ExecutionPolicy,
     PointEvaluationError,
     SweepCheckpoint,
     evaluator_fingerprint,
-    retry_delay_s,
 )
 from repro.core.explorer import DesignSpaceExplorer
 from repro.core.results import Evaluation
@@ -69,10 +67,7 @@ def points(n: int, start: int = 0) -> list[tuple[int, DesignPoint]]:
 
 
 def rows_for(chunk, value: float = 1.0):
-    return [
-        (index, Evaluation(point, metrics={"m": value}), 0.01, {"retries": 0, "timeouts": 0})
-        for index, point in chunk
-    ]
+    return [(index, Evaluation(point, metrics={"m": value}), 0.01) for index, point in chunk]
 
 
 class FakeClock:
@@ -113,7 +108,7 @@ class TestProtocol:
     def test_rows_round_trip_including_failures(self):
         chunk = points(2)
         rows = rows_for(chunk) + [
-            (99, Evaluation(chunk[0][1], metrics={}, error="boom"), 0.0, {}),
+            (99, Evaluation(chunk[0][1], metrics={}, error="boom"), 0.0),
         ]
         decoded = protocol.decode_rows(protocol.encode_rows(rows))
         assert decoded[0][0] == chunk[0][0]
@@ -131,7 +126,7 @@ class TestProtocol:
     def test_non_finite_metrics_cross_the_wire(self):
         (index, point), = points(1)
         metrics = {"snr_db": -math.inf, "gain": math.inf, "acc": math.nan}
-        rows = [(index, Evaluation(point, metrics=metrics), 0.01, {})]
+        rows = [(index, Evaluation(point, metrics=metrics), 0.01)]
         buffer = io.StringIO()
         protocol.send_message(
             buffer, {"type": "complete", "rows": protocol.encode_rows(rows)}
@@ -383,32 +378,6 @@ class TestLeaseTable:
             LeaseTable([points(1)], max_requeues=-1)
 
 
-# --- retry backoff jitter (satellite) -----------------------------------------
-
-
-class TestRetryJitter:
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = ExecutionPolicy(retries=3, retry_backoff_s=0.5)
-        point = DesignPoint(n_bits=8, lna_noise_rms=2e-6)
-        delays = [retry_delay_s(policy, point, attempt) for attempt in (1, 2, 3)]
-        assert delays == [retry_delay_s(policy, point, a) for a in (1, 2, 3)]
-        for attempt, delay in zip((1, 2, 3), delays):
-            assert 0.0 <= delay <= 0.5 * 2 ** (attempt - 1)
-
-    def test_jitter_decorrelates_points(self):
-        policy = ExecutionPolicy(retries=1, retry_backoff_s=1.0)
-        a = DesignPoint(n_bits=8, lna_noise_rms=2e-6)
-        b = DesignPoint(n_bits=6, lna_noise_rms=2e-6)
-        assert retry_delay_s(policy, a, 1) != retry_delay_s(policy, b, 1)
-
-    def test_zero_backoff_stays_zero(self):
-        """The deterministic 0-backoff test path must not start sleeping."""
-        policy = ExecutionPolicy(retries=3, retry_backoff_s=0.0)
-        point = DesignPoint(n_bits=8, lna_noise_rms=2e-6)
-        assert retry_delay_s(policy, point, 1) == 0.0
-        assert retry_delay_s(policy, point, 5) == 0.0
-
-
 # --- evaluator spec resolution ------------------------------------------------
 
 
@@ -552,19 +521,6 @@ class TestFleetExplorer:
             with pytest.raises(ValueError, match="'process' executor"):
                 explorer.explore(smoke_grid(), executor=executor, fleet=FleetOptions())
 
-    def test_worker_cache_prefills_second_run(self, tmp_path):
-        tel = Telemetry()
-        explorer = DesignSpaceExplorer(ToyEvaluator())
-        space = smoke_grid()
-        options = FleetOptions(spawn_workers=2, worker_cache_dir=str(tmp_path))
-        first = explorer.explore(space, executor="process", fleet=options)
-        second = explorer.explore(
-            space, executor="process", fleet=options, telemetry=tel
-        )
-        assert_sweeps_identical(first, second)
-        assert tel.counters.get("fleet.worker.evaluator_calls", 0) == 0
-        assert tel.counters["fleet.worker.cache_hits"] == space.size
-
     def test_manifest_carries_fleet_section(self):
         from repro.experiments.runner import build_run_manifest
 
@@ -583,7 +539,7 @@ class TestFleetExplorer:
         manifest = build_run_manifest(
             result, tel, "smoke", executor="process", n_workers=2
         )
-        assert manifest.schema == MANIFEST_SCHEMA_VERSION == 12
+        assert manifest.schema == MANIFEST_SCHEMA_VERSION == 13
         assert manifest.fleet["points_total"] == space.size
         assert manifest.fleet["points_completed"] == space.size
         assert sorted(manifest.fleet["workers"]) == ["worker-0", "worker-1"]
@@ -774,7 +730,7 @@ class TestCompletionValidation:
             lease = forger.lease()
             assert [row["index"] for row in lease["points"]] == [0, 1]
             forged = (3, Evaluation(DesignPoint(n_bits=12, lna_noise_rms=9e-6), {"m": 1.0}))
-            forger.send(complete_message(lease, [(*forged, 0.01, {})]))
+            forger.send(complete_message(lease, [(*forged, 0.01)]))
             assert protocol.recv_message(forger.reader) is None  # dropped
             forger.close()
             from repro.fleet import FleetWorker
@@ -795,33 +751,37 @@ class TestCompletionValidation:
 
         escaped = []
         monkeypatch.setattr(threading, "excepthook", escaped.append)
-        tel = Telemetry(tracer=Tracer(label="driver"))
-        coordinator, runner, finalized, _ = self._start(tel, n_points=2)
-        try:
-            worker = RawWorker(coordinator.endpoint, label="sloppy")
-            lease = worker.lease()
-            worker.send({"type": "heartbeat", "lease": lease["lease"], "trace": {"version": 1}})
-            chunk = protocol.decode_chunk(lease["points"])
-            ack = worker.ask(
-                complete_message(
-                    lease,
-                    rows_for(chunk),
-                    telemetry={"counters": {"x": "boom"}},
-                    trace={"version": 1, "events": [{"ph": "X"}]},
-                ),
-                ("ack",),
-            )
-            assert ack["fresh"] == 2
-            worker.send({"type": "bye"})
-            worker.close()
-            runner.join(10)
-            assert not runner.is_alive()
-        finally:
-            coordinator.close()
-        assert escaped == []
-        assert sorted(finalized) == [(i, p.describe()) for i, p in points(2)]
-        assert "x" not in tel.counters and not tel.workers
-        assert tel.tracer.lanes() == {tel.tracer.pid: "driver"}
+        # A counter that is not a number, and one beyond the float range.
+        for counter in ("boom", 10**400):
+            tel = Telemetry(tracer=Tracer(label="driver"))
+            coordinator, runner, finalized, _ = self._start(tel, n_points=2)
+            try:
+                worker = RawWorker(coordinator.endpoint, label="sloppy")
+                lease = worker.lease()
+                worker.send(
+                    {"type": "heartbeat", "lease": lease["lease"], "trace": {"version": 1}}
+                )
+                chunk = protocol.decode_chunk(lease["points"])
+                ack = worker.ask(
+                    complete_message(
+                        lease,
+                        rows_for(chunk),
+                        telemetry={"counters": {"x": counter}},
+                        trace={"version": 1, "events": [{"ph": "X"}]},
+                    ),
+                    ("ack",),
+                )
+                assert ack["fresh"] == 2
+                worker.send({"type": "bye"})
+                worker.close()
+                runner.join(10)
+                assert not runner.is_alive()
+            finally:
+                coordinator.close()
+            assert escaped == []
+            assert sorted(finalized) == [(i, p.describe()) for i, p in points(2)]
+            assert "x" not in tel.counters and not tel.workers
+            assert tel.tracer.lanes() == {tel.tracer.pid: "driver"}
 
     @staticmethod
     def _sweep_past_a_sloppy_worker(monkeypatch, misbehave):
@@ -889,11 +849,6 @@ class TestCompletionValidation:
     @pytest.mark.parametrize(
         ("field", "value"),
         [
-            ("stats", {"retries": "x"}),
-            ("stats", {"retries": -1}),
-            ("stats", {"timeouts": True}),
-            ("stats", {"retries": 1.5}),
-            ("stats", []),
             ("index", math.inf),
             ("index", 1.7),
             ("index", True),
@@ -905,9 +860,9 @@ class TestCompletionValidation:
     def test_mistyped_row_stats_drop_the_connection_not_the_sweep(
         self, monkeypatch, field, value
     ):
-        # The explorer's finalize hook files a row under its index, adds
-        # its stats to telemetry counters and its elapsed time to the
-        # latency histogram; a mistyped field must reach none of them.
+        # The explorer's finalize hook files a row under its index and
+        # its elapsed time in the latency histogram; a mistyped field
+        # must reach neither.
         def misbehave(sloppy, lease):
             message = complete_message(lease, rows_for(protocol.decode_chunk(lease["points"])))
             # Only the second row: an index of 1.7 or true must not pass
@@ -916,7 +871,6 @@ class TestCompletionValidation:
             sloppy.send(message)
 
         tel = self._sweep_past_a_sloppy_worker(monkeypatch, misbehave)
-        assert "explore.retries" not in tel.counters
         for histogram in tel.histograms.values():
             assert math.isfinite(histogram.total) and math.isfinite(histogram.m2)
 

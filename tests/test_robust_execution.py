@@ -1,4 +1,4 @@
-"""Tests of hardened sweep execution: timeouts, retries, crash recovery."""
+"""Tests of hardened sweep execution: timeouts, crash recovery."""
 
 import os
 import pickle
@@ -15,7 +15,6 @@ from repro.core.execution import (
     ExecutionPolicy,
     PointEvaluationError,
     SweepCheckpoint,
-    evaluate_one,
 )
 from repro.core.explorer import DesignSpaceExplorer
 from repro.core.telemetry import Telemetry
@@ -43,31 +42,6 @@ class HangingEvaluator:
     def __call__(self, point):
         if point.n_bits == self.bad_bits:
             time.sleep(self.sleep_s)
-        return ToyEvaluator()(point)
-
-
-@dataclass(frozen=True)
-class FlakyEvaluator:
-    """Fails the marked point until ``fail_times`` attempts are recorded.
-
-    The attempt counter is a file so retries are visible across worker
-    processes as well as in-process.
-    """
-
-    counter_dir: str
-    bad_bits: int = BAD_BITS
-    fail_times: int = 2
-
-    def fingerprint(self) -> str:
-        return f"flaky:{self.bad_bits}:{self.fail_times}"
-
-    def __call__(self, point):
-        if point.n_bits == self.bad_bits:
-            counter = os.path.join(self.counter_dir, "attempts")
-            with open(counter, "ab") as handle:
-                handle.write(b"x")
-            if os.path.getsize(counter) <= self.fail_times:
-                raise RuntimeError("transient wobble")
         return ToyEvaluator()(point)
 
 
@@ -136,15 +110,12 @@ def clean_reference():
 class TestExecutionPolicy:
     def test_defaults_are_permissive(self):
         assert DEFAULT_POLICY.timeout_s is None
-        assert DEFAULT_POLICY.retries == 0
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"timeout_s": 0.0},
             {"timeout_s": -1.0},
-            {"retries": -1},
-            {"retry_backoff_s": -0.5},
         ],
     )
     def test_validation(self, kwargs):
@@ -158,12 +129,13 @@ class TestTimeouts:
         {"executor": "thread", "n_workers": 2},
         {"executor": "process", "n_workers": 2},
     ], ids=["serial", "thread", "process"])
-    def test_hung_point_fails_others_match_clean(self, executor_kwargs):
+    def test_hung_point_fails_others_match_clean(self, executor_kwargs, tmp_path):
         tel = Telemetry()
         explorer = DesignSpaceExplorer(HangingEvaluator())
+        checkpoint = tmp_path / "ck.jsonl"
         result = explorer.explore(
             POINTS, policy=ExecutionPolicy(timeout_s=0.3), telemetry=tel,
-            **executor_kwargs,
+            checkpoint=checkpoint, **executor_kwargs,
         )
         reference = clean_reference()
         for left, right in zip(reference, result):
@@ -173,8 +145,12 @@ class TestTimeouts:
             else:
                 assert left.metrics == right.metrics
                 assert right.error is None
-        if not executor_kwargs:  # telemetry counters are in-process only
-            assert tel.counters["explore.timeouts"] == 1
+        assert tel.counters["explore.timeouts"] == 1
+        # A resumed run restores the timed-out point; it did not time out again.
+        resumed = Telemetry()
+        explorer.explore(POINTS, telemetry=resumed, checkpoint=checkpoint, **executor_kwargs)
+        assert resumed.counters["explore.checkpoint_restored"] == len(POINTS)
+        assert "explore.timeouts" not in resumed.counters
 
     def test_strict_timeout_raises_with_point_description(self):
         explorer = DesignSpaceExplorer(HangingEvaluator())
@@ -183,50 +159,6 @@ class TestTimeouts:
             explorer.explore(bad, policy=ExecutionPolicy(timeout_s=0.2), strict=True)
         assert bad[0].describe() in str(excinfo.value)
         assert "EvaluationTimeout" in str(excinfo.value)
-
-    def test_timeouts_not_retried_by_default(self):
-        policy = ExecutionPolicy(timeout_s=0.2, retries=3, retry_backoff_s=0.0)
-        start = time.monotonic()
-        evaluation = evaluate_one(
-            HangingEvaluator(), DesignPoint(n_bits=BAD_BITS),
-            strict=False, policy=policy,
-        )
-        elapsed = time.monotonic() - start
-        assert "EvaluationTimeout" in evaluation.error
-        assert elapsed < 1.0  # one attempt, not four
-
-
-class TestRetries:
-    def test_flaky_point_recovers_serial(self, tmp_path):
-        tel = Telemetry()
-        evaluator = FlakyEvaluator(counter_dir=str(tmp_path))
-        explorer = DesignSpaceExplorer(evaluator)
-        result = explorer.explore(
-            POINTS, policy=ExecutionPolicy(retries=2, retry_backoff_s=0.0),
-            telemetry=tel,
-        )
-        assert not result.failures()
-        assert_sweeps_identical(clean_reference(), result)
-        assert tel.counters["explore.retries"] == 2
-
-    def test_flaky_point_recovers_in_process_pool(self, tmp_path):
-        evaluator = FlakyEvaluator(counter_dir=str(tmp_path))
-        explorer = DesignSpaceExplorer(evaluator)
-        result = explorer.explore(
-            POINTS, policy=ExecutionPolicy(retries=2, retry_backoff_s=0.0),
-            executor="process", n_workers=2,
-        )
-        assert not result.failures()
-        assert_sweeps_identical(clean_reference(), result)
-
-    def test_exhausted_retries_report_last_error(self, tmp_path):
-        evaluator = FlakyEvaluator(counter_dir=str(tmp_path), fail_times=5)
-        result = DesignSpaceExplorer(evaluator).explore(
-            POINTS, policy=ExecutionPolicy(retries=1, retry_backoff_s=0.0)
-        )
-        failures = result.failures()
-        assert len(failures) == 1
-        assert "transient wobble" in failures[0].error
 
 
 class TestStrictParallelErrors:

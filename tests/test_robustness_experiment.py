@@ -1,8 +1,13 @@
 """Tests of Monte-Carlo yield analysis (repro.faults.montecarlo + CLI exp)."""
 
+import time
+from dataclasses import dataclass
+
 import pytest
 
+from repro.core.execution import ExecutionPolicy
 from repro.core.explorer import FrontEndEvaluator
+from repro.core.results import Evaluation
 from repro.core.telemetry import RunManifest, Telemetry
 from repro.faults import (
     FaultSuite,
@@ -26,6 +31,21 @@ POINTS = {
     "baseline": DesignPoint(n_bits=8, lna_noise_rms=2e-6),
     "cs": DesignPoint(n_bits=8, lna_noise_rms=8e-6, use_cs=True, cs_m=150),
 }
+
+
+@dataclass(frozen=True)
+class HangsUnderFaults:
+    """Scores the clean chain at once and hangs on every faulted clone."""
+
+    faulted: bool = False
+
+    def with_chain_transform(self, transform):
+        return HangsUnderFaults(faulted=transform is not None)
+
+    def __call__(self, point):
+        if self.faulted:
+            time.sleep(5.0)  # abandoned by the timeout watchdog
+        return Evaluation(point=point, metrics={"snr_db": 40.0})
 
 
 def make_runner(**overrides):
@@ -103,6 +123,24 @@ class TestMonteCarloYield:
         # accounted separately.
         assert tel.counters["robustness.evaluations"] == len(POINTS) * 2 * 2
         assert tel.counters["faults.applied"] > 0
+
+    def test_timed_out_realisations_are_counted_once(self):
+        from repro.experiments.robustness import build_robustness_manifest
+
+        tel = Telemetry()
+        result = make_runner(
+            evaluators={name: HangsUnderFaults() for name in POINTS},
+            policy=ExecutionPolicy(timeout_s=0.05),
+        ).run(telemetry=tel)
+        assert all(row.error.startswith("EvaluationTimeout") for row in result.rows)
+        manifest = build_robustness_manifest(result, telemetry=tel, scale="smoke")
+        n_faulted = len(POINTS) * 2 * 2
+        assert manifest.robustness["counters"] == {
+            "faults_applied": 0,
+            "evaluations": n_faulted,
+            "failures": n_faulted,
+            "timeouts": n_faulted,
+        }
 
 
 class TestRobustnessExperiment:

@@ -145,6 +145,11 @@ class TestMalformedPayloads:
             _corrupt(histograms={"v": Histogram(bounds=(1.0, 2.0)).to_dict()}),
             _corrupt(events={"kind": "e"}),
             _corrupt(events=[{"kind": "e"}, "boom"]),
+            # Integer literals beyond the float range, as a JSON wire
+            # delivers them.
+            _corrupt(counters={"x": 10**400}),
+            _corrupt(spans={"s": {**Histogram().to_dict(), "total": 10**400}}),
+            _corrupt(histograms={"v": {**Histogram().to_dict(), "total": 10**400}}),
         ],
         ids=lambda payload: repr(payload)[:40],
     )
