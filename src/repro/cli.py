@@ -63,6 +63,14 @@ from repro.util.constants import MICRO
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
+def _timeout_s(text: str) -> float:
+    """``--timeout`` seconds, checked as :class:`ExecutionPolicy` checks them."""
+    try:
+        return ExecutionPolicy(timeout_s=float(text)).timeout_s
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
 def _progress_printer(total: int, stream=None):
     """Live ``[done/total] ... eta`` line, rewritten in place on stderr.
 
@@ -404,7 +412,11 @@ def _cmd_store(args: argparse.Namespace) -> int:
         print(json.dumps(manifest.to_dict(), indent=1))
         return 0
     if args.action == "gc":
-        removed = store.gc()
+        try:
+            removed = store.gc()
+        except StoreError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         print(f"removed {len(removed)} unreferenced evaluation blob(s)")
         return 0
     raise AssertionError(f"unhandled store action {args.action!r}")  # pragma: no cover
@@ -577,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--timeout",
-        type=float,
+        type=_timeout_s,
         default=None,
         metavar="SECONDS",
         help="per-point wall-clock ceiling; a hung evaluation becomes a "
@@ -615,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     robustness.add_argument(
         "--timeout",
-        type=float,
+        type=_timeout_s,
         default=None,
         metavar="SECONDS",
         help="per-evaluation wall-clock ceiling",

@@ -15,9 +15,10 @@ layers these mechanisms on top of the bare evaluation loop:
   derived from the master seed and the point description (never from the
   evaluation order), which is what makes the reordering safe.
 * **On-disk caching** (:class:`EvaluationCache`) -- evaluations persist
-  filed under ``(evaluator fingerprint, point description)`` and are
-  served only to a point equal to the stored one; re-running an
-  experiment skips every already-evaluated point.
+  filed under :func:`evaluation_key`, a digest of the evaluator
+  fingerprint and every field of the point, so each entry serves only
+  the point that wrote it; re-running an experiment skips every
+  already-evaluated point.
 * **JSONL checkpointing** (:class:`SweepCheckpoint`) -- each completed
   evaluation is appended as one JSON line; a re-run with the same
   checkpoint path resumes mid-sweep after an interruption.  A lock-file
@@ -41,6 +42,7 @@ import fcntl
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -51,9 +53,9 @@ from pathlib import Path
 from repro.core import flight
 from repro.core.results import Evaluation
 from repro.core.serialization import (
-    design_point_to_dict,
     evaluation_from_dict,
     evaluation_to_dict,
+    point_identity,
 )
 from repro.core.telemetry import get_active
 from repro.power.technology import DesignPoint
@@ -117,19 +119,23 @@ class ExecutionPolicy:
     Parameters
     ----------
     timeout_s:
-        Per-point wall-clock ceiling in seconds; ``None`` disables the
-        watchdog.  The evaluation runs on a daemon watchdog thread, so a
-        timed-out solve is *abandoned* (its thread keeps running until the
-        worker process exits) rather than interrupted -- the standard
-        pure-Python trade-off; pick a ceiling well above the honest
-        per-point latency.
+        Per-point wall-clock ceiling in seconds, finite and > 0; ``None``
+        disables the watchdog.  The evaluation runs on a daemon watchdog
+        thread, so a timed-out solve is *abandoned* (its thread keeps
+        running until the worker process exits) rather than interrupted
+        -- the standard pure-Python trade-off; pick a ceiling well above
+        the honest per-point latency.
     """
 
     timeout_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(f"timeout_s must be > 0 or None, got {self.timeout_s}")
+        if self.timeout_s is not None and (
+            not math.isfinite(self.timeout_s) or self.timeout_s <= 0
+        ):
+            raise ValueError(
+                f"timeout_s must be a finite number > 0 or None, got {self.timeout_s}"
+            )
 
 
 #: The do-nothing policy: no timeout.
@@ -234,16 +240,17 @@ def timed_out(evaluation: Evaluation) -> bool:
 def evaluation_key(fingerprint: str, point: DesignPoint) -> str:
     """Content address of one ``(evaluator, point)`` evaluation.
 
-    The SHA-256 of the evaluator fingerprint and the point description --
-    the key :class:`EvaluationCache` has always filed entries under, now
-    exposed so the content-addressed result store (:mod:`repro.store`)
-    and the serving layer address the *same* artefacts: a sweep manifest
-    can reference cache entries directly, and a store lookup never
-    re-evaluates what the cache already holds.  Points that share a
-    description share a key; the point stored in the entry tells whose
-    evaluation it holds.
+    The SHA-256 of :func:`~repro.core.serialization.point_identity` (every
+    field of ``point``, technology included, type-exact) followed by the
+    evaluator fingerprint.  The evaluation depends on nothing else: the
+    point's noise seeds derive from ``describe()``, which equal fields
+    fix.  :class:`EvaluationCache` files entries under it, the result
+    store (:mod:`repro.store`) names its blobs by it and the serving
+    layer compares it, so all three address the *same* artefacts.  Equal
+    points whose fields differ in type (``8`` and ``8.0``) get different
+    keys and miss, which is safe.
     """
-    return hashlib.sha256(f"{fingerprint}\n{point.describe()}".encode()).hexdigest()
+    return hashlib.sha256(point_identity(point) + fingerprint.encode()).hexdigest()
 
 
 def evaluator_fingerprint(evaluator: object) -> str:
@@ -320,112 +327,91 @@ def evaluate_chunk_with(
 class EvaluationCache:
     """Directory of evaluated design points, keyed by content.
 
-    One JSON file per ``(evaluator fingerprint, point description)`` pair,
-    named by the SHA-256 of the key, written atomically (temp file +
-    rename) so concurrent sweeps sharing a cache directory never observe
-    torn entries.  Failed evaluations are never cached: a crash is worth
-    retrying on the next run.
+    One JSON file per :func:`evaluation_key` -- the evaluator fingerprint
+    and every field of the point -- holding ``{"key", "metrics",
+    "breakdown"}`` and written atomically (temp file + rename), so
+    concurrent sweeps sharing a cache directory never observe torn
+    entries.  The file name identifies the whole point, so the entry
+    carries no point: a hit is one read, one parse of the numbers and one
+    comparison of the recorded key with the requested one.  Failed
+    evaluations are never cached: a crash is worth retrying on the next
+    run.
 
-    A hit needs the stored point to equal the requested one field for
-    field, technology included.  The description is only a label: points
-    that share it (say, two supplies) share one file.  An entry never
-    changes once written, since a result store's manifest may reference
-    it: the later of two such label twins misses, re-evaluates on every
-    run and is never cached.  A corrupt entry (torn write from a killed
-    process, disk error, an entry filed under another description) is
-    quarantined to ``*.corrupt`` on first read so it is not re-parsed --
-    and re-missed -- on every subsequent run.
+    A corrupt entry (torn write from a killed process, disk error, an
+    entry recording another key) is quarantined to ``*.corrupt`` on first
+    read so it is not re-parsed -- and re-missed -- on every subsequent
+    run.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._prefix = os.path.join(self.directory, "")
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
 
     def _path(self, fingerprint: str, point: DesignPoint) -> Path:
-        return self.directory / f"{evaluation_key(fingerprint, point)}.json"
+        return Path(self._file(evaluation_key(fingerprint, point)))
 
-    def _quarantine(self, path: Path) -> None:
+    def _file(self, key: str) -> str:
+        return f"{self._prefix}{key}.json"
+
+    def _quarantine(self, path: str) -> None:
         """Move a corrupt entry aside (best effort) and count it."""
         self.corrupt += 1
         get_active().count("cache.corrupt")
         try:
-            os.replace(path, str(path) + ".corrupt")
-            log.warning("quarantined corrupt cache entry %s", path.name)
+            os.replace(path, path + ".corrupt")
+            log.warning("quarantined corrupt cache entry %s", os.path.basename(path))
         except OSError:  # pragma: no cover - raced by a concurrent sweep
             pass
+
+    def load(self, key: str) -> tuple[dict, dict]:
+        """Metrics and breakdown of the entry filed under ``key``.
+
+        Raises ``OSError`` when there is none, and ``ValueError``,
+        ``KeyError`` or ``TypeError`` when it is corrupt (bytes that are
+        not UTF-8 included) or records another key.
+        """
+        with open(self._file(key), "rb", buffering=0) as handle:
+            payload = json.loads(handle.read())
+        if payload["key"] != key:
+            raise ValueError(f"entry {key} records key {payload['key']!r}")
+        return dict(payload["metrics"]), dict(payload["breakdown"])
 
     def get(self, fingerprint: str, point: DesignPoint) -> Evaluation | None:
         """Cached evaluation of ``point``, or ``None``.
 
-        A hit is one read, one parse and one comparison of the stored
-        point with ``point``; the evaluation carries the caller's
-        ``point`` rather than a rebuilt copy.
+        The evaluation carries the caller's ``point`` rather than a
+        rebuilt copy.
         """
-        path = self._path(fingerprint, point)
+        key = evaluation_key(fingerprint, point)
         try:
-            stored = self._load(path, point)
-            if stored is None:
-                self.misses += 1
-                return None
-            evaluation = Evaluation(
-                point=point,
-                metrics=dict(stored["metrics"]),
-                breakdown=dict(stored.get("breakdown", {})),
-                error=stored.get("error"),
-            )
+            metrics, breakdown = self.load(key)
         except OSError:
             self.misses += 1
             return None
         except (ValueError, KeyError, TypeError):
-            self._quarantine(path)
+            self._quarantine(self._file(key))
             self.misses += 1
             return None
         self.hits += 1
-        return evaluation
+        return Evaluation(point=point, metrics=metrics, breakdown=breakdown)
 
-    def _load(self, path: Path, point: DesignPoint) -> dict | None:
-        """The stored evaluation at ``path`` if it is ``point``'s.
-
-        ``None`` when the entry holds a label twin of ``point``: another
-        point under the same description.  Raises ``OSError`` for a
-        missing file and ``ValueError``, ``KeyError`` or ``TypeError``
-        for a corrupt one (bytes that are not UTF-8 included).
-        """
-        payload = json.loads(path.read_bytes())
-        stored = payload["evaluation"]
-        if stored["point"] == design_point_to_dict(point):
-            return stored
-        if payload["point_description"] != point.describe():
-            raise ValueError("entry filed under another description")
-        return None
-
-    def holds_other(self, fingerprint: str, point: DesignPoint) -> bool:
-        """Whether ``point``'s file holds a label twin's entry.
-
-        That entry stays: :meth:`get` misses and :meth:`put` writes
-        nothing for ``point``.
-        """
-        try:
-            return self._load(self._path(fingerprint, point), point) is None
-        except (OSError, ValueError, KeyError, TypeError):
-            return False
-
-    def put(self, fingerprint: str, point: DesignPoint, evaluation: Evaluation) -> None:
-        """Store one evaluation (no-op for failed evaluations).
-
-        Writes when the file is missing, corrupt or holds ``point``; a
-        label twin's entry is left in place (:meth:`holds_other`).
-        """
-        if evaluation.error is not None or self.holds_other(fingerprint, point):
-            return
+    def put(self, fingerprint: str, point: DesignPoint, evaluation: Evaluation) -> str | None:
+        """Store one evaluation; returns its key (``None``, writing nothing,
+        for a failed evaluation)."""
+        if evaluation.error is not None:
+            return None
+        key = evaluation_key(fingerprint, point)
         payload = {
-            "point_description": point.describe(),
-            "evaluation": evaluation_to_dict(evaluation),
+            "key": key,
+            "metrics": dict(evaluation.metrics),
+            "breakdown": dict(evaluation.breakdown),
         }
-        atomic_write_text(self._path(fingerprint, point), json.dumps(payload))
+        atomic_write_text(self._file(key), json.dumps(payload))
+        return key
 
     def __len__(self) -> int:
         return sum(1 for _ in self.directory.glob("*.json"))

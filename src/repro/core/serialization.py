@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
+from operator import attrgetter
 from pathlib import Path
 
 from repro.core.results import Evaluation, ExplorationResult
@@ -22,6 +24,24 @@ FORMAT_VERSION = 1
 
 _POINT_FIELDS = tuple(field.name for field in dataclasses.fields(DesignPoint))
 _TECHNOLOGY_FIELDS = tuple(field.name for field in dataclasses.fields(Technology))
+_point_values = attrgetter(*(name for name in _POINT_FIELDS if name != "technology"))
+_technology_values = attrgetter(*_TECHNOLOGY_FIELDS)
+
+
+def point_identity(point: DesignPoint) -> bytes:
+    """Type-exact encoding of every field of ``point``, technology included.
+
+    Equal bytes mean equal field types and values, and so an equal
+    ``describe()`` -- the label per-point seeds derive from.  The
+    encoding is a pickle of the field values: floats are their 8 IEEE
+    bytes, ``bool``, ``int`` and ``float`` have distinct opcodes, and a
+    stream ends at its ``STOP`` opcode, so bytes appended after it stay
+    unambiguous.  Points that are equal but differ in a field's type
+    (``8`` and ``8.0``, a numpy scalar and a float) encode differently;
+    a key built from this then misses, which is safe.  A point rebuilt
+    by :func:`design_point_from_dict` keeps its encoding.
+    """
+    return pickle.dumps((_point_values(point), _technology_values(point.technology)), 5)
 
 
 def design_point_to_dict(point: DesignPoint) -> dict:

@@ -180,6 +180,9 @@ def _parse_payload(payload: dict) -> tuple[dict, dict, dict, list]:
                 raise ValueError(f"counter {name!r} must be a number, got {amount!r}")
             if not math.isfinite(amount):
                 raise ValueError(f"counter {name!r} must be finite, got {amount!r}")
+        for histogram in (*spans.values(), *histograms.values()):
+            for count in (histogram.count, *histogram.counts):
+                float(count)  # Histogram.merge divides by counts as floats
     except (AttributeError, KeyError, TypeError, OverflowError) as error:
         raise ValueError(f"malformed telemetry payload: {error!r}") from None
     if not all(isinstance(event, dict) for event in events):

@@ -81,6 +81,7 @@ from repro.core.serialization import (
     design_point_to_dict,
     evaluation_from_dict,
     evaluation_to_dict,
+    point_identity,
 )
 from repro.power.technology import DesignPoint
 
@@ -156,13 +157,15 @@ def recv_message(stream: IO[str], expect: Sequence[str] | None = None) -> dict |
 def chunk_digest(chunk: Sequence[tuple[int, DesignPoint]]) -> str:
     """Content digest of an index-tagged chunk.
 
-    Hashes the (index, describe()) pairs in order, so the coordinator
-    can verify a completion refers to exactly the points it leased --
-    a worker answering with a stale or foreign chunk is rejected
-    instead of silently merged.
+    Hashes each index with :func:`~repro.core.serialization.point_identity`
+    (every field of the point, the encoding cache keys use), in order,
+    so the coordinator can verify a completion refers to exactly the
+    points it leased -- a worker answering with a stale or foreign chunk
+    is rejected instead of silently merged.
     """
-    body = "\n".join(f"{index}:{point.describe()}" for index, point in chunk)
-    return hashlib.sha256(body.encode()).hexdigest()
+    return hashlib.sha256(
+        b"".join(b"%d:%s" % (index, point_identity(point)) for index, point in chunk)
+    ).hexdigest()
 
 
 def encode_chunk(chunk: Sequence[tuple[int, DesignPoint]]) -> list[dict]:

@@ -67,7 +67,7 @@ from repro.core.pareto import Objective, pareto_front
 from repro.core.results import ExplorationResult
 from repro.core.telemetry import Telemetry, activate, get_active
 from repro.core.tracing import Tracer, chrome_trace
-from repro.store import ResultStore, SweepManifest, check_sweep_name
+from repro.store import ResultStore, StoreError, SweepManifest, check_sweep_name
 from repro.power.technology import DesignPoint
 
 log = logging.getLogger("repro.serve")
@@ -278,7 +278,10 @@ class SweepService:
             self.jobs[name] = job
 
         expected = [evaluation_key(fingerprint, point) for point in points]
-        manifest = self.store.get_sweep(name)
+        try:
+            manifest = self.store.get_sweep(name)
+        except StoreError:
+            manifest = None  # torn, or of an older format: run it again
         if (
             manifest is not None
             and manifest.fingerprint == fingerprint

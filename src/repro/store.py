@@ -7,20 +7,21 @@ simulator again.  The store turns sweep results into two kinds of
 artefact:
 
 * **Evaluation blobs** -- one JSON file per successful evaluation, named
-  by :func:`~repro.core.execution.evaluation_key` (the SHA-256 of the
-  evaluator fingerprint and the point description).  This is *exactly*
-  the key and payload :class:`~repro.core.execution.EvaluationCache`
-  files entries under, so the blob directory doubles as a live
-  evaluation cache: a sweep executed with ``cache=store.cache``
-  content-addresses its evaluations into the store as it runs, and a
-  re-submitted sweep is served from disk without re-simulation.
+  by :func:`~repro.core.execution.evaluation_key` (the SHA-256 of every
+  field of the point and the evaluator fingerprint) and holding the
+  key and the numbers.  This is *exactly* the key and payload
+  :class:`~repro.core.execution.EvaluationCache` files entries under, so
+  the blob directory doubles as a live evaluation cache: a sweep
+  executed with ``cache=store.cache`` content-addresses its evaluations
+  into the store as it runs, and a re-submitted sweep is served from
+  disk without re-simulation.
 * **Sweep manifests** -- one JSON file per *named* sweep, recording the
-  evaluator fingerprint, the ordered entry list (blob keys for
-  successes, inline payloads for failures -- failures are deliberately
-  not blobbed, matching the cache's never-cache-failures rule) and a
-  content digest over both.  The digest is stable across re-runs of
-  identical content, which is what makes it usable as an HTTP ``ETag``
-  (see :mod:`repro.serve`).
+  evaluator fingerprint, the ordered entry list (blob key and full
+  point for successes, inline payloads for failures -- failures are
+  deliberately not blobbed, matching the cache's never-cache-failures
+  rule) and a content digest over both.  The digest is stable across
+  re-runs of identical content, which is what makes it usable as an
+  HTTP ``ETag`` (see :mod:`repro.serve`).
 
 Every write is atomic (temp file + ``os.replace``,
 :mod:`repro.util.fsio`), and the derived ``index.json`` -- the
@@ -31,8 +32,8 @@ converge instead of clobbering each other.
 Layout::
 
     <root>/
-      evaluations/<evaluation_key>.json   # EvaluationCache-compatible blobs
-      sweeps/<name>.json                  # one manifest per named sweep
+      evaluations/<evaluation_key>.json   # EvaluationCache entries: key + numbers
+      sweeps/<name>.json                  # one manifest per named sweep, points in full
       index.json                          # derived: name -> digest/counts
 """
 
@@ -45,14 +46,20 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.execution import EvaluationCache, evaluation_key
+from repro.core.execution import EvaluationCache
 from repro.core.results import Evaluation, ExplorationResult
-from repro.core.serialization import evaluation_from_dict, evaluation_to_dict
+from repro.core.serialization import (
+    design_point_from_dict,
+    design_point_to_dict,
+    evaluation_from_dict,
+    evaluation_to_dict,
+)
 from repro.core.telemetry import get_active
 from repro.util.fsio import FileLock, atomic_write_json
 
-#: Format marker written into every manifest and the index.
-STORE_FORMAT_VERSION = 1
+#: Format marker written into every manifest and the index.  v2 manifests
+#: carry each successful point in full and its blob only the numbers.
+STORE_FORMAT_VERSION = 2
 
 #: Legal sweep names: filesystem- and URL-safe, no traversal.
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,99}$")
@@ -77,11 +84,11 @@ class SweepManifest:
     """The named, digest-stamped record of one stored sweep.
 
     ``entries`` preserves grid order; each entry is either
-    ``{"key": <blob key>, "point": <description>}`` (success, payload in
-    the blob directory) or ``{"point": <description>, "evaluation":
-    {...}}`` (failure, payload inline).  ``digest`` covers fingerprint
-    and entries -- not the name or timestamp -- so identical content
-    always produces an identical digest/ETag.
+    ``{"key": <blob key>, "point": <design_point_to_dict>}`` (success,
+    numbers in the blob directory) or ``{"point": <description>,
+    "evaluation": {...}}`` (failure, payload inline).  ``digest`` covers
+    fingerprint and entries -- not the name or timestamp -- so identical
+    content always produces an identical digest/ETag.
     """
 
     name: str
@@ -180,35 +187,8 @@ class ResultStore:
     def put_evaluation(
         self, fingerprint: str, point, evaluation: Evaluation
     ) -> str | None:
-        """Store one evaluation blob; returns its key (``None`` if failed).
-
-        Raises :class:`ValueError` when the key's blob holds another
-        point that shares ``point``'s description.
-        """
-        if evaluation.error is not None:
-            return None
-        key = evaluation_key(fingerprint, point)
-        self._check_blob_free(fingerprint, point, key)
-        self.cache.put(fingerprint, point, evaluation)
-        return key
-
-    def _check_blob_free(self, fingerprint: str, point, key: str) -> None:
-        """Raise :class:`ValueError` if blob ``key`` holds a label twin of
-        ``point``: a stored sweep may reference it, so it never changes."""
-        if self.cache.holds_other(fingerprint, point):
-            raise ValueError(
-                f"evaluation blob {key} already holds another point labelled "
-                f"{point.describe()!r}, so it cannot hold {point!r}"
-            )
-
-    def get_evaluation(self, key: str) -> Evaluation | None:
-        """Load one evaluation blob by content key, or ``None``."""
-        path = self.evaluations_dir / f"{key}.json"
-        try:
-            payload = json.loads(path.read_text())
-            return evaluation_from_dict(payload["evaluation"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
+        """Store one evaluation blob; returns its key (``None`` if failed)."""
+        return self.cache.put(fingerprint, point, evaluation)
 
     # --- sweep manifests ------------------------------------------------------
 
@@ -228,34 +208,17 @@ class ResultStore:
         -- re-storing identical content rewrites identical files);
         failures are inlined in the manifest so the stored sweep
         round-trips losslessly, failed points included.
-
-        Blobs are keyed on the point description, which omits fields such
-        as the supply, and never change once written.  A sweep in which
-        two different points would share one blob, or one of whose
-        points finds its blob holding another point, raises
-        :class:`ValueError` before anything is written.
         """
-        entries: list[dict] = []
-        blobs: dict[str, tuple[int, Evaluation]] = {}
-        for index, evaluation in enumerate(result):
+        entries = []
+        for evaluation in result:
             point = evaluation.point
-            if not evaluation.ok:
+            if evaluation.ok:
+                key = self.put_evaluation(fingerprint, point, evaluation)
+                entries.append({"key": key, "point": design_point_to_dict(point)})
+            else:
                 entries.append(
                     {"point": point.describe(), "evaluation": evaluation_to_dict(evaluation)}
                 )
-                continue
-            key = evaluation_key(fingerprint, point)
-            first_index, first = blobs.setdefault(key, (index, evaluation))
-            if first.point != point:
-                raise ValueError(
-                    f"sweep {name!r}: point {first_index} ({first.point!r}) and "
-                    f"point {index} ({point!r}) would share evaluation blob {key}"
-                )
-            if first is evaluation:
-                self._check_blob_free(fingerprint, point, key)
-            entries.append({"key": key, "point": point.describe()})
-        for _index, evaluation in blobs.values():
-            self.cache.put(fingerprint, evaluation.point, evaluation)
         manifest = SweepManifest(
             name=name,
             fingerprint=fingerprint,
@@ -275,7 +238,7 @@ class ResultStore:
             return None
         try:
             return SweepManifest.from_dict(json.loads(path.read_text()))
-        except (OSError, ValueError, KeyError, TypeError) as error:
+        except (OSError, ValueError, KeyError, TypeError, StoreError) as error:
             raise StoreError(f"unreadable sweep manifest {path}: {error}") from error
 
     def delete_sweep(self, name: str) -> bool:
@@ -290,9 +253,11 @@ class ResultStore:
     def load_result(self, name: str) -> ExplorationResult:
         """Reassemble the named sweep as an :class:`ExplorationResult`.
 
-        Raises :class:`StoreError` when the manifest is missing or any
-        referenced blob is gone (e.g. swept away by a gc run racing a
-        manifest write from an older store).
+        Each success takes its point from the manifest and its numbers
+        from the blob.  Raises :class:`StoreError` when the manifest is
+        missing or any referenced blob is gone (e.g. swept away by a gc
+        run racing a manifest write from an older store), unreadable or
+        recording another key.
         """
         manifest = self.get_sweep(name)
         if manifest is None:
@@ -305,13 +270,15 @@ class ResultStore:
             if "evaluation" in entry:
                 evaluations.append(evaluation_from_dict(entry["evaluation"]))
                 continue
-            evaluation = self.get_evaluation(entry["key"])
-            if evaluation is None:
+            key = entry["key"]
+            try:
+                metrics, breakdown = self.cache.load(key)
+            except (OSError, ValueError, KeyError, TypeError) as error:
                 raise StoreError(
-                    f"sweep {name!r} references missing evaluation blob "
-                    f"{entry['key']} (point {entry.get('point')!r})"
-                )
-            evaluations.append(evaluation)
+                    f"sweep {name!r} references missing evaluation blob {key} ({error})"
+                ) from None
+            point = design_point_from_dict(entry["point"])
+            evaluations.append(Evaluation(point, metrics, breakdown))
         return ExplorationResult(evaluations, name=name)
 
     # --- index and maintenance ------------------------------------------------
@@ -342,7 +309,7 @@ class ResultStore:
                 try:
                     manifest = self.get_sweep(manifest_name)
                 except StoreError:
-                    continue  # torn manifest from a foreign writer: skip
+                    continue  # torn, or another format version: skip
                 if manifest is not None:
                     sweeps[manifest_name] = manifest.summary_dict()
             payload = {
@@ -368,7 +335,9 @@ class ResultStore:
         Because the blob directory doubles as the live evaluation cache,
         gc also evicts cache entries for sweeps never given a name --
         that is the point: ``repro store gc`` reclaims everything not
-        reachable from a named sweep.
+        reachable from a named sweep.  Raises :class:`StoreError`,
+        deleting nothing, while a manifest is unreadable (torn, or of
+        another format version): its blobs are unknown.
         """
         referenced = self.referenced_keys()
         removed: list[str] = []

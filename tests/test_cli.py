@@ -274,6 +274,18 @@ class TestSweepParallelFlags:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--executor", "gpu"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--timeout", "nan", "--no-cache"], ["robustness", "--timeout", "inf"]],
+        ids=["sweep-nan", "robustness-inf"],
+    )
+    def test_non_finite_timeout_is_refused_before_any_work(self, argv, capsys):
+        # A non-finite ceiling would fail every evaluation in Thread.join.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "timeout_s must be" in capsys.readouterr().err
+
 
 class TestStoreCli:
     def _seed_store(self, tmp_path):
@@ -320,6 +332,20 @@ class TestStoreCli:
         store.put_evaluation("fp-v1", orphan.point, orphan)
         assert main(["store", "gc", "--store", str(store.root)]) == 0
         assert "removed 1" in capsys.readouterr().out
+
+    def test_gc_refuses_while_a_manifest_is_unreadable(self, tmp_path, capsys):
+        from repro.core.results import Evaluation
+        from repro.power.technology import DesignPoint
+
+        store = self._seed_store(tmp_path)
+        # The torn manifest may reference this blob, so it must stay.
+        kept = Evaluation(DesignPoint(n_bits=12), {"power_uw": 12.0})
+        store.put_evaluation("fp-v1", kept.point, kept)
+        (store.sweeps_dir / "torn.json").write_text("{trunc")
+        blobs = sorted(store.evaluations_dir.iterdir())
+        assert main(["store", "gc", "--store", str(store.root)]) == 2
+        assert "torn.json" in capsys.readouterr().err
+        assert sorted(store.evaluations_dir.iterdir()) == blobs
 
     def test_serve_flags_parse(self):
         args = build_parser().parse_args(["serve", "--port", "9000"])

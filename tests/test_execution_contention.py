@@ -108,23 +108,20 @@ class TestCacheQuarantine:
         assert cache.get(FINGERPRINT, point) is None
         assert cache.corrupt == 1
 
-    def test_label_twin_entry_is_a_plain_miss_and_stays(self, tmp_path):
-        """An entry of another point under the same description is neither
-        served, quarantined nor replaced: a stored sweep may reference it."""
+    def test_label_twins_get_their_own_entries(self, tmp_path):
+        """Points sharing a description (v_dd is not in it) are filed apart."""
         cache = EvaluationCache(tmp_path)
         first = _point().with_(v_dd=2.0)
         twin = first.with_(v_dd=1.2)
         assert twin.describe() == first.describe()
         cache.put(FINGERPRINT, first, Evaluation(first, metrics={"power_uw": 7.268}))
-        entry = cache._path(FINGERPRINT, first)
-        written = entry.read_bytes()
 
         assert cache.get(FINGERPRINT, twin) is None
-        assert cache.holds_other(FINGERPRINT, twin)
         cache.put(FINGERPRINT, twin, Evaluation(twin, metrics={"power_uw": 5.651}))
-        assert entry.read_bytes() == written
-        assert cache.corrupt == 0
+        assert cache._path(FINGERPRINT, twin) != cache._path(FINGERPRINT, first)
         assert cache.get(FINGERPRINT, first).metrics == {"power_uw": 7.268}
+        assert cache.get(FINGERPRINT, twin).metrics == {"power_uw": 5.651}
+        assert cache.corrupt == 0 and len(cache) == 2
 
     def test_quarantine_counts_into_active_telemetry(self, tmp_path):
         cache = EvaluationCache(tmp_path)

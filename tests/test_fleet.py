@@ -43,6 +43,7 @@ from repro.fleet import (
 )
 from repro.power.technology import DesignPoint
 from tests.test_parallel_explorer import (
+    LABEL_TWINS,
     FailingEvaluator,
     ToyEvaluator,
     assert_sweeps_identical,
@@ -104,6 +105,9 @@ class TestProtocol:
         assert protocol.chunk_digest(chunk) != protocol.chunk_digest(chunk[:2])
         reindexed = [(i + 1, p) for i, p in chunk]
         assert protocol.chunk_digest(chunk) != protocol.chunk_digest(reindexed)
+        # Points sharing a describe() label are different content.
+        for first, second in LABEL_TWINS.values():
+            assert protocol.chunk_digest([(0, first)]) != protocol.chunk_digest([(0, second)])
 
     def test_rows_round_trip_including_failures(self):
         chunk = points(2)

@@ -453,11 +453,10 @@ class TestEvaluationCache:
         assert result[0].point == second
         assert result[0].metrics == FieldEvaluator()(second).metrics
 
-        # The shared entry keeps the first point's evaluation: the later
-        # point misses again, the first still hits, nothing is quarantined.
+        # Each point has its own entry: both hit, nothing is quarantined.
         again = FieldEvaluator()
         rerun = DesignSpaceExplorer(again).explore([second, first], cache=cache)
-        assert again.calls == [second]
+        assert again.calls == []
         assert [e.metrics for e in rerun] == [
             FieldEvaluator()(second).metrics,
             FieldEvaluator()(first).metrics,

@@ -116,6 +116,9 @@ class TestExecutionPolicy:
         [
             {"timeout_s": 0.0},
             {"timeout_s": -1.0},
+            # Non-finite ceilings fail every evaluation inside Thread.join.
+            {"timeout_s": float("nan")},
+            {"timeout_s": float("inf")},
         ],
     )
     def test_validation(self, kwargs):

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.execution import evaluation_key
 from repro.core.results import Evaluation
 from repro.core.telemetry import Telemetry
 from repro.power.technology import DesignPoint
@@ -35,7 +36,7 @@ from repro.serve import (
     default_resolver,
     if_none_match_hits,
 )
-from repro.store import ResultStore
+from repro.store import ResultStore, SweepManifest
 
 
 class CountingEvaluator:
@@ -183,33 +184,76 @@ class TestServiceSubmission:
         manifest = svc.store.get_sweep("bad")
         assert manifest.n_failures == 1
 
-    def test_label_twin_sweep_fails_and_leaves_the_stored_sweep(self, tmp_path):
-        """A sweep whose point shares a stored point's label (v_dd is not in
-        ``describe()``) cannot take over that point's blob."""
+    @staticmethod
+    def _supply_service(tmp_path):
+        """A service whose grid is one point at the payload's supply, which
+        ``describe()`` omits, and whose evaluator counts its calls."""
 
         class SupplyEvaluator:
+            calls = 0
+
             def fingerprint(self):
                 return "supply-v1"
 
             def __call__(self, point):
+                self.calls += 1
                 return Evaluation(point, {"power_uw": 3.6 * point.v_dd})
+
+        evaluator = SupplyEvaluator()
 
         def resolver(payload):
             v_dd = payload["v_dd"]
-            return payload["name"], SupplyEvaluator(), [DesignPoint(v_dd=v_dd)], {}
+            return payload["name"], evaluator, [DesignPoint(v_dd=v_dd)], {}
 
         svc = SweepService(
             ResultStore(tmp_path / "s"), resolver=resolver, telemetry=Telemetry()
         )
-        svc.submit({"name": "high", "v_dd": 2.0})
-        assert wait_done(svc, "high").status == "done"
-        svc.submit({"name": "low", "v_dd": 1.2})
-        job = wait_done(svc, "low")
-        assert job.status == "failed" and "already holds another point" in job.error
-        assert svc.store.sweep_names() == ["high"]
-        (stored,) = svc.store.load_result("high")
-        assert stored.point == DesignPoint(v_dd=2.0)
-        assert stored.metrics == {"power_uw": 3.6 * 2.0}
+        return svc, evaluator
+
+    def test_label_twin_sweep_is_stored_beside_the_first(self, tmp_path):
+        """Sweeps of points sharing a label (v_dd is not in ``describe()``)
+        each keep their own blob, and each resubmission is served."""
+        svc, evaluator = self._supply_service(tmp_path)
+        for name, v_dd in (("high", 2.0), ("low", 1.2)):
+            svc.submit({"name": name, "v_dd": v_dd})
+            assert wait_done(svc, name).status == "done"
+        assert svc.store.sweep_names() == ["high", "low"]
+        assert len(list(svc.store.evaluations_dir.glob("*.json"))) == 2
+        for name, v_dd in (("high", 2.0), ("low", 1.2)):
+            (stored,) = svc.store.load_result(name)
+            assert stored.point == DesignPoint(v_dd=v_dd)
+            assert stored.metrics == {"power_uw": 3.6 * v_dd}
+            job, accepted = svc.submit({"name": name, "v_dd": v_dd})
+            assert accepted and job.from_store
+        assert evaluator.calls == 2
+
+    def test_grid_differing_only_in_unlabelled_fields_reruns(self, tmp_path):
+        svc, evaluator = self._supply_service(tmp_path)
+        svc.submit({"name": "supply", "v_dd": 2.0})
+        assert wait_done(svc, "supply").status == "done"
+        job, accepted = svc.submit({"name": "supply", "v_dd": 1.2})
+        assert accepted and not job.from_store
+        assert wait_done(svc, "supply").status == "done"
+        assert evaluator.calls == 2
+        (stored,) = svc.store.load_result("supply")
+        assert stored.point == DesignPoint(v_dd=1.2)
+        assert stored.metrics == {"power_uw": 3.6 * 1.2}
+
+    def test_sweep_stored_in_format_1_reruns_once(self, tmp_path):
+        """A format-1 manifest is refused, not served: the resubmission
+        runs, its format-2 manifest replaces it, and the next is served."""
+        svc, evaluator = self._supply_service(tmp_path)
+        point = DesignPoint(v_dd=2.0)
+        key = evaluation_key("supply-v1", point)
+        entries = [{"key": key, "point": point.describe()}]
+        v1 = {**SweepManifest("old", "supply-v1", entries).to_dict(), "format_version": 1}
+        (svc.store.sweeps_dir / "old.json").write_text(json.dumps(v1))
+        for from_store in (False, True):
+            job, accepted = svc.submit({"name": "old", "v_dd": 2.0})
+            assert accepted and job.from_store == from_store
+            assert wait_done(svc, "old").status == "done"
+        assert evaluator.calls == 1
+        assert svc.store.get_sweep("old").keys == [key]
 
     def test_invalid_name_rejected(self, service):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Tests of the content-addressed result store (:mod:`repro.store`)."""
 
+import dataclasses
 import json
+import os
 import threading
 
 import pytest
@@ -8,7 +10,8 @@ import pytest
 from repro.core.execution import EvaluationCache, evaluation_key
 from repro.core.explorer import DesignSpaceExplorer
 from repro.core.results import Evaluation, ExplorationResult
-from repro.power.technology import DesignPoint
+from repro.core.serialization import design_point_from_dict, design_point_to_dict
+from repro.power.technology import DesignPoint, Technology
 from repro.store import ResultStore, StoreError, SweepManifest, check_sweep_name
 
 FP = "evaluator-fingerprint-v1"
@@ -23,6 +26,29 @@ def make_eval(bits: int, *, error: str | None = None) -> Evaluation:
         metrics={"power_uw": float(bits), "snr_db": 50.0 - bits},
         breakdown={"adc": float(bits) / 2, "lna": float(bits) / 2},
     )
+
+
+def _changed(value):
+    """A valid value of ``value``'s type other than ``value``."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, str):
+        return "digital" if value == "analog" else "analog"
+    return value + 1 if isinstance(value, int) else value * 0.5
+
+
+def _single_field_changes(point: DesignPoint) -> dict[str, DesignPoint]:
+    """``point`` with one field changed, for every field, technology's too."""
+    changes = {
+        f.name: point.with_(**{f.name: _changed(getattr(point, f.name))})
+        for f in dataclasses.fields(DesignPoint)
+        if f.name != "technology"
+    }
+    technology = point.technology
+    for f in dataclasses.fields(Technology):
+        changed = dataclasses.replace(technology, **{f.name: _changed(getattr(technology, f.name))})
+        changes[f"technology.{f.name}"] = point.with_(technology=changed)
+    return changes
 
 
 def make_result(bits=(6, 7, 8), errors=(), name="demo") -> ExplorationResult:
@@ -51,6 +77,17 @@ class TestContentAddressing:
         cache = EvaluationCache(tmp_path)
         point = DesignPoint(n_bits=7)
         assert cache._path(FP, point).stem == evaluation_key(FP, point)
+
+    def test_every_field_is_in_the_key_and_survives_json(self):
+        point = DesignPoint()
+        changes = _single_field_changes(point)
+        assert all(changed != point for changed in changes.values())
+        key = evaluation_key(FP, point)
+        assert [name for name, p in changes.items() if evaluation_key(FP, p) == key] == []
+        # A point rebuilt from JSON (fleet wire, checkpoint, service) keeps it.
+        for changed in (point, *changes.values()):
+            rebuilt = design_point_from_dict(json.loads(json.dumps(design_point_to_dict(changed))))
+            assert evaluation_key(FP, rebuilt) == evaluation_key(FP, changed)
 
     def test_store_blobs_are_cache_hits(self, tmp_path):
         """An evaluation stored via put_sweep must be a cache hit for the
@@ -87,24 +124,23 @@ class TestSweepRoundTrip:
         # No blob was written for the failure.
         assert len(list(store.evaluations_dir.glob("*.json"))) == 1
 
-    def test_points_sharing_a_key_are_refused_before_any_write(self, tmp_path):
-        """Blobs are keyed on the description, which omits the supply: one
-        blob cannot hold both points of a v_dd sweep."""
+    def test_points_sharing_a_label_are_stored_in_two_blobs(self, tmp_path):
+        """The description omits the supply; the key does not."""
         store = ResultStore(tmp_path)
         low, high = DesignPoint(v_dd=1.2), DesignPoint(v_dd=2.0)
         result = ExplorationResult(
             [Evaluation(low, {"power_uw": 5.651}), Evaluation(high, {"power_uw": 7.268})]
         )
-        with pytest.raises(
-            ValueError, match=r"point 0 \(.*v_dd=1\.2.*\) and point 1 \(.*v_dd=2\.0"
-        ):
-            store.put_sweep("supply", FP, result)
-        assert list(store.evaluations_dir.glob("*")) == []
-        assert store.sweep_names() == []
+        manifest = store.put_sweep("supply", FP, result)
+        assert manifest.keys == [evaluation_key(FP, low), evaluation_key(FP, high)]
+        assert len(list(store.evaluations_dir.glob("*.json"))) == 2
+        loaded = store.load_result("supply")
+        assert [e.point for e in loaded] == [low, high]
+        assert [e.metrics for e in loaded] == [{"power_uw": 5.651}, {"power_uw": 7.268}]
 
     def test_stored_blob_is_not_replaced_by_a_label_twin(self, tmp_path):
         """A later sweep through ``store.cache`` whose point shares a stored
-        point's label leaves that blob, and the sweep holding it, intact."""
+        point's label gets its own blob, and the stored sweep keeps its own."""
         store = ResultStore(tmp_path)
         high, low = DesignPoint(v_dd=2.0), DesignPoint(v_dd=1.2)
         assert high.describe() == low.describe()
@@ -124,17 +160,17 @@ class TestSweepRoundTrip:
 
         swept = DesignSpaceExplorer(evaluate).explore([low], cache=store.cache)
         assert swept[0].point == low and swept[0].metrics == evaluate(low).metrics
-        with pytest.raises(ValueError, match="already holds another point"):
-            store.put_sweep("low", FP, swept)
+        store.put_sweep("low", FP, swept)
+        assert store.put_evaluation(FP, low, swept[0]) == evaluation_key(FP, low)
 
-        assert {path: path.read_bytes() for path in store.evaluations_dir.iterdir()} == blobs
-        assert store.sweep_names() == ["high"]
+        assert {path: path.read_bytes() for path in blobs} == blobs
+        assert len(list(store.evaluations_dir.iterdir())) == 2
+        assert store.sweep_names() == ["high", "low"]
         assert store.get_sweep("high").digest == digest
-        loaded = store.load_result("high")
-        assert loaded[0].point == high
-        assert loaded[0].metrics == evaluate(high).metrics
-        with pytest.raises(ValueError, match="already holds another point"):
-            store.put_evaluation(FP, low, swept[0])
+        for name, point in (("high", high), ("low", low)):
+            (loaded,) = store.load_result(name)
+            assert loaded.point == point
+            assert loaded.metrics == evaluate(point).metrics
 
     def test_repeated_point_shares_its_blob(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -154,6 +190,16 @@ class TestSweepRoundTrip:
         for blob in store.evaluations_dir.glob("*.json"):
             blob.unlink()
         with pytest.raises(StoreError, match="missing evaluation blob"):
+            store.load_result("demo")
+
+    def test_blob_recording_another_key_raises(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put_sweep("demo", FP, make_result(bits=(6, 7)))
+        six, seven = store.get_sweep("demo").keys
+        evaluations = store.evaluations_dir
+        # Graft the 7-bit blob under the 6-bit key.
+        os.replace(evaluations / f"{seven}.json", evaluations / f"{six}.json")
+        with pytest.raises(StoreError, match=f"missing evaluation blob {six}"):
             store.load_result("demo")
 
     def test_invalid_name_rejected_on_put(self, tmp_path):
@@ -290,6 +336,29 @@ class TestManifestFormat:
         path.write_text(json.dumps(payload))
         with pytest.raises(StoreError, match="version"):
             store.get_sweep("demo")
+
+    def test_v1_manifest_is_refused(self, tmp_path):
+        """A v1 manifest named blobs by the point description and kept the
+        points in the blobs: it loads no more, gc keeps every blob, and the
+        index skips it."""
+        store = ResultStore(tmp_path)
+        store.put_sweep("demo", FP, make_result(bits=(6,)))
+        point = DesignPoint(n_bits=7)
+        (store.sweeps_dir / "old.json").write_text(
+            json.dumps(
+                {
+                    **SweepManifest("old", FP, []).to_dict(),
+                    "format_version": 1,
+                    "entries": [{"key": "0" * 64, "point": point.describe()}],
+                }
+            )
+        )
+        for read in (store.get_sweep, store.load_result):
+            with pytest.raises(StoreError, match="unsupported sweep manifest version 1"):
+                read("old")
+        with pytest.raises(StoreError, match="old.json"):
+            store.gc()
+        assert set(store._rebuild_index()["sweeps"]) == {"demo"}
 
     def test_get_missing_sweep_returns_none(self, tmp_path):
         assert ResultStore(tmp_path).get_sweep("nope") is None

@@ -127,6 +127,12 @@ def _corrupt(**parts) -> dict:
     return payload
 
 
+def _one_sample(**changes) -> dict:
+    histogram = Histogram()
+    histogram.observe(1.0)
+    return {**histogram.to_dict(), **changes}
+
+
 class TestMalformedPayloads:
     @pytest.mark.parametrize(
         "payload",
@@ -150,6 +156,7 @@ class TestMalformedPayloads:
             _corrupt(counters={"x": 10**400}),
             _corrupt(spans={"s": {**Histogram().to_dict(), "total": 10**400}}),
             _corrupt(histograms={"v": {**Histogram().to_dict(), "total": 10**400}}),
+            _corrupt(counters={"n": 1}, histograms={"v": _one_sample(count=10**400)}),
         ],
         ids=lambda payload: repr(payload)[:40],
     )
